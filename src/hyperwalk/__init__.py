@@ -12,11 +12,10 @@ from .radial_density import (RadialProfile, cdf_eta, limit_time, make_bump,
                              make_table, mean_eta, pdf_eta, profile_from_config,
                              sample_eta, sample_point, sample_points,
                              scale_profile, second_moment)
-from .spectral import (PlancherelDensity, SpectralFunction, char2, convolution_profile,
-                       convolve_direct, fh_inverse, fh_inverse_grid, fh_transform,
-                       inversion_constant, phi, phi_integral, phi_legendre_check,
-                       phi_many, phi_series, plancherel_density, variance_direct,
-                       walk_density, walk_density_grid, walk_transform)
+from .spectral import (SpectralFunction, char2, convolution_profile, convolve_direct,
+                       fh_inverse, fh_inverse_grid, fh_transform, inversion_constant,
+                       phi, phi_integral, phi_many, phi_series, plancherel_density,
+                       variance_direct, walk_density, walk_density_grid, walk_transform)
 from .diagnostics import (Verdict, clt_check, gyro_property_suite, lln_check,
                           llt_check, variance_rate_check)
 from .walk_sim import (WalkConfig, WalkEnsemble, empirical_radial_density,

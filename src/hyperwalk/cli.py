@@ -115,7 +115,7 @@ def _cmd_transform(args) -> int:
     density = _parse_density(args.density, args.dim)
     profile = profile_from_config(density)
     lams = _parse_grid(args.lam)
-    rows = [(lam, fh_transform(profile, lam)) for lam in lams]
+    rows = list(zip(lams, fh_transform(profile, lams)))
     _write_csv(args.out, ["lambda", "value"], rows)
     _write_sidecar(args.out, {"command": "transform", "density": density,
                               "lambda_grid": args.lam})

@@ -221,6 +221,17 @@ def cdf_eta(p: RadialProfile, eta):
     return float(out[0]) if scalar else out
 
 
+def open_uniforms(u, out=None):
+    """Map Generator.random() draws from [0, 1) into (0, 1).
+
+    The generator's draws are multiples of 2^-53, so the only one outside
+    (0, 1) is 0 itself; it becomes 2^-54, the middle of the first step.
+    Every other draw is returned unchanged, bit for bit.  `out` is passed to
+    np.maximum, so a caller that owns the draws can map them in place.
+    """
+    return np.maximum(u, 2.0**-54, out=out)
+
+
 def _sample_eta_many(p: RadialProfile, u: np.ndarray) -> np.ndarray:
     """Vectorized inversion of the cubic CDF table at the draws u.
 
@@ -262,7 +273,7 @@ def sample_eta(p: RadialProfile, u: float) -> float:
 
 def sample_point(p: RadialProfile, stream: np.random.Generator) -> BallPoint:
     """Draw one point: eta by CDF inversion, direction uniform on the sphere."""
-    eta = sample_eta(p, float(stream.random()))
+    eta = sample_eta(p, float(open_uniforms(stream.random())))
     g = stream.standard_normal(p.dim.n)
     nrm = float(np.linalg.norm(g))
     theta = g / nrm if nrm > 0.0 else np.eye(p.dim.n)[0]
@@ -272,10 +283,10 @@ def sample_point(p: RadialProfile, stream: np.random.Generator) -> BallPoint:
 def sample_points(p: RadialProfile, stream: np.random.Generator, count: int) -> np.ndarray:
     """Batch of draws as a (count, n) coordinate array.
 
-    Draw protocol: count uniforms for the radii, then count*n standard
-    normals for the directions.
+    Draw protocol: count uniforms for the radii (through open_uniforms),
+    then count*n standard normals for the directions.
     """
-    etas = _sample_eta_many(p, stream.random(count))
+    etas = _sample_eta_many(p, open_uniforms(stream.random(count)))
     g = stream.standard_normal((count, p.dim.n))
     nrm = np.linalg.norm(g, axis=1, keepdims=True)
     nrm[nrm == 0.0] = 1.0

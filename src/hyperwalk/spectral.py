@@ -1,25 +1,31 @@
 """Radial Fourier analysis on the ball: spherical functions, the Helgason
 transform and its inverse, characteristic functions and variance.
 
-The spherical function has three numerical representations:
+The spherical function has two numerical representations:
 
 * an endpoint-regularized Gauss-Jacobi form of the radial integral
   (the substitution s = eta*v and the product formula
   cosh(eta) - cosh(eta*v) = 2 sinh(eta(1+v)/2) sinh(eta(1-v)/2) turn the
   endpoint singularity into the Jacobi weight (1-v^2)^{(n-3)/2});
-* a hypergeometric-type power series in sinh(eta/2), fast for small radii;
-* for odd n, the half-integer Legendre reduction used as a cross-check.
+* a hypergeometric-type power series in sinh(eta/2), fast for small radii.
 
 Transforms of radial profiles are therefore one-dimensional quadratures, and
 the inverse transform is an adaptive Gauss-Kronrod integral against the
 Plancherel density |c(lambda)|^{-2} of the Harish-Chandra c-function.
+
+Array contract: `phi_many`, `phi_integral`, `fh_transform` and
+`plancherel_density` take a scalar or an array of lambda and evaluate every
+lambda in one call; each lambda gets exactly the value a scalar call would
+give it.  `fh_inverse_grid` evaluates its spectral integrand one 15-node
+Kronrod panel at a time, so the F and envelope it is given receive 1-d
+lambda arrays (and may return a scalar, which is broadcast).
 """
 
 import math
 from dataclasses import dataclass
-from weakref import WeakKeyDictionary
 
 import numpy as np
+from scipy.special import loggamma
 
 from .geometry import Dimension, as_dim, sphere_area
 from .quadrature import (QuadratureError, gauss_jacobi_sym, gk_adaptive_vector,
@@ -29,6 +35,10 @@ from .radial_density import RadialProfile, pdf_eta, scale_profile, sinch
 _ABS_TARGET = 1e-13
 _TAIL_THRESHOLD = 1e-14
 _LAMBDA_CAP = 1e4
+# elements of one (lambda, eta, Jacobi node) cosine block: 2 MiB of float64
+_COS_BLOCK = 1 << 18
+# truncation scan points whose envelope is evaluated in one call
+_SCAN_BLOCK = 16
 
 
 class SeriesError(RuntimeError):
@@ -69,9 +79,9 @@ def _kn(n: int) -> float:
     return math.gamma(n / 2.0) / (math.sqrt(math.pi) * math.gamma((n - 1) / 2.0))
 
 
-def _gj_order(lam: float, eta_max: float) -> int:
-    q = 24 + int(0.55 * abs(lam) * eta_max)
-    return min(-(-q // 8) * 8, 4096)
+def _gj_order(lam, eta_max: float):
+    q = 24 + (0.55 * np.abs(lam) * eta_max).astype(int)
+    return np.minimum(-(-q // 8) * 8, 4096)
 
 
 def _gj_half(q: int, alpha: float):
@@ -84,34 +94,55 @@ def _gj_half(q: int, alpha: float):
     return v[half:], w[half:]
 
 
+def _lam_shape(lam, out: np.ndarray, eta_shape: tuple):
+    """Reshape (L, M) values to lam's shape followed by eta's shape."""
+    out = out.reshape(np.shape(lam) + eta_shape)
+    return float(out) if out.ndim == 0 else out
+
+
 def phi_integral(lam, eta, n, order=None):
     """Spherical function by Gauss-Jacobi quadrature of its radial integral.
 
-    Accepts scalar or array eta; `order` overrides the node count (used by
+    Accepts scalar or array lam and eta; the result has lam's shape followed
+    by eta's.  Each lambda takes the node count _gj_order(lambda, max eta),
+    and the lambdas sharing a node count are evaluated together in blocks of
+    at most _COS_BLOCK cosines.  `order` overrides the node count (used by
     doubled-resolution oracle tests).
     """
     d = as_dim(n).n
-    lam = abs(float(lam))
-    etas = np.atleast_1d(np.asarray(eta, dtype=float))
-    scalar = np.isscalar(eta) or np.asarray(eta).ndim == 0
-    out = np.ones(etas.shape)
-    pos = etas > 0.0
-    if np.any(pos):
-        ep = etas[pos]
+    lams = np.abs(np.asarray(lam, dtype=float)).reshape(-1)
+    etas = np.asarray(eta, dtype=float)
+    e = etas.reshape(-1)
+    out = np.ones((lams.size, e.size))
+    pos = np.nonzero(e > 0.0)[0]
+    if pos.size and lams.size:
+        ep = e[pos]
         alpha = (d - 3) / 2.0
-        q = order or _gj_order(lam, float(np.max(ep)))
-        v, w = _gj_half(q, alpha)
-        a = 0.5 * ep[:, None] * (1.0 + v[None, :])
-        b = 0.5 * ep[:, None] * (1.0 - v[None, :])
-        smooth = (sinch(a) * sinch(b)) ** alpha
-        j = 2.0 * ((smooth * np.cos(lam * ep[:, None] * v[None, :])) @ w)
-        out[pos] = _kn(d) * sinch(ep) ** (2 - d) * j
-    return float(out[0]) if scalar else out
+        scale = _kn(d) * sinch(ep) ** (2 - d)
+        orders = np.full(lams.size, order) if order else _gj_order(lams, float(np.max(ep)))
+        for q in np.unique(orders):
+            rows = np.nonzero(orders == q)[0]
+            v, w = _gj_half(int(q), alpha)
+            a = 0.5 * ep[:, None] * (1.0 + v[None, :])
+            b = 0.5 * ep[:, None] * (1.0 - v[None, :])
+            smooth_w = (sinch(a) * sinch(b)) ** alpha * w
+            step = max(1, _COS_BLOCK // smooth_w.size)
+            for i in range(0, rows.size, step):
+                r = rows[i:i + step]
+                c = (lams[r, None] * ep[None, :])[:, :, None] * v
+                np.cos(c, out=c)
+                c *= smooth_w
+                out[r[:, None], pos] = scale * (2.0 * c.sum(axis=-1))
+    return _lam_shape(lam, out, etas.shape)
 
 
 def phi_series(lam, eta, n, tol=1e-17, max_terms=200):
     """Spherical function as the hypergeometric series with parameters
     rho +- i*lambda and argument -sinh(eta/2)^2.
+
+    lam and eta broadcast against each other.  Each (lambda, eta) pair sums
+    its own terms and stops after two consecutive terms below
+    tol * (1 + |partial sum|).
 
     The lambda scaling is pinned by the eigenvalue -(lambda^2 + rho^2): the
     eta^2 coefficient must be -(lambda^2 + rho^2)/(2n), which the Pochhammer
@@ -120,26 +151,28 @@ def phi_series(lam, eta, n, tol=1e-17, max_terms=200):
     small-radius regime.
     """
     d = as_dim(n).n
-    lam = abs(float(lam))
     rho = (d - 1) / 2.0
     mser = d / 2.0 - 1.0
-    etas = np.atleast_1d(np.asarray(eta, dtype=float))
-    scalar = np.isscalar(eta) or np.asarray(eta).ndim == 0
-    x = np.sinh(etas / 2.0) ** 2
-    total = np.ones(etas.shape)
-    term = np.ones(etas.shape)
-    lam2 = lam * lam
-    small_runs = 0
+    lams, etas = np.broadcast_arrays(np.abs(np.asarray(lam, dtype=float)),
+                                     np.asarray(eta, dtype=float))
+    shape = etas.shape
+    lams, etas = lams.reshape(-1), etas.reshape(-1)
+    neg_x = -np.sinh(etas / 2.0) ** 2
+    total = np.ones(etas.size)
+    term = np.ones(etas.size)
+    lam2 = lams * lams
+    runs = np.zeros(etas.size, dtype=int)
     for q in range(1, max_terms + 1):
-        term = term * (-x) * ((rho + q - 1.0) ** 2 + lam2) / (q * (mser + q))
+        term = term * neg_x * ((rho + q - 1.0) ** 2 + lam2) / (q * (mser + q))
         total += term
-        if float(np.max(np.abs(term))) <= tol * (1.0 + float(np.max(np.abs(total)))):
-            small_runs += 1
-            if small_runs >= 2:
-                return float(total[0]) if scalar else total
-        else:
-            small_runs = 0
-    raise SeriesError(f"no convergence after {max_terms} terms (lam={lam}, max eta={etas.max()})")
+        runs = (runs + 1) * (np.abs(term) <= tol * (1.0 + np.abs(total)))
+        done = runs >= 2
+        if np.all(done):
+            return float(total[0]) if not shape else total.reshape(shape)
+        term[done] = 0.0  # a finished pair adds nothing more
+    bad = runs < 2
+    raise SeriesError(f"no convergence after {max_terms} terms "
+                      f"(lam={np.max(lams[bad])}, max eta={np.max(etas[bad])})")
 
 
 def phi(lam, eta, n):
@@ -152,93 +185,37 @@ def phi(lam, eta, n):
 
 
 def phi_many(lam, etas, n):
-    """Vectorized dispatcher over eta for a fixed lambda."""
-    d = as_dim(n).n
-    lam = abs(float(lam))
-    etas = np.asarray(etas, dtype=float)
-    out = np.ones(etas.shape)
-    pos = etas > 0.0
-    series = pos & (etas < 0.5) & (lam * np.sinh(etas / 2.0) < 0.5)
-    integral = pos & ~series
-    if np.any(series):
-        out[series] = phi_series(lam, etas[series], d)
-    if np.any(integral):
-        out[integral] = phi_integral(lam, etas[integral], d)
-    return out
+    """Vectorized dispatcher over (lambda, eta): (L, M) values for an array
+    lam of L values and M radii, (M,) for a scalar lam.
 
-
-def phi_legendre_check(lam, eta, n):
-    """Odd-n evaluation through the half-integer Legendre-function reduction.
-
-    The associated Legendre function of order 1 - n/2 and complex degree is
-    evaluated through its radial integral representation (elementary for odd
-    n) and reassembled with the connection constants; validation-only.
+    Each pair takes the series when lam*sinh(eta/2) < 0.5 and eta < 0.5, the
+    Jacobi-rule integral otherwise.
     """
     d = as_dim(n).n
-    if d % 2 == 0:
-        raise ValueError("Legendre reduction is exposed for odd dimensions only")
-    lam = abs(float(lam))
-    eta = float(eta)
-    if eta == 0.0:
-        return 1.0
-    rho = (d - 1) / 2.0
-    k = (d - 3) // 2  # integer power: no endpoint singularity for odd n
-
-    def integrand(s):
-        return (np.cosh(eta) - np.cosh(s)) ** k * np.cos(lam * s)
-
-    npanels = max(2, int(lam * eta / 3.0) + 1)
-    radial = integrate_adaptive(integrand, 0.0, eta, abs_tol=1e-15,
-                                rel_tol=1e-14, npanels=npanels, q=24)
-    legendre = (math.sqrt(2.0 / math.pi) * math.sinh(eta) ** (1.0 - d / 2.0)
-                / math.gamma(rho) * radial)
-    return (2.0 ** (rho - 0.5) * math.gamma(rho + 0.5)
-            * math.sinh(eta) ** (0.5 - rho) * legendre)
+    lams = np.abs(np.asarray(lam, dtype=float)).reshape(-1)
+    etas = np.asarray(etas, dtype=float)
+    e = etas.reshape(-1)
+    out = np.ones((lams.size, e.size))
+    pos = e > 0.0
+    series = pos & (e < 0.5) & (lams[:, None] * np.sinh(e / 2.0) < 0.5)
+    integral = pos & ~series
+    if np.any(series):
+        li, mi = np.nonzero(series)
+        out[li, mi] = phi_series(lams[li], e[mi], d)
+    rows = np.nonzero(np.any(integral, axis=1))[0]
+    if rows.size:
+        # each row's integral radii run up to the largest radius, so the
+        # union of columns leaves every row's node count unchanged
+        cols = np.nonzero(np.any(integral[rows], axis=0))[0]
+        block = np.ix_(rows, cols)
+        out[block] = np.where(integral[block], phi_integral(lams[rows], e[cols], d),
+                              out[block])
+    return _lam_shape(lam, out, etas.shape)
 
 
 # -- Harish-Chandra c-function and Plancherel density -------------------------
 
-# Lanczos approximation, g = 7 with 9 coefficients.
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-
-
-def _log_sin_pi(z: complex) -> complex:
-    """log(sin(pi z)) without overflow for large |Im z|."""
-    x, y = z.real, z.imag
-    if abs(y) < 20.0:
-        return complex(np.log(np.sin(np.pi * complex(x, y))))
-    # sin(pi z) = (e^{i pi z} - e^{-i pi z}) / (2i); keep the dominant factor
-    w = 1.0 - np.exp(2j * np.pi * complex(x, y) * np.sign(y))
-    return complex(np.pi * abs(y) - math.log(2.0),
-                   np.sign(y) * (np.pi / 2.0 - np.pi * x)) + complex(np.log(w))
-
-
-def loggamma(z) -> complex:
-    """Complex log-Gamma by the Lanczos series, reflected for Re z < 0.5."""
-    z = complex(z)
-    if z.real < 0.5:
-        return math.log(math.pi) - _log_sin_pi(z) - loggamma(1.0 - z)
-    z -= 1.0
-    x = _LANCZOS_C[0]
-    for i, c in enumerate(_LANCZOS_C[1:], start=1):
-        x += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return _LOG_SQRT_2PI + (z + 0.5) * np.log(t) - t + np.log(x)
-
-
-def plancherel_density(lam, n) -> float:
+def plancherel_density(lam, n):
     """|c(lambda)|^{-2} for the c-function
 
         c(lambda) = 2^{3-n-2i lam} Gamma(n/2) Gamma(2i lam)
@@ -250,29 +227,21 @@ def plancherel_density(lam, n) -> float:
     (n=2), 16 lambda^2 (n=3) and lambda^2(lambda^2+1) up to constants (n=5),
     and makes the inverse transform exactly undo the forward one.  Vanishes
     like lambda^2 at the origin (the Gamma pole) and grows like
-    lambda^{n-1} at infinity.
+    lambda^{n-1} at infinity.  Scalar or array lam.
     """
     d = as_dim(n).n
-    lam = abs(float(lam))
-    if lam == 0.0:
-        return 0.0
-    s = 2.0 * lam
+    lam = np.abs(np.asarray(lam, dtype=float))
+    nonzero = lam > 0.0
+    s = np.where(nonzero, 2.0 * lam, 1.0)  # lambda = 0 is the pole, set below
     log_abs_c2 = 2.0 * (
         (3.0 - d) * math.log(2.0)
         + math.lgamma(d / 2.0)
         + loggamma(1j * s).real
-        - loggamma(complex((d - 1) / 2.0, s / 2.0)).real
-        - loggamma(complex(0.5, s / 2.0)).real
+        - loggamma((d - 1) / 2.0 + 0.5j * s).real
+        - loggamma(0.5 + 0.5j * s).real
     )
-    return math.exp(-log_abs_c2)
-
-
-@dataclass(frozen=True)
-class PlancherelDensity:
-    dim: Dimension
-
-    def __call__(self, lam):
-        return plancherel_density(lam, self.dim)
+    out = np.where(nonzero, np.exp(-log_abs_c2), 0.0)
+    return float(out) if out.ndim == 0 else out
 
 
 def inversion_constant(n) -> float:
@@ -301,45 +270,58 @@ def _measure_nodes(p: RadialProfile, level: int):
     return entry
 
 
-def _phi_for_transform(lam: float, etas: np.ndarray, d: int) -> np.ndarray:
+def _phi_for_transform(lams: np.ndarray, etas: np.ndarray, d: int) -> np.ndarray:
     # far-oscillatory fast path: for n=3 the spherical function is elementary
     # and the generic Jacobi rule would cost O(lambda^2); the closed form
     # agrees with it to machine precision and only serves lam*eta_max > 64,
     # keeping the generic quadrature as the production route in the band
     # where the closed form acts as an oracle.
-    if d == 3 and lam * float(np.max(etas, initial=0.0)) > 64.0:
-        out = np.ones(etas.shape)
+    far = np.zeros(lams.shape, dtype=bool)
+    if d == 3:
+        far = lams * float(np.max(etas, initial=0.0)) > 64.0
+    out = np.ones((lams.size, etas.size))
+    if np.any(far):
         pos = etas > 0.0
-        out[pos] = np.sin(lam * etas[pos]) / (lam * np.sinh(etas[pos]))
-        return out
-    return phi_many(lam, etas, d)
+        lf = lams[far, None]
+        out[np.ix_(far, pos)] = np.sin(lf * etas[pos]) / (lf * np.sinh(etas[pos]))
+    if not np.all(far):
+        out[~far] = phi_many(lams[~far], etas, d)
+    return out
 
 
-def fh_transform(p: RadialProfile, lam) -> float:
+def fh_transform(p: RadialProfile, lam):
     """Radial Helgason transform: integral of the spherical function against
-    the radial measure of the profile, to ~1e-13 absolute."""
-    lam = abs(float(lam))
+    the radial measure of the profile, to ~1e-13 absolute.
+
+    Scalar or array lam.  Each lambda starts at its own panel level, stops
+    when two consecutive levels agree and has a budget of 14 levels; only the
+    lambdas still open are evaluated at the next level.
+    """
+    lams = np.abs(np.asarray(lam, dtype=float))
+    flat = lams.reshape(-1)
     d = p.dim.n
-    level = int(lam * p.eta_max / 34.0).bit_length()
-    prev = None
-    for lv in range(level, level + 14):
+    start = np.array([int(l * p.eta_max / 34.0).bit_length() for l in flat], dtype=int)
+    out = np.empty(flat.size)
+    prev = np.full(flat.size, np.inf)
+    pending = np.ones(flat.size, dtype=bool)
+    for lv in range(int(start.max(initial=-14)) + 14):
+        sel = np.nonzero(pending & (start <= lv) & (lv < start + 14))[0]
+        if sel.size == 0:
+            continue
         nodes, wpdf = _measure_nodes(p, lv)
-        cur = float(np.dot(wpdf, _phi_for_transform(lam, nodes, d)))
-        if prev is not None and abs(cur - prev) <= max(_ABS_TARGET, 1e-13 * abs(cur)):
-            return cur
-        prev = cur
-    raise QuadratureError(f"transform quadrature did not converge (lam={lam})")
-
-
-def transform_table(p: RadialProfile, lambdas) -> SpectralFunction:
-    lambdas = np.asarray(lambdas, dtype=float)
-    vals = np.array([fh_transform(p, l) for l in lambdas])
-    return SpectralFunction(lambdas, vals, p.dim)
+        cur = (_phi_for_transform(flat[sel], nodes, d) * wpdf).sum(axis=1)
+        done = np.abs(cur - prev[sel]) <= np.maximum(_ABS_TARGET, 1e-13 * np.abs(cur))
+        out[sel[done]] = cur[done]
+        pending[sel[done]] = False
+        prev[sel] = cur
+    if np.any(pending):
+        raise QuadratureError(f"transform quadrature did not converge (lam={flat[pending][0]})")
+    return float(out[0]) if lams.ndim == 0 else out.reshape(lams.shape)
 
 
 def _resolve_spectral(F):
     if isinstance(F, SpectralFunction):
-        return (lambda lam: float(F.at(lam))), F.dim.n
+        return F.at, F.dim.n
     return F, None
 
 
@@ -349,7 +331,10 @@ def find_truncation(envelope, n, tail_tol=_TAIL_THRESHOLD, cap=_LAMBDA_CAP) -> f
 
     The scan grid is fine near the origin and coarsens proportionally at
     large lambda, so super-polynomially decaying transforms are located in
-    O(100) envelope evaluations.
+    O(100) envelope evaluations.  envelope receives the grid in 1-d blocks of
+    _SCAN_BLOCK points and returns an array of bounds (or a scalar); the
+    points are then judged in grid order, so a block may be evaluated a few
+    points past the answer.
     """
     d = as_dim(n).n
     lam = 0.25
@@ -358,25 +343,30 @@ def find_truncation(envelope, n, tail_tol=_TAIL_THRESHOLD, cap=_LAMBDA_CAP) -> f
     prev_bound = math.inf
     growing = 0
     while lam <= cap:
-        bound = abs(envelope(lam)) * plancherel_density(lam, d)
-        if bound < tail_tol:
-            run += 1
-            if first is None:
-                first = lam
-            if run >= 3:
-                return first
-        else:
-            run = 0
-            first = None
-            # a numerically computed transform bottoms out at its quadrature
-            # noise floor and the bound then grows like lambda^{n-1} forever
-            growing = growing + 1 if bound >= prev_bound and lam > 50.0 else 0
-            if growing >= 24:
-                raise TruncationError(
-                    "envelope stopped decaying before certifying the tail; "
-                    "supply an analytic decay certificate")
-        prev_bound = bound
-        lam += max(0.25, lam / 16.0)
+        block = []
+        while lam <= cap and len(block) < _SCAN_BLOCK:
+            block.append(lam)
+            lam += max(0.25, lam / 16.0)
+        lams = np.array(block)
+        bounds = np.abs(envelope(lams)) * plancherel_density(lams, d)
+        for at, bound in zip(block, bounds):
+            if bound < tail_tol:
+                run += 1
+                if first is None:
+                    first = at
+                if run >= 3:
+                    return first
+            else:
+                run = 0
+                first = None
+                # a numerically computed transform bottoms out at its quadrature
+                # noise floor and the bound then grows like lambda^{n-1} forever
+                growing = growing + 1 if bound >= prev_bound and at > 50.0 else 0
+                if growing >= 24:
+                    raise TruncationError(
+                        "envelope stopped decaying before certifying the tail; "
+                        "supply an analytic decay certificate")
+            prev_bound = bound
     raise TruncationError(f"no admissible truncation below lambda = {cap}")
 
 
@@ -384,35 +374,31 @@ def fh_inverse_grid(F, etas, n, envelope=None, abs_tol=1e-13,
                     tail_tol=_TAIL_THRESHOLD):
     """Inverse transform on a grid of radii, sharing the lambda panels.
 
-    F is a callable lambda -> value (or a SpectralFunction).  envelope is a
-    decay certificate bounding |F| (defaults to |F| itself); transforms whose
-    numerically computed values bottom out at the quadrature noise floor need
-    either an analytic envelope or a tail_tol matched to the target accuracy,
-    since the default integrand bound of 1e-14 is then never certified.
+    F is a callable lambda -> value (or a SpectralFunction).  It is called
+    once per 15-node Kronrod panel with a 1-d lambda array and returns the
+    values at those lambdas, or a scalar that holds for all of them.
+    envelope is a decay certificate bounding |F| (defaults to |F| itself),
+    called with blocks of the truncation scan grid in the same way.
+    Transforms whose numerically computed values bottom out at the
+    quadrature noise floor need either an analytic envelope or a tail_tol
+    matched to the target accuracy, since the default integrand bound of
+    1e-14 is then never certified.
     """
     raw, fdim = _resolve_spectral(F)
     if n is None and fdim is None:
         raise ValueError("dimension required when F is a bare callable")
     d = as_dim(n).n if n is not None else fdim
     etas = np.asarray(etas, dtype=float)
-    memo = {}
 
-    def func(lam):
-        val = memo.get(lam)
-        if val is None:
-            val = raw(lam)
-            memo[lam] = val
-        return val
+    def func(lams):
+        return np.broadcast_to(np.asarray(raw(lams), dtype=float), lams.shape)
 
-    env = envelope or (lambda lam: abs(func(lam)))
+    env = envelope or (lambda lams: np.abs(func(lams)))
     lam_max = find_truncation(env, d, tail_tol=tail_tol)
     eta_top = float(np.max(etas)) if etas.size else 0.0
 
     def rows(lams):
-        out = np.empty((lams.size, etas.size))
-        for i, lam in enumerate(lams):
-            out[i] = func(lam) * plancherel_density(lam, d) * phi_many(lam, etas, d)
-        return out
+        return (func(lams) * plancherel_density(lams, d))[:, None] * phi_many(lams, etas, d)
 
     # uniform panels over the bulk, geometric growth into the decayed tail;
     # the panel tolerance follows the truncation budget
@@ -435,17 +421,13 @@ def fh_inverse(F, eta, n=None, envelope=None, tail_tol=_TAIL_THRESHOLD) -> float
 
 # -- characteristic function, variance, walk transforms ------------------------
 
-_F0_CACHE: "WeakKeyDictionary[RadialProfile, float]" = WeakKeyDictionary()
-_SCALED_CACHE: "WeakKeyDictionary[RadialProfile, dict]" = WeakKeyDictionary()
-
-
 def _fhat0(p: RadialProfile) -> float:
-    val = _F0_CACHE.get(p)
+    val = p._cache.get("fhat0")
     if val is None:
         val = fh_transform(p, 0.0)
         if not val > 0.0:
             raise AssertionError("transform at 0 must be positive for a valid profile")
-        _F0_CACHE[p] = val
+        p._cache["fhat0"] = val
     return val
 
 
@@ -484,10 +466,7 @@ def variance_direct(p: RadialProfile) -> float:
 
 
 def _scaled_for_walk(p: RadialProfile, N: int) -> RadialProfile:
-    per = _SCALED_CACHE.get(p)
-    if per is None:
-        per = {}
-        _SCALED_CACHE[p] = per
+    per = p._cache.setdefault("scaled_for_walk", {})
     scaled = per.get(N)
     if scaled is None:
         scaled = scale_profile(p, 1.0 / math.sqrt(N))
@@ -495,7 +474,7 @@ def _scaled_for_walk(p: RadialProfile, N: int) -> RadialProfile:
     return scaled
 
 
-def walk_transform(p: RadialProfile, N: int, lam) -> float:
+def walk_transform(p: RadialProfile, N: int, lam):
     """Exact transform of the N-step normalized sum: the one-step transform of
     the contracted law raised to the N-th power."""
     if N < 1:

@@ -7,8 +7,8 @@ the geodesic-interpolation update with weights 1/k.
 Randomness is counter-based: path j draws from its own generator seeded by a
 fixed 64-bit mix of (master_seed, j), so ensembles are bitwise reproducible
 for any execution order, chunking or worker count.  Within a path the draw
-protocol is fixed: N uniforms for the radii, then N*n standard normals for
-the directions.
+protocol is fixed: N uniforms for the radii (mapped into (0, 1) by
+open_uniforms), then N*n standard normals for the directions.
 """
 
 import math
@@ -22,7 +22,7 @@ import numpy as np
 from .geometry import BOUNDARY_TOL, sphere_area
 from .gyro import BoundaryError, mobius_add_raw, mobius_scalar_raw
 from .quadrature import gauss_legendre
-from .radial_density import RadialProfile, _sample_eta_many
+from .radial_density import RadialProfile, _sample_eta_many, open_uniforms
 
 _CHUNK = 4096
 _MODES = ("clt", "lln", "sturm")
@@ -97,6 +97,7 @@ def _run_chunk(cfg: WalkConfig, start: int, count: int) -> np.ndarray:
         uniforms[i] = gen.random(N)
         normals[i] = gen.standard_normal((N, n))
 
+    open_uniforms(uniforms, out=uniforms)
     etas = _sample_eta_many(cfg.profile, uniforms.ravel()).reshape(count, N)
     norms = np.linalg.norm(normals, axis=2)
     norms[norms == 0.0] = 1.0  # probability-zero guard

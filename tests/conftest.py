@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from scipy.stats import kstwobign
 
@@ -26,7 +27,7 @@ def bump_transform_envelope(profile, safety=10.0):
     f2 = abs(fh_transform(profile, 400.0))
     a = (math.log(f1) - math.log(f2)) / 10.0
     b = math.log(f1) + 10.0 * a
-    return lambda lam: safety * math.exp(b - a * math.sqrt(max(lam, 1e-9)))
+    return lambda lam: safety * np.exp(b - a * np.sqrt(np.maximum(lam, 1e-9)))
 
 
 def ks_critical(alpha, m, k=None):

@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import loggamma as scipy_loggamma
 
 from hyperwalk import (char2, convolution_profile, convolve_direct, fh_inverse_grid,
-                       fh_transform, inversion_constant, make_bump, phi, phi_integral,
-                       phi_legendre_check, phi_many, phi_series, plancherel_density,
-                       scale_profile, second_moment, variance_direct, walk_density_grid,
-                       walk_transform)
-from hyperwalk.spectral import SeriesError, SpectralFunction, TruncationError, loggamma
+                       fh_transform, inversion_constant, make_bump, phi,
+                       phi_integral, phi_many, phi_series, plancherel_density,
+                       scale_profile, second_moment, spectral, variance_direct,
+                       walk_density_grid, walk_transform)
+from hyperwalk.geometry import as_dim
+from hyperwalk.quadrature import integrate_adaptive
+from hyperwalk.spectral import SeriesError, SpectralFunction, TruncationError
 
 from conftest import bump_transform_envelope
 
@@ -96,6 +97,36 @@ def test_phi_domination_and_strict_bound():
     assert worst < 1.0
 
 
+def phi_legendre_check(lam, eta, n):
+    """Odd-n evaluation through the half-integer Legendre-function reduction.
+
+    The associated Legendre function of order 1 - n/2 and complex degree is
+    evaluated through its radial integral representation (elementary for odd
+    n) and reassembled with the connection constants; an oracle independent
+    of both production representations.
+    """
+    d = as_dim(n).n
+    if d % 2 == 0:
+        raise ValueError("Legendre reduction is exposed for odd dimensions only")
+    lam = abs(float(lam))
+    eta = float(eta)
+    if eta == 0.0:
+        return 1.0
+    rho = (d - 1) / 2.0
+    k = (d - 3) // 2  # integer power: no endpoint singularity for odd n
+
+    def integrand(s):
+        return (np.cosh(eta) - np.cosh(s)) ** k * np.cos(lam * s)
+
+    npanels = max(2, int(lam * eta / 3.0) + 1)
+    radial = integrate_adaptive(integrand, 0.0, eta, abs_tol=1e-15,
+                                rel_tol=1e-14, npanels=npanels, q=24)
+    legendre = (math.sqrt(2.0 / math.pi) * math.sinh(eta) ** (1.0 - d / 2.0)
+                / math.gamma(rho) * radial)
+    return (2.0 ** (rho - 0.5) * math.gamma(rho + 0.5)
+            * math.sinh(eta) ** (0.5 - rho) * legendre)
+
+
 def test_phi_legendre_reduction():
     assert phi_legendre_check(1.0, 0.0, 3) == 1.0
     assert phi_legendre_check(1.0, 1.0, 3) == pytest.approx(closed3(1.0, 1.0), abs=1e-13)
@@ -111,14 +142,6 @@ def test_phi_legendre_reduction():
 
 
 # -- Plancherel density --------------------------------------------------------
-
-def test_loggamma_matches_scipy():
-    for x in (0.05, 0.3, 0.5, 1.0, 2.5, 7.0):
-        for y in (0.0, 0.01, 1.0, 10.0, 200.0):
-            mine = loggamma(complex(x, y))
-            ref = scipy_loggamma(complex(x, y))
-            assert mine.real == pytest.approx(ref.real, rel=1e-12, abs=1e-12)
-
 
 def test_plancherel_zero_and_positivity():
     for n in (2, 3, 4, 5):
@@ -195,6 +218,55 @@ def test_spectral_function_table(bump3):
     assert tab.at(1.25) == pytest.approx(fh_transform(bump3, 1.25), abs=1e-3)
     with pytest.raises(ValueError):
         SpectralFunction(lams[::-1], np.zeros(21), bump3.dim)
+
+
+# -- lambda arrays ------------------------------------------------------------------
+
+def _same(batch, stacked):
+    np.testing.assert_allclose(batch, stacked, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_lambda_arrays_match_scalar_calls(n, monkeypatch):
+    """A lambda array gives each lambda the value of its own scalar call: the
+    series/integral dispatch, the Jacobi node count, the cosine blocks and
+    the per-lambda transform levels do not depend on the other lambdas."""
+    etas = np.linspace(0.0, 3.0, 61)
+    lams = np.concatenate([[0.0, 0.3, 1.0, 1.9], np.linspace(2.5, 150.0, 23)])
+    stacked = np.array([phi_many(lam, etas, n) for lam in lams])
+    _same(phi_many(lams, etas, n), stacked)
+    _same(phi_series(lams[:4, None], etas[:20], n),
+          [phi_series(lam, etas[:20], n) for lam in lams[:4]])
+    _same(plancherel_density(lams, n), [plancherel_density(lam, n) for lam in lams])
+    # transform lambdas spanning start levels 0-3, including the n = 3
+    # closed-form path (lam * eta_max > 64), in a 2-d array with signs
+    prof = make_bump(1.0, n)
+    grid = np.concatenate([-lams[:3], lams[3:]]).reshape(3, 9)
+    _same(fh_transform(prof, grid), [[fh_transform(prof, lam) for lam in row] for row in grid])
+    # cosine blocks of one lambda at a time
+    monkeypatch.setattr(spectral, "_COS_BLOCK", 1)
+    _same(phi_many(lams, etas, n), stacked)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_inverse_accepts_scalar_or_array_F(n):
+    """F gets one 15-node Kronrod panel per call and the envelope one block of
+    the truncation scan; a scalar F value holds for the whole panel."""
+    etas = np.array([0.0, 0.4, 1.1])
+    panels, blocks = [], []
+
+    def F(lam):
+        panels.append(np.shape(lam))
+        return 1.0
+
+    def envelope(lam):
+        blocks.append(np.shape(lam))
+        return np.exp(-lam**2)
+
+    scalar = fh_inverse_grid(F, etas, n, envelope=envelope)
+    assert set(panels) == {(15,)} and all(len(b) == 1 for b in blocks)
+    array = fh_inverse_grid(lambda lam: np.ones(np.shape(lam)), etas, n, envelope=envelope)
+    _same(scalar, array)
 
 
 # -- characteristic function and variance ---------------------------------------

@@ -6,9 +6,10 @@ from scipy.stats import ks_2samp, kstest
 
 from hyperwalk import (WalkConfig, cdf_eta, empirical_radial_density, limit_time,
                        make_bump, mean_radius, pdf_eta, psi_clt, run_walk,
-                       scale_profile, sphere_area)
+                       sample_point, sample_points, scale_profile, sphere_area)
 from hyperwalk.diagnostics import _limit_radial_cdf
 from hyperwalk.gyro import mobius_add_raw
+from hyperwalk.radial_density import _sample_eta_many, open_uniforms
 from hyperwalk.walk_sim import path_stream_seed, splitmix64
 
 from conftest import ks_critical
@@ -40,13 +41,43 @@ def test_bitwise_reproducibility_and_thread_independence(bump3, monkeypatch):
 
 
 def test_single_step_law_matches_scaled_profile(bump3):
+    """At N = 1 the clt walk contracts by 1 and the sturm walk takes the whole
+    geodesic step 1 (x) ((-0) (+) z) from the origin: both terminal laws are
+    the profile's own."""
     paths = 10**5
-    for mode, eps in (("clt", 1.0), ("lln", 1.0)):
+    for mode in ("clt", "sturm"):
         ens = run_walk(WalkConfig(bump3, 1, paths, mode, 31))
-        scaled = bump3  # N = 1: both scalings contract by 1
-        stat = kstest(ens.terminal_etas, lambda e: cdf_eta(scaled, e)).statistic
+        stat = kstest(ens.terminal_etas, lambda e: cdf_eta(bump3, e)).statistic
         # Kolmogorov critical value at alpha = 1e-3
         assert stat < ks_critical(1e-3, paths)
+
+
+class _ZeroFirstDraw(np.random.Generator):
+    """A generator whose uniform draws start with an exact 0.0, a value
+    Generator.random() can return."""
+
+    def random(self, size=None):
+        u = np.array(super().random(size))
+        u.reshape(-1)[0] = 0.0
+        return u if size is not None else float(u)
+
+
+def test_zero_uniform_draw_is_mapped_inside(bump3, monkeypatch):
+    u = np.array([0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53])
+    assert np.array_equal(open_uniforms(u), [2.0**-54, 2.0**-53, 0.5, 1.0 - 2.0**-53])
+    with pytest.raises(ValueError):
+        _sample_eta_many(bump3, np.array([0.0]))
+    # a zero draw gives the smallest radius, and no other draw changes
+    assert np.linalg.norm(sample_point(bump3, _ZeroFirstDraw(np.random.PCG64(1))).coords) < 1e-3
+    pts = sample_points(bump3, _ZeroFirstDraw(np.random.PCG64(1)), 5)
+    ref = sample_points(bump3, np.random.default_rng(np.random.PCG64(1)), 5)
+    assert np.linalg.norm(pts[0]) < 1e-3 and np.array_equal(pts[1:], ref[1:])
+    # the walk makes one generator per path through np.random.Generator
+    cfg = WalkConfig(bump3, 1, 3, "clt", 9)
+    ref = run_walk(cfg).terminal_etas
+    monkeypatch.setattr(np.random, "Generator", _ZeroFirstDraw)
+    got = run_walk(cfg).terminal_etas
+    assert np.all(got < 1e-3) and np.all(ref > 1e-3)
 
 
 def test_near_delta_profile_stays_near_origin():
@@ -56,33 +87,34 @@ def test_near_delta_profile_stays_near_origin():
 
 
 def test_permutation_invariance_of_the_law(bump3):
-    """Fold the same increments in index order and in a permuted order; the
-    terminal radial laws agree (per-path independent uniform permutations)."""
+    """Fold the same increments in index order and in reverse order; the
+    terminal radial laws agree, because the convolution of radial laws is
+    commutative.  The increments are not identically distributed (one long
+    first step, then short ones), so exchangeability alone does not make the
+    two folds agree: a Mobius addition that is wrong away from the origin
+    treats the long step differently at the start and at the end."""
     rng_global = np.random.default_rng(7)
     paths, N = 10**5, 24
-    eps = 1.0 / math.sqrt(N)
+    scales = np.r_[1.3, np.full(N - 1, 0.15)]  # radius factor of each step
     etas_fwd = np.empty(paths)
-    etas_perm = np.empty(paths)
+    etas_rev = np.empty(paths)
     block = 8192
-    from hyperwalk.radial_density import _sample_eta_many
 
     for start in range(0, paths, block):
         count = min(block, paths - start)
         u = rng_global.random((count, N))
         g = rng_global.standard_normal((count, N, 3))
-        radii = np.tanh(0.5 * eps * _sample_eta_many(bump3, u.ravel()).reshape(count, N))
+        radii = np.tanh(0.5 * scales * _sample_eta_many(bump3, u.ravel()).reshape(count, N))
         z = radii[:, :, None] * g / np.linalg.norm(g, axis=2, keepdims=True)
-        perm = np.argsort(rng_global.random((count, N)), axis=1)
-        zp = np.take_along_axis(z, perm[:, :, None], axis=1)
         s1 = np.zeros((count, 3))
         s2 = np.zeros((count, 3))
         for k in range(N):
             s1 = mobius_add_raw(s1, z[:, k, :])
-            s2 = mobius_add_raw(s2, zp[:, k, :])
+            s2 = mobius_add_raw(s2, z[:, N - 1 - k, :])
         etas_fwd[start:start + count] = 2 * np.arctanh(np.linalg.norm(s1, axis=1))
-        etas_perm[start:start + count] = 2 * np.arctanh(np.linalg.norm(s2, axis=1))
+        etas_rev[start:start + count] = 2 * np.arctanh(np.linalg.norm(s2, axis=1))
     # two-sample Kolmogorov critical value at alpha = 1e-3
-    assert ks_2samp(etas_fwd, etas_perm).statistic < ks_critical(1e-3, paths, paths)
+    assert ks_2samp(etas_fwd, etas_rev).statistic < ks_critical(1e-3, paths, paths)
 
 
 def test_all_terminal_points_inside_ball(bump3):
