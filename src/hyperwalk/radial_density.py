@@ -31,17 +31,68 @@ def sinch(x):
     return out
 
 
+def _cdf_table(measure, upper):
+    """Cubic Hermite table of the CDF of a density on [0, upper].
+
+    The table has the exact density as its slopes on a uniform grid, and is
+    doubled until the previous level's interpolant matches the new node
+    values to _CDF_TOL: the criterion bounds the interpolant between nodes,
+    not only the nodes themselves.  Returns (PPoly, total mass); the PPoly's
+    c[3] row holds the left node values that _invert_cdf searches.
+    """
+    npts = 257
+    prev = None
+    for _ in range(8):
+        grid = np.linspace(0.0, upper, npts)
+        vals = cumulative_gl(measure, grid, q=16)
+        vals = np.minimum.accumulate(np.minimum(vals, vals[-1])[::-1])[::-1]
+        vals = np.maximum.accumulate(vals)
+        # a slope above three times an adjacent secant is cut to it, which
+        # keeps each cubic monotone; the cut binds only where the density is
+        # far from linear across a cell, such as a cell where it vanishes
+        # like x^k with k >= 3 (the first radial cell for n >= 4)
+        slopes = measure(grid)
+        secant = np.diff(vals) / np.diff(grid)
+        slopes[:-1] = np.minimum(slopes[:-1], 3.0 * secant)
+        slopes[1:] = np.minimum(slopes[1:], 3.0 * secant)
+        interp = CubicHermiteSpline(grid, vals, slopes, extrapolate=False)
+        if prev is not None and float(np.max(np.abs(prev(grid) - vals))) < _CDF_TOL:
+            break
+        prev = interp
+        npts = 2 * npts - 1
+    return interp, float(vals[-1])
+
+
+def _invert_cdf(interp, total, u):
+    """Invert a _cdf_table table at the fractions u of its total mass.
+
+    Each draw's cell is located on the node values; its root starts at the
+    secant guess and takes _NEWTON_STEPS (four) Newton steps on that cell's
+    cubic, each clamped to the cell, so a draw never leaves its bracket.
+    Where the density is close to linear across a cell this inverts the
+    table to rounding.  In a cell where the density vanishes like x^k with
+    k >= 2, the steps can stop short by a few percent of that cell's mass.
+    """
+    x, c = interp.x, interp.c
+    uu = u * total
+    i = np.searchsorted(c[3], uu) - 1  # c[3] holds the left node values
+    width = x[i + 1] - x[i]
+    lo = c[3, i]
+    hi = np.append(c[3, 1:], total)[i]
+    c0, c1, c2, r = c[0, i], c[1, i], c[2, i], lo - uu
+    s = width * (uu - lo) / (hi - lo)
+    for _ in range(_NEWTON_STEPS):
+        f = ((c0 * s + c1) * s + c2) * s + r
+        df = (3.0 * c0 * s + 2.0 * c1) * s + c2
+        s = np.clip(s - f / np.maximum(df, 1e-300), 0.0, width)
+    return x[i] + s
+
+
 class RadialProfile:
     """A normalized radial density with compact support [0, eta_max]."""
 
     def __init__(self, shape, eta_max, dim, family="custom", params=None):
-        if eta_max <= 0.0:
-            raise ValueError(f"eta_max must be positive, got {eta_max!r}")
-        self.dim = as_dim(dim)
-        self.eta_max = float(eta_max)
-        self.family = family
-        self.params = dict(params or {})
-        self._shape = shape
+        self._set_fields(shape, eta_max, dim, family, params)
         area = sphere_area(self.dim)
         nm1 = self.dim.n - 1
 
@@ -53,6 +104,28 @@ class RadialProfile:
                                              abs_tol=1e-14, rel_tol=1e-14, q=32)
         if not (self.norm_const > 0.0 and math.isfinite(self.norm_const)):
             raise ValueError("profile shape must have positive finite mass")
+
+    @classmethod
+    def with_table(cls, shape, eta_max, dim, norm_const, table, family="custom", params=None):
+        """Profile whose normalizer and CDF table are already known.
+
+        `table` is a (cubic PPoly, total mass) pair as `_cdf_table` returns
+        it; no quadrature runs.  scale_profile builds its result this way.
+        """
+        p = cls.__new__(cls)
+        p._set_fields(shape, eta_max, dim, family, params)
+        p.norm_const = float(norm_const)
+        p._cache["cdf"], p._cache["cdf_total"] = table
+        return p
+
+    def _set_fields(self, shape, eta_max, dim, family, params):
+        if eta_max <= 0.0:
+            raise ValueError(f"eta_max must be positive, got {eta_max!r}")
+        self.dim = as_dim(dim)
+        self.eta_max = float(eta_max)
+        self.family = family
+        self.params = dict(params or {})
+        self._shape = shape
         self._cache = {}
 
     # -- density views ------------------------------------------------------
@@ -73,38 +146,14 @@ class RadialProfile:
     def _cdf_interp(self):
         interp = self._cache.get("cdf")
         if interp is None:
-            npts = 257
             area = sphere_area(self.dim)
             nm1 = self.dim.n - 1
 
             def measure(etas):
                 return area * self.g(etas) * np.sinh(etas) ** nm1
 
-            prev = None
-            # cubic Hermite table with the exact density as its slopes on a
-            # uniform grid, doubled until the previous level's interpolant
-            # matches the new node values to 1e-12: the criterion bounds the
-            # interpolant between nodes, not only the nodes themselves
-            for _ in range(8):
-                grid = np.linspace(0.0, self.eta_max, npts)
-                vals = cumulative_gl(measure, grid, q=16)
-                vals = np.minimum.accumulate(np.minimum(vals, vals[-1])[::-1])[::-1]
-                vals = np.maximum.accumulate(vals)
-                # a slope above three times an adjacent secant is cut to it,
-                # which keeps each cubic monotone; the cut binds only where
-                # the density is far from linear across a cell, such as the
-                # first cell for n >= 4, where it vanishes like eta^{n-1}
-                slopes = measure(grid)
-                secant = np.diff(vals) / np.diff(grid)
-                slopes[:-1] = np.minimum(slopes[:-1], 3.0 * secant)
-                slopes[1:] = np.minimum(slopes[1:], 3.0 * secant)
-                interp = CubicHermiteSpline(grid, vals, slopes, extrapolate=False)
-                if prev is not None and float(np.max(np.abs(prev(grid) - vals))) < _CDF_TOL:
-                    break
-                prev = interp
-                npts = 2 * npts - 1
+            interp, self._cache["cdf_total"] = _cdf_table(measure, self.eta_max)
             self._cache["cdf"] = interp
-            self._cache["cdf_total"] = float(vals[-1])
         return interp
 
     def _cdf_eval(self, etas):
@@ -222,9 +271,10 @@ def cdf_eta(p: RadialProfile, eta):
 
 
 def open_uniforms(u, out=None):
-    """Map Generator.random() draws from [0, 1) into (0, 1).
+    """Map uniform draws from [0, 1) into (0, 1).
 
-    The generator's draws are multiples of 2^-53, so the only one outside
+    The draws are multiples of 2^-53, as Generator.random() and the walk's
+    counter-based streams make them, so the only one outside
     (0, 1) is 0 itself; it becomes 2^-54, the middle of the first step.
     Every other draw is returned unchanged, bit for bit.  `out` is passed to
     np.maximum, so a caller that owns the draws can map them in place.
@@ -233,37 +283,19 @@ def open_uniforms(u, out=None):
 
 
 def _sample_eta_many(p: RadialProfile, u: np.ndarray) -> np.ndarray:
-    """Vectorized inversion of the cubic CDF table at the draws u.
+    """Vectorized inversion of the cubic CDF table at the draws u in (0, 1).
 
-    Each draw's cell is located on the node values; its root starts at the
-    secant guess and takes _NEWTON_STEPS (four) Newton steps on that cell's
-    cubic, each clamped to the cell, so a draw never leaves its bracket.
-    Where the density is close to linear across a cell this inverts the
-    table to rounding.  In the first cell, where the density vanishes like
-    eta^{n-1}, the steps can stop short by a few percent of that cell's mass
-    (for the unit bump in n = 3 the cell holds 5e-11 and the residual in u
-    stays below 2e-12).  The table's own error is what the 1e-12 doubling
-    criterion of _cdf_interp bounds: successive interpolants agree to 1e-12
-    at the finer nodes.
+    The inversion is _invert_cdf's.  In the first cell, where the density
+    vanishes like eta^{n-1}, the Newton steps can stop short by a few
+    percent of that cell's mass (for the unit bump in n = 3 the cell holds
+    5e-11 and the residual in u stays below 2e-12).  The table's own error
+    is what the 1e-12 doubling criterion of _cdf_table bounds: successive
+    interpolants agree to 1e-12 at the finer nodes.
     """
     u = np.asarray(u, dtype=float)
     if np.any((u <= 0.0) | (u >= 1.0)):
         raise ValueError("uniform draws must lie strictly inside (0, 1)")
-    interp = p._cdf_interp()
-    x, c = interp.x, interp.c
-    total = p._cache["cdf_total"]
-    uu = u * total
-    i = np.searchsorted(c[3], uu) - 1  # c[3] holds the left node values
-    width = x[i + 1] - x[i]
-    lo = c[3, i]
-    hi = np.append(c[3, 1:], total)[i]
-    c0, c1, c2, r = c[0, i], c[1, i], c[2, i], lo - uu
-    s = width * (uu - lo) / (hi - lo)
-    for _ in range(_NEWTON_STEPS):
-        f = ((c0 * s + c1) * s + c2) * s + r
-        df = (3.0 * c0 * s + 2.0 * c1) * s + c2
-        s = np.clip(s - f / np.maximum(df, 1e-300), 0.0, width)
-    return x[i] + s
+    return _invert_cdf(p._cdf_interp(), p._cache["cdf_total"], u)
 
 
 def sample_eta(p: RadialProfile, u: float) -> float:
@@ -312,22 +344,17 @@ def scale_profile(p: RadialProfile, eps: float) -> RadialProfile:
         ratio = (sinch(etas * inv) / sinch(etas)) ** nm1
         return inv ** p.dim.n * parent_g(etas * inv) * ratio
 
-    scaled = RadialProfile.__new__(RadialProfile)
-    scaled.dim = p.dim
-    scaled.eta_max = eps * p.eta_max
-    scaled.family = p.family
-    scaled.params = dict(p.params)
-    scaled.params["scaled_by"] = eps * p.params.get("scaled_by", 1.0)
-    scaled._shape = shape
-    scaled.norm_const = 1.0  # substitution eta -> eps*eta preserves the mass
-    scaled._cache = {}
+    params = dict(p.params)
+    params["scaled_by"] = eps * p.params.get("scaled_by", 1.0)
     # the parent's cubic table in the variable eps*eta: nodes x -> eps*x and
     # the coefficient of (eta - x_i)^k divided by eps^k (slopes -> slopes/eps)
     parent = p._cdf_interp()
     powers = np.arange(3, -1, -1)[:, None]
-    scaled._cache["cdf"] = PPoly(parent.c / eps**powers, eps * parent.x, extrapolate=False)
-    scaled._cache["cdf_total"] = p._cache["cdf_total"]
-    return scaled
+    table = (PPoly(parent.c / eps**powers, eps * parent.x, extrapolate=False),
+             p._cache["cdf_total"])
+    # the substitution eta -> eps*eta preserves the mass, so the norm is 1
+    return RadialProfile.with_table(shape, eps * p.eta_max, p.dim, 1.0, table,
+                                    family=p.family, params=params)
 
 
 def second_moment(p: RadialProfile) -> float:

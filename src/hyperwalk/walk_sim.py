@@ -1,14 +1,39 @@
 """Monte Carlo simulation of the gyrogroup random walks.
 
-Three modes share one engine: the CLT walk folds contracted increments with
-scale N^{-1/2}, the LLN walk with scale N^{-1}, and the Sturm mode iterates
-the geodesic-interpolation update with weights 1/k.
+Three modes share one engine: the CLT walk folds increments contracted by
+eps = N^{-1/2}, the LLN walk by eps = N^{-1}, and the Sturm mode iterates the
+geodesic-interpolation update s_k = s_{k-1} (+) (1/k) (x) ((-s_{k-1}) (+) z_k).
 
-Randomness is counter-based: path j draws from its own generator seeded by a
-fixed 64-bit mix of (master_seed, j), so ensembles are bitwise reproducible
-for any execution order, chunking or worker count.  Within a path the draw
-protocol is fixed: N uniforms for the radii (mapped into (0, 1) by
-open_uniforms), then N*n standard normals for the directions.
+The engine follows the radius alone, a Markov chain.  Increments are
+isotropic, so by the left-gyro isometry the next radius
+eta' = d(0, s (+) z) = d(-s, z) depends only on the current radius eta_s, the
+step radius eta_z (eps * eta, or eta in the Sturm mode) and q = (1 - c)/2,
+where c is the cosine of the angle between the step and the position, and
+q ~ Beta((n-1)/2, (n-1)/2).  The hyperbolic law of cosines, in a form that
+stays accurate for small radii,
+
+    sinh^2(eta'/2) = sinh^2((eta_s - eta_z)/2) + sinh(eta_s) sinh(eta_z) q,
+
+is the CLT and LLN step.  The Sturm step moves to the point at distance
+x = D/k from s on the geodesic to z, with D = d(s, z) from the same law; the
+hyperbolic Stewart theorem, cosh(eta') sinh D = cosh(eta_s) sinh(D - x)
++ cosh(eta_z) sinh x, written in sinh^2 form, gives its radius.  Each step
+costs the same in every dimension n; the terminal radial law is that of the
+walk of points in the ball.  A path that reaches the guard band
+||s|| >= 1 - BOUNDARY_TOL raises BoundaryError at that step.
+
+Randomness is counter-based.  Path j has the seed
+sigma_j = path_stream_seed(master_seed, j), and its draw i is the SplitMix64
+output w = splitmix64(sigma_j + i * gamma), gamma the golden-ratio increment,
+read as the uniform (w >> 11) * 2^-53 and mapped into (0, 1) by
+open_uniforms.  Step k = 0..N-1 takes draw k for its radius and draw N + k
+for its angle: N radii, then N angles.  A draw depends only on
+(master_seed, j, i), so ensembles are bitwise reproducible for any chunking,
+step blocking or worker count.
+
+Paths run in chunks of _CHUNK, and a chunk makes its draws one block of
+steps at a time, at most _BLOCK draws of each kind per block, so the memory
+a walk needs does not grow with N.
 """
 
 import math
@@ -16,16 +41,23 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
 from .geometry import BOUNDARY_TOL, sphere_area
-from .gyro import BoundaryError, mobius_add_raw, mobius_scalar_raw
+from .gyro import BoundaryError
+# bench/tracing.py rebinds these two names in this module to count their
+# calls; the radial chain makes none
+from .gyro import mobius_add_raw, mobius_scalar_raw  # noqa: F401
 from .quadrature import gauss_legendre
-from .radial_density import RadialProfile, _sample_eta_many, open_uniforms
+from .radial_density import (RadialProfile, _cdf_table, _invert_cdf, _sample_eta_many,
+                             open_uniforms)
 
 _CHUNK = 4096
+_BLOCK = 2**16  # draws of each kind per block of steps, as one (steps, paths) array
 _MODES = ("clt", "lln", "sturm")
+_ETA_GUARD = 2.0 * math.atanh(1.0 - BOUNDARY_TOL)  # radius of ||s|| = 1 - BOUNDARY_TOL
 
 
 @dataclass(frozen=True)
@@ -72,68 +104,133 @@ class WalkEnsemble:
 
 
 _GOLDEN = 0x9E3779B97F4A7C15
-_MASK = 0xFFFFFFFFFFFFFFFF
 
 
-def splitmix64(x: int) -> int:
-    """Fixed 64-bit mixing function used to derive per-path stream seeds."""
-    x = (x + _GOLDEN) & _MASK
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
-    return (x ^ (x >> 31)) & _MASK
+def splitmix64(x):
+    """SplitMix64 output for the state x: the 64-bit finaliser of x + gamma.
+
+    Output i of the SplitMix64 stream seeded with s is splitmix64(s + i*gamma),
+    mod 2^64.  Takes a Python int (returns an int) or a uint64 array (returns
+    a uint64 array).
+    """
+    w = np.array(x, dtype=np.uint64, ndmin=1) + np.uint64(_GOLDEN)
+    w = (w ^ (w >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    w = (w ^ (w >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    w ^= w >> np.uint64(31)
+    return w if isinstance(x, np.ndarray) else int(w[0])
 
 
-def path_stream_seed(master_seed: int, path_index: int) -> int:
-    return splitmix64((master_seed + (path_index * _GOLDEN & _MASK)) & _MASK)
+def path_stream_seed(master_seed: int, path_index):
+    """Seed of path j's stream, splitmix64(master_seed + j*gamma) mod 2^64; j is
+    an int (returns an int) or an integer array (returns a uint64 array)."""
+    j = np.array(path_index, dtype=np.uint64, ndmin=1)
+    seeds = splitmix64(j * np.uint64(_GOLDEN) + np.uint64(master_seed))
+    return seeds if isinstance(path_index, np.ndarray) else int(seeds[0])
+
+
+def _uniforms(seeds: np.ndarray, first: int, count: int) -> np.ndarray:
+    """Draws first, ..., first + count - 1 of every stream, as (count, paths)
+    uniforms in (0, 1)."""
+    i = np.arange(first, first + count, dtype=np.uint64)[:, None]
+    u = (splitmix64(seeds[None, :] + i * np.uint64(_GOLDEN)) >> np.uint64(11)).astype(float)
+    u *= 2.0**-53
+    return open_uniforms(u, out=u)
+
+
+@cache
+def _angle_table(n: int):
+    """CDF table of the angle theta in [0, pi] between a fixed direction and a
+    uniform one in R^n.  Its density is proportional to sin^{n-2}(theta), and
+    its normalized CDF is betainc(a, a, sin^2(theta/2)) with a = (n-1)/2."""
+    return _cdf_table(lambda theta: np.sin(theta) ** (n - 2), math.pi)
+
+
+def _angle_q(n: int, u: np.ndarray) -> np.ndarray:
+    """q = (1 - cos theta)/2 = sin^2(theta/2) ~ Beta((n-1)/2, (n-1)/2) from
+    uniforms u: q = u for n = 3, theta = pi u for n = 2, and theta from the
+    inverted angle table for n >= 4."""
+    if n == 3:
+        return u
+    theta = np.pi * u if n == 2 else _invert_cdf(*_angle_table(n), u)
+    return np.sin(0.5 * theta) ** 2
 
 
 def _run_chunk(cfg: WalkConfig, start: int, count: int) -> np.ndarray:
-    n = cfg.profile.dim.n
-    N = cfg.N
-    uniforms = np.empty((count, N))
-    normals = np.empty((count, N, n))
-    for i in range(count):
-        gen = np.random.Generator(np.random.PCG64(path_stream_seed(cfg.master_seed, start + i)))
-        uniforms[i] = gen.random(N)
-        normals[i] = gen.standard_normal((N, n))
+    """Terminal radii of paths start, ..., start + count - 1."""
+    n, N = cfg.profile.dim.n, cfg.N
+    sturm = cfg.scaling == "sturm"
+    eps = {"clt": 1.0 / math.sqrt(N), "lln": 1.0 / N, "sturm": 1.0}[cfg.scaling]
+    seeds = path_stream_seed(cfg.master_seed, np.arange(start, start + count, dtype=np.uint64))
+    eta = np.zeros(count)
+    steps = max(1, _BLOCK // count)
+    for k0 in range(0, N, steps):
+        block = min(steps, N - k0)
+        eta_z = eps * _sample_eta_many(cfg.profile, _uniforms(seeds, k0, block))
+        sq = np.sinh(eta_z) * _angle_q(n, _uniforms(seeds, N + k0, block))
+        if sturm:
+            h_z = np.sinh(0.5 * eta_z) ** 2
+        for k in range(block):
+            # sinh^2(d/2) with d the distance between -s (Sturm: s) and z
+            h = np.sinh(0.5 * (eta - eta_z[k])) ** 2 + np.sinh(eta) * sq[k]
+            if sturm:
+                eta = _stewart(eta, h_z[k], h, 1.0 / (k0 + k + 1))
+            else:
+                eta = 2.0 * np.arcsinh(np.sqrt(h))
+            if not float(np.max(eta)) < _ETA_GUARD:
+                bad = np.nonzero(~(eta < _ETA_GUARD))[0]
+                raise BoundaryError(f"paths {(start + bad).tolist()} reached the boundary "
+                                    f"guard at step {k0 + k + 1}")
+    return eta
 
-    open_uniforms(uniforms, out=uniforms)
-    etas = _sample_eta_many(cfg.profile, uniforms.ravel()).reshape(count, N)
-    norms = np.linalg.norm(normals, axis=2)
-    norms[norms == 0.0] = 1.0  # probability-zero guard
 
-    if cfg.scaling == "sturm":
-        radii = np.tanh(0.5 * etas)
-    else:
-        # the contraction acts on the radial coordinate: eps (x) z has radius
-        # tanh(eps * eta / 2) along the same direction
-        eps = 1.0 / math.sqrt(N) if cfg.scaling == "clt" else 1.0 / N
-        radii = np.tanh(0.5 * eps * etas)
+def _stewart(eta_s, h_z, h_d, weight):
+    """Radius of the point at distance x = weight * D from s on the geodesic
+    from s to z, given eta_s = |s|, h_z = sinh^2(|z|/2) and h_d = sinh^2(D/2),
+    D = d(s, z).
 
-    s = np.zeros((count, n))
-    guard = (1.0 - BOUNDARY_TOL) ** 2
-    for k in range(N):
-        z = (radii[:, k] / norms[:, k])[:, None] * normals[:, k, :]
-        if cfg.scaling == "sturm":
-            inner = mobius_add_raw(-s, z)
-            s = mobius_add_raw(s, mobius_scalar_raw(1.0 / (k + 1), inner))
-        else:
-            s = mobius_add_raw(s, z)
-        sq = np.sum(s * s, axis=1)
-        if float(np.max(sq)) >= guard:
-            bad = np.nonzero(sq >= guard)[0]
-            raise BoundaryError(
-                f"paths {sorted(start + b for b in bad)} reached the boundary guard at step {k + 1}")
-    return 2.0 * np.arctanh(np.linalg.norm(s, axis=1))
+    Stewart's cosh(eta') sinh D = cosh(eta_s) sinh(D - x) + cosh(eta_z) sinh x,
+    with cosh = 1 + 2 sinh^2(./2) and sinh(D - x) + sinh x - sinh D
+    = -4 sinh((D - x)/2) sinh(x/2) sinh(D/2), reads
+    sinh^2(eta'/2) sinh D = h_s sinh(D - x) + h_z sinh x
+    - 2 sinh((D - x)/2) sinh(x/2) sinh(D/2), with no arccosh near 1.
+    """
+    s_half = np.sqrt(h_d)
+    d = 2.0 * np.arcsinh(s_half)
+    x = weight * d
+    y = d - x
+    h_s = np.sinh(0.5 * eta_s) ** 2
+    num = (h_s * np.sinh(y) + h_z * np.sinh(x)
+           - 2.0 * np.sinh(0.5 * y) * np.sinh(0.5 * x) * s_half)
+    sinh_d = np.sinh(d)
+    # D = 0 means z = s, and the step stays at s
+    h = np.divide(num, sinh_d, out=h_s, where=sinh_d > 0.0)
+    return 2.0 * np.arcsinh(np.sqrt(np.maximum(h, 0.0)))
+
+
+def _thread_count() -> int:
+    """Walk worker threads: HYPERWALK_THREADS, 1 when unset or empty."""
+    raw = os.environ.get("HYPERWALK_THREADS", "")
+    if raw == "":
+        return 1
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"HYPERWALK_THREADS must be a positive integer, got {raw!r}")
+    return workers
 
 
 def run_walk(cfg: WalkConfig) -> WalkEnsemble:
     """Simulate every path of the configuration; deterministic per (seed, index)."""
     t0 = time.perf_counter()
-    cfg.profile._cdf_interp()  # build the shared table before any workers start
+    workers = _thread_count()
+    # build the shared tables before any workers start
+    cfg.profile._cdf_interp()
+    if cfg.profile.dim.n > 3:
+        _angle_table(cfg.profile.dim.n)
     out = np.empty(cfg.paths)
     spans = [(s, min(_CHUNK, cfg.paths - s)) for s in range(0, cfg.paths, _CHUNK)]
-    workers = int(os.environ.get("HYPERWALK_THREADS", "1") or "1")
     if workers > 1 and len(spans) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             for (start, count), res in zip(spans, pool.map(

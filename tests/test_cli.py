@@ -79,6 +79,15 @@ def test_walk_reproducible_across_threads(tmp_path, capsys, monkeypatch):
     assert sidecar["master_seed"] == 7 and sidecar["N"] == 40
 
 
+def test_walk_bad_thread_count_is_a_configuration_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("HYPERWALK_THREADS", "0")
+    code, _, err = run(capsys, "walk", "--dim", "3", "--density", "bump:1.0", "--N", "4",
+                       "--paths", "10", "--seed", "7", "--out", str(tmp_path / "a.csv"))
+    assert code == 2
+    assert "HYPERWALK_THREADS" in json.loads(err)["error"]
+    assert not (tmp_path / "a.csv").exists()
+
+
 def test_verify_variance_and_reproducibility(tmp_path, capsys):
     cfg = tmp_path / "var.json"
     cfg.write_text(json.dumps({

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import betainc
 from scipy.stats import ks_2samp, kstest
 
-from hyperwalk import (WalkConfig, cdf_eta, empirical_radial_density, limit_time,
-                       make_bump, mean_radius, pdf_eta, psi_clt, run_walk,
-                       sample_point, sample_points, scale_profile, sphere_area)
+from hyperwalk import (BoundaryError, WalkConfig, cdf_eta, empirical_radial_density,
+                       limit_time, make_bump, mean_radius, pdf_eta, psi_clt, run_walk,
+                       sample_point, sample_points, scale_profile, sphere_area, walk_sim)
 from hyperwalk.diagnostics import _limit_radial_cdf
-from hyperwalk.gyro import mobius_add_raw
+from hyperwalk.gyro import mobius_add_raw, mobius_scalar_raw
 from hyperwalk.radial_density import _sample_eta_many, open_uniforms
 from hyperwalk.walk_sim import path_stream_seed, splitmix64
 
@@ -29,6 +30,47 @@ def test_splitmix_determinism():
     assert splitmix64(12345) != splitmix64(12346)
     seeds = {path_stream_seed(42, j) for j in range(10000)}
     assert len(seeds) == 10000
+
+
+def test_splitmix64_known_answers():
+    """The first two outputs of the SplitMix64 stream seeded with 0, as
+    published with the generator; the array and int forms agree."""
+    gamma = np.uint64(0x9E3779B97F4A7C15)
+    words = splitmix64(np.arange(2, dtype=np.uint64) * gamma)
+    assert words.dtype == np.uint64
+    assert words.tolist() == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4]
+    assert [splitmix64(0), splitmix64(int(gamma))] == words.tolist()
+    j = np.array([0, 1, 4097, 10**6], dtype=np.uint64)
+    assert path_stream_seed(42, j).tolist() == [path_stream_seed(42, int(i)) for i in j]
+
+
+@pytest.mark.parametrize("mode", ["clt", "lln", "sturm"])
+def test_draws_independent_of_chunk_and_block_size(mode, monkeypatch):
+    """Draw i of path j depends on (master seed, j, i) alone, so the terminal
+    radii are bitwise the same for any path chunk, any block of steps and
+    any worker count."""
+    cfg = WalkConfig(make_bump(1.0, 5), 30, 100, mode, 77)
+    monkeypatch.delenv("HYPERWALK_THREADS", raising=False)
+    ref = run_walk(cfg).terminal_etas
+    monkeypatch.setenv("HYPERWALK_THREADS", "2")
+    for chunk, block in ((7, 50), (64, 1), (1, 3), (33, 10**6)):
+        monkeypatch.setattr(walk_sim, "_CHUNK", chunk)
+        monkeypatch.setattr(walk_sim, "_BLOCK", block)
+        assert np.array_equal(run_walk(cfg).terminal_etas, ref)
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "x"])
+def test_thread_count_must_be_a_positive_integer(bump3, monkeypatch, value):
+    monkeypatch.setenv("HYPERWALK_THREADS", value)
+    with pytest.raises(ValueError, match="HYPERWALK_THREADS"):
+        run_walk(WalkConfig(bump3, 2, 10, "clt", 1))
+
+
+def test_boundary_guard_stops_the_walk():
+    """Steps from a bump on [0, 40] in n = 2 mostly exceed the radius
+    2 atanh(1 - 1e-12) = 28.3 of the guard band."""
+    with pytest.raises(BoundaryError, match=r"reached the boundary guard at step 1"):
+        run_walk(WalkConfig(make_bump(40.0, 2), 1, 50, "clt", 1))
 
 
 def test_bitwise_reproducibility_and_thread_independence(bump3, monkeypatch):
@@ -72,10 +114,20 @@ def test_zero_uniform_draw_is_mapped_inside(bump3, monkeypatch):
     pts = sample_points(bump3, _ZeroFirstDraw(np.random.PCG64(1)), 5)
     ref = sample_points(bump3, np.random.default_rng(np.random.PCG64(1)), 5)
     assert np.linalg.norm(pts[0]) < 1e-3 and np.array_equal(pts[1:], ref[1:])
-    # the walk makes one generator per path through np.random.Generator
+    # in the walk, the counter stream gives the radius draw of step 0 the
+    # word splitmix64(seed of the path); make that word 0 for every path
     cfg = WalkConfig(bump3, 1, 3, "clt", 9)
     ref = run_walk(cfg).terminal_etas
-    monkeypatch.setattr(np.random, "Generator", _ZeroFirstDraw)
+    seeds = path_stream_seed(9, np.arange(3, dtype=np.uint64))
+    mix = walk_sim.splitmix64
+
+    def zero_first_radius_word(x):
+        w = mix(x)
+        if isinstance(x, np.ndarray):
+            w[np.isin(x, seeds)] = 0
+        return w
+
+    monkeypatch.setattr(walk_sim, "splitmix64", zero_first_radius_word)
     got = run_walk(cfg).terminal_etas
     assert np.all(got < 1e-3) and np.all(ref > 1e-3)
 
@@ -165,17 +217,18 @@ def test_empirical_density_requires_samples(bump3):
 
 
 def test_empirical_density_against_exact_single_step(bump3):
+    """Each bin's histogram density against the exact bin average: the bin's
+    cdf_eta mass over its volume, 4 pi int sinh^2 = 4 pi [sinh(2 eta)/4 - eta/2]
+    in n = 3.  (The density at the bin midpoint is not the bin average: on
+    [0.90, 0.95] the two differ by 4.9 standard errors.)"""
     paths = 10**5
     ens = run_walk(WalkConfig(bump3, 1, paths, "clt", 8))
     edges = np.linspace(0.0, 1.0, 21)
-    mids, emp = empirical_radial_density(ens, edges)
-    from hyperwalk import radial_area_weight, sphere_area
-
-    exact = bump3.g(mids)
-    # binomial standard error per bin, expressed in density units
+    _, emp = empirical_radial_density(ens, edges)
     probs = np.diff(cdf_eta(bump3, edges))
-    widths = np.diff(edges)
-    meas = sphere_area(3) * radial_area_weight(mids, 3) * widths
+    meas = 4.0 * math.pi * np.diff(np.sinh(2.0 * edges) / 4.0 - edges / 2.0)
+    exact = probs / meas
+    # binomial standard error per bin, expressed in density units
     se = np.sqrt(probs * (1 - probs) / paths) / meas
     assert np.all(np.abs(emp - exact) <= 4.0 * se + 1e-12)
 
@@ -194,3 +247,46 @@ def test_lln_mean_radius_slope(bump3):
     assert all(b < a for a, b in zip(means, means[1:]))
     slope = np.polyfit(np.log(Ns), np.log(means), 1)[0]
     assert -0.65 < slope < -0.35
+
+
+def _vector_walk(p, N, paths, mode, rng):
+    """Law oracle: the walk of points in the ball, folded with Mobius addition
+    and scalar multiplication as the paper defines it (contracted increments
+    for clt and lln, the Sturm geodesic step s (+) (1/k) (x) ((-s) (+) z))."""
+    eps = {"clt": 1.0 / math.sqrt(N), "lln": 1.0 / N, "sturm": 1.0}[mode]
+    s = np.zeros((paths, p.dim.n))
+    for k in range(N):
+        radii = np.tanh(0.5 * eps * _sample_eta_many(p, open_uniforms(rng.random(paths))))
+        g = rng.standard_normal((paths, p.dim.n))
+        z = radii[:, None] * g / np.linalg.norm(g, axis=1, keepdims=True)
+        if mode == "sturm":
+            s = mobius_add_raw(s, mobius_scalar_raw(1.0 / (k + 1), mobius_add_raw(-s, z)))
+        else:
+            s = mobius_add_raw(s, z)
+    return 2.0 * np.arctanh(np.linalg.norm(s, axis=1))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("mode", ["clt", "lln", "sturm"])
+def test_radial_chain_matches_vector_oracle(mode, n):
+    """The radial chain of run_walk and the vector walk have one terminal law.
+    At N = 2 and 16 that law still depends on the angle law and on the step
+    rule, which the limit theorems wash out at large N."""
+    p = make_bump(1.0, n)
+    paths = 20000
+    rng = np.random.default_rng(1000 + n)
+    for N in (2, 16):
+        chain = run_walk(WalkConfig(p, N, paths, mode, 17 + n)).terminal_etas
+        oracle = _vector_walk(p, N, paths, mode, rng)
+        # two-sample Kolmogorov critical value at alpha = 1e-3
+        assert ks_2samp(chain, oracle).statistic < ks_critical(1e-3, paths, paths)
+
+
+@pytest.mark.parametrize("n", [2, 4, 5, 7])
+def test_angle_draws_invert_the_beta_law(n):
+    """q = (1 - c)/2 has the CDF betainc(a, a, q), a = (n - 1)/2.  The angle
+    tables of n >= 4 are built to 1e-12; the bound leaves room for the
+    rounding of q near 1, where n = 2 (no table) reaches 3e-12."""
+    u = (np.arange(10**5) + 0.5) / 10**5
+    q = walk_sim._angle_q(n, u)
+    assert float(np.max(np.abs(betainc(0.5 * (n - 1), 0.5 * (n - 1), q) - u))) < 1e-11
