@@ -10,12 +10,14 @@ The iterated operator (-1/sinh(eta) d/deta)^m applied to the Gaussian factor
 is expanded once per order by a term-rewriting recurrence over monomials
 coef * eta^a * coth(eta)^b * csch(eta)^c * tau^{-d}; evaluation is then exact
 up to floating point.  Near eta = 0 every term is singular but the sum is
-removable, so the assembled prefactor is replaced by its (symbolically
-cancelled) power series.
+removable, so the assembled prefactor is replaced by its power series.  That
+series is built in exact rational arithmetic from the series of eta coth(eta)
+and eta csch(eta); its negative powers cancel exactly before any rounding.
 """
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -63,28 +65,6 @@ def _apply_neg_csch_d(terms: dict) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-def _apply_neg_d(terms: dict) -> dict:
-    """Rewrite rules for -d/deta (without the csch factor)."""
-    out = {}
-
-    def add(key, coef):
-        out[key] = out.get(key, 0) + coef
-
-    for (a, b, c, d), coef in terms.items():
-        if a:
-            add((a - 1, b, c, d), -a * coef)
-        if b:
-            add((a, b - 1, c + 2, d), b * coef)
-        if c:
-            add((a, b + 1, c, d), c * coef)
-        add((a + 1, b, c, d + 1), coef)
-    return {k: v for k, v in out.items() if v}
-
-
-def _mul_csch(terms: dict) -> dict:
-    return {(a, b, c + 1, d): coef for (a, b, c, d), coef in terms.items()}
-
-
 @lru_cache(maxsize=64)
 def _odd_terms(m: int):
     terms = dict([_UNIT])
@@ -93,40 +73,47 @@ def _odd_terms(m: int):
     return tuple(sorted(terms.items()))
 
 
-@lru_cache(maxsize=64)
-def _even_integrand_terms(m: int):
-    terms = dict([_UNIT])
-    for _ in range(m - 1):
-        terms = _apply_neg_csch_d(terms)
-    return tuple(sorted(_mul_csch(_apply_neg_d(terms)).items()))
+def _mul_series(p: list, q: list) -> list:
+    """Cauchy product of two power series, truncated to len(p) terms."""
+    return [sum(p[i] * q[k - i] for i in range(k + 1)) for k in range(len(p))]
 
 
 @lru_cache(maxsize=64)
 def _series_table(terms_key):
     """Power-series coefficients of the assembled prefactor near eta = 0.
 
-    Returns an array C with C[k, j] the coefficient of eta^k * tau^{-j}; the
-    negative Laurent powers cancel exactly and are asserted away.
+    Returns an array C with C[k, j] the coefficient of eta^k * tau^{-j}.  Each
+    term is eta^(a-b-c) (eta coth eta)^b (eta csch eta)^c tau^-d, with both
+    factors power series in exact rationals; the negative Laurent powers must
+    cancel exactly, and only the finished coefficients are rounded to float.
     """
-    import sympy as sp
+    order = _SERIES_ORDER + max(0, max(b + c - a for (a, b, c, _), _ in terms_key))
+    sinhc = [Fraction(1 - k % 2, math.factorial(k + 1)) for k in range(order)]
+    cosh = [Fraction(1 - k % 2, math.factorial(k)) for k in range(order)]
+    xcsch = [Fraction(1)] + [Fraction(0)] * (order - 1)  # reciprocal of sinhc
+    for k in range(1, order):
+        xcsch[k] = -sum(sinhc[i] * xcsch[k - i] for i in range(1, k + 1))
+    xcoth = _mul_series(cosh, xcsch)
 
-    eta, u = sp.symbols("eta u", positive=True)
-    expr = sp.Integer(0)
+    powers = {(0, 0): [Fraction(1)] + [Fraction(0)] * (order - 1)}
+
+    def power(b, c):
+        if (b, c) not in powers:
+            powers[b, c] = (_mul_series(power(b - 1, c), xcoth) if b
+                            else _mul_series(power(0, c - 1), xcsch))
+        return powers[b, c]
+
+    acc = {}
     for (a, b, c, d), coef in terms_key:
-        expr += coef * eta**a * sp.coth(eta) ** b * (1 / sp.sinh(eta)) ** c * u**d
-    ser = sp.expand(sp.series(expr, eta, 0, _SERIES_ORDER).removeO())
-    by_eta = sp.collect(ser, eta, evaluate=False)
-    max_d = max(d for (_, _, _, d), _ in terms_key)
-    table = np.zeros((_SERIES_ORDER, max_d + 1))
-    for key, coeff in by_eta.items():
-        k = 0 if key == 1 else int(sp.degree(key, eta))
-        if k < 0:
-            raise AssertionError("Laurent part failed to cancel symbolically")
-        if k >= _SERIES_ORDER:
-            continue
-        poly = sp.Poly(sp.expand(coeff), u)
-        for (j,), cval in poly.terms():
-            table[k, j] = float(cval)
+        for j, v in enumerate(power(b, c)):
+            k = a - b - c + j
+            acc[k, d] = acc.get((k, d), 0) + coef * v
+    if any(v != 0 for (k, _), v in acc.items() if k < 0):
+        raise AssertionError("Laurent part failed to cancel")
+    table = np.zeros((_SERIES_ORDER, max(d for (_, _, _, d), _ in terms_key) + 1))
+    for (k, d), v in acc.items():
+        if 0 <= k < _SERIES_ORDER:
+            table[k, d] = float(v)
     return table
 
 
@@ -177,11 +164,13 @@ def hk_odd(t: float, eta, m: int):
     return float(out[0]) if scalar else out
 
 
-def hk_even(t: float, eta, m: int, base_nodes=64, max_doublings=6):
+def hk_even(t: float, eta, m: int, max_doublings=6):
     """Space side for n = 2m via the regularized descent integral.
 
-    The substitution u^2 = cosh(s) - cosh(eta) removes the endpoint
-    singularity; s is recovered stably through asinh of
+    The descent integrand csch(s) (-d/ds) (-csch(s) d/ds)^(m-1) applied to the
+    Gaussian is (-csch(s) d/ds)^m of it, so it shares the n = 2m+1 terms and
+    series table.  The substitution u^2 = cosh(s) - cosh(eta) removes the
+    endpoint singularity; s is recovered stably through asinh of
     sqrt(sinh(eta)^2 + u^2 (2 cosh(eta) + u^2)).
     """
     if t <= 0.0 or m < 1:
@@ -190,7 +179,7 @@ def hk_even(t: float, eta, m: int, base_nodes=64, max_doublings=6):
     etas = np.atleast_1d(np.asarray(eta, dtype=float))
     tau = 2.0 * t
     pref = math.exp(-((m - 0.5) ** 2) * t) / ((2.0 * math.pi) ** m * math.sqrt(math.pi * tau))
-    terms = _even_integrand_terms(m)
+    terms = _odd_terms(m)
 
     reach = math.sqrt(2.0 * tau * math.log(1e18))
     sh2 = np.sinh(etas) ** 2

@@ -1,7 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from hyperwalk import (HeatKernelSpec, fh_inverse_grid, fh_transform, heat_kernel, hk,
                        hk_even, hk_fourier, hk_odd, make_table, psi_clt, sphere_area)
@@ -57,12 +63,26 @@ def test_hk_odd_m2_nested_fd_oracle():
         assert hk_odd(t, eta, 2) == pytest.approx(pref * float(twice(eta)), rel=1e-6)
 
 
-def test_hk_even_m1_doubled_resolution_oracle():
+def mckean_h2(t, eta):
+    """McKean's n = 2 kernel, sqrt(2) e^{-t/4} (4 pi t)^{-3/2} times the integral
+    over s > eta of s e^{-s^2/4t} / sqrt(cosh s - cosh eta), by scipy quad with
+    s = eta + u^2 and cosh s - cosh eta = 2 sinh((s+eta)/2) sinh(u^2/2); the
+    integrand is cut where the Gaussian is below e^{-100} of its peak."""
+    def f(u):
+        s = eta + u * u
+        return 2.0 * u * s * math.exp(-s * s / (4.0 * t)) / math.sqrt(
+            2.0 * math.sinh(0.5 * (s + eta)) * math.sinh(0.5 * u * u))
+
+    val, _ = quad(f, 0.0, math.sqrt(20.0 * math.sqrt(t)), epsabs=0.0, epsrel=1e-13,
+                  limit=200)
+    return math.sqrt(2.0) * math.exp(-t / 4.0) * (4.0 * math.pi * t) ** -1.5 * val
+
+
+def test_hk_even_m1_mckean_oracle():
     for t in (0.5, 1.5):
         etas = np.array([0.0, 0.3, 1.2, 3.0])
-        base = hk_even(t, etas, 1)
-        fine = hk_even(t, etas, 1, base_nodes=256)
-        assert np.allclose(base, fine, rtol=1e-10)
+        ref = np.array([mckean_h2(t, e) for e in etas])
+        assert np.allclose(hk_even(t, etas, 1), ref, rtol=1e-10)
 
 
 def test_small_eta_series_branch_continuity(monkeypatch):
@@ -72,13 +92,43 @@ def test_small_eta_series_branch_continuity(monkeypatch):
     # to ~(0.125/pi)^16 here; the 1e-8 leaves room for the cancellation among
     # the singular terms of the direct branch.
     for t in (0.4, 1.1):
-        for m in (1, 2):
+        for m in (1, 2, 3, 4):
             for eta in (0.1249, 0.125, 0.1251):
                 monkeypatch.setattr(heat_kernel, "_SMALL_ETA", 2.0 * eta)
                 series = hk_odd(t, eta, m)
                 monkeypatch.setattr(heat_kernel, "_SMALL_ETA", 0.5 * eta)
                 direct = hk_odd(t, eta, m)
                 assert series == pytest.approx(direct, rel=1e-8)
+
+
+def test_series_table_exact_coefficients():
+    # n = 3: the prefactor is eta csch(eta) / tau, whose Taylor coefficients
+    # are (2 - 4^k) B_2k / (2k)!; the table must hold them correctly rounded.
+    exact = [Fraction(1), Fraction(-1, 6), Fraction(7, 360), Fraction(-31, 15120),
+             Fraction(127, 604800), Fraction(-73, 3421440),
+             Fraction(1414477, 653837184000), Fraction(-8191, 37362124800)]
+    table = heat_kernel._series_table(heat_kernel._odd_terms(1))
+    expect = np.zeros(table.shape[0])
+    expect[::2] = [float(q) for q in exact]
+    assert np.array_equal(table[:, 1], expect)
+    assert not np.any(table[:, 0])
+    # csch alone keeps its 1/eta pole: the exact cancellation check must fire
+    with pytest.raises(AssertionError):
+        heat_kernel._series_table((((0, 0, 1, 0), 1),))
+
+
+def test_kernels_do_not_load_sympy():
+    code = ("import sys\n"
+            "from hyperwalk import hk\n"
+            "for n in range(2, 10):\n"
+            "    hk(0.5, [0.0, 0.05, 1.0], n)\n"
+            "assert 'sympy' not in sys.modules, 'sympy was imported'\n")
+    src = str(Path(heat_kernel.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_positivity_and_even_monotone_decay():
