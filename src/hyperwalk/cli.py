@@ -6,7 +6,7 @@ echoing the resolved configuration so reruns are byte-identical.
 """
 
 import argparse
-import csv
+import contextlib
 import json
 import sys
 
@@ -19,6 +19,9 @@ from .heat_kernel import hk, psi_clt
 from .radial_density import profile_from_config
 from .spectral import fh_transform
 from .walk_sim import WalkConfig, run_walk
+
+
+_CSV_SLICE = 4096  # CSV rows formatted and written at a time
 
 
 class ConfigError(ValueError):
@@ -46,20 +49,20 @@ def _parse_grid(spec: str) -> np.ndarray:
 
 
 def _write_csv(path, header, rows):
-    def fmt(x):
-        return repr(float(x)) if isinstance(x, (float, np.floating)) else str(x)
+    """Write the header and the rows as CSV, to the file `path` or, when it is
+    None, to stdout.
 
-    if path is None:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([fmt(v) for v in row])
-        return
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([fmt(v) for v in row])
+    `rows` is a record array, one record per line.  It is written in slices
+    of _CSV_SLICE records: a slice becomes Python ints and floats, each
+    written as its repr, which is what csv.writer writes for the strings
+    str(int) and repr(float).  Only one slice's text is held at a time.
+    """
+    line = ",".join(["%r"] * len(header)) + "\n"
+    with (contextlib.nullcontext(sys.stdout) if path is None
+          else open(path, "w", newline="", encoding="utf-8")) as fh:
+        fh.write(",".join(header) + "\n")
+        for k in range(0, len(rows), _CSV_SLICE):
+            fh.write("".join([line % row for row in rows[k:k + _CSV_SLICE].tolist()]))
 
 
 def _write_sidecar(out, payload: dict):
@@ -115,7 +118,7 @@ def _cmd_transform(args) -> int:
     density = _parse_density(args.density, args.dim)
     profile = profile_from_config(density)
     lams = _parse_grid(args.lam)
-    rows = list(zip(lams, fh_transform(profile, lams)))
+    rows = np.rec.fromarrays([lams, fh_transform(profile, lams)])
     _write_csv(args.out, ["lambda", "value"], rows)
     _write_sidecar(args.out, {"command": "transform", "density": density,
                               "lambda_grid": args.lam})
@@ -129,7 +132,7 @@ def _cmd_heat_kernel(args) -> int:
     etas = _parse_grid(args.eta)
     psi_vals = hk(args.t, etas, args.dim)
     big_psi = psi_clt(args.t, etas, args.dim)
-    rows = list(zip(etas, psi_vals, big_psi))
+    rows = np.rec.fromarrays([etas, psi_vals, big_psi])
     _write_csv(args.out, ["eta", "psi", "Psi"], rows)
     _write_sidecar(args.out, {"command": "heat-kernel", "dim": args.dim,
                               "t": args.t, "eta_grid": args.eta})
@@ -141,7 +144,7 @@ def _cmd_walk(args) -> int:
     profile = profile_from_config(density)
     cfg = WalkConfig(profile, args.N, args.paths, args.scaling, args.seed)
     ensemble = run_walk(cfg)
-    rows = list(enumerate(ensemble.terminal_etas))
+    rows = np.rec.fromarrays([np.arange(cfg.paths), ensemble.terminal_etas])
     _write_csv(args.out, ["path", "eta"], rows)
     _write_sidecar(args.out, {"command": "walk", **cfg.describe()})
     return 0

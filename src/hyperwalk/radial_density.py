@@ -11,6 +11,7 @@ the ball-norm bound is R = tanh(eta_max / 2).
 """
 
 import math
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline, CubicSpline, PchipInterpolator, PPoly
@@ -37,8 +38,8 @@ def _cdf_table(measure, upper):
     The table has the exact density as its slopes on a uniform grid, and is
     doubled until the previous level's interpolant matches the new node
     values to _CDF_TOL: the criterion bounds the interpolant between nodes,
-    not only the nodes themselves.  Returns (PPoly, total mass); the PPoly's
-    c[3] row holds the left node values that _invert_cdf searches.
+    not only the nodes themselves.  Returns a CdfTable; its PPoly's c[3] row
+    holds the left node values that the guide of _invert_cdf indexes.
     """
     npts = 257
     prev = None
@@ -60,32 +61,114 @@ def _cdf_table(measure, upper):
             break
         prev = interp
         npts = 2 * npts - 1
-    return interp, float(vals[-1])
+    return CdfTable(interp, float(vals[-1]))
 
 
-def _invert_cdf(interp, total, u):
-    """Invert a _cdf_table table at the fractions u of its total mass.
+class CdfTable:
+    """A cubic CDF table: the PPoly `interp`, its total mass `total`, and the
+    two arrays _invert_cdf reads, built at the first draw.
 
-    Each draw's cell is located on the node values; its root starts at the
-    secant guess and takes _NEWTON_STEPS (four) Newton steps on that cell's
-    cubic, each clamped to the cell, so a draw never leaves its bracket.
-    Where the density is close to linear across a cell this inverts the
-    table to rounding.  In a cell where the density vanishes like x^k with
-    k >= 2, the steps can stop short by a few percent of that cell's mass.
+    `cells` packs, per cell, the rows left node, width, lo, hi (the CDF at
+    the two nodes), c0, c1, c2 (the cubic's coefficients) as one contiguous
+    (7, cells) array, so that one gather fetches a draw's cell.  `guide` is
+    the bucket index of the inversion: bucket b of M (a power of two at least
+    8 times the cell count) holds the uniforms in [b/M, (b+1)/M), and
+    guide[b] is the cell of the bucket's lower edge, or -1 when the bucket
+    spans more than two cells.  A table scaled from `parent` shares its
+    guide.
     """
-    x, c = interp.x, interp.c
-    uu = u * total
-    i = np.searchsorted(c[3], uu) - 1  # c[3] holds the left node values
-    width = x[i + 1] - x[i]
-    lo = c[3, i]
-    hi = np.append(c[3, 1:], total)[i]
-    c0, c1, c2, r = c[0, i], c[1, i], c[2, i], lo - uu
-    s = width * (uu - lo) / (hi - lo)
+
+    def __init__(self, interp, total, parent=None):
+        self.interp = interp
+        self.total = total
+        self._parent = parent
+
+    @cached_property
+    def cells(self):
+        x, c = self.interp.x, self.interp.c
+        return np.array([x[:-1], np.diff(x), c[3], np.append(c[3, 1:], self.total),
+                         c[0], c[1], c[2]])
+
+    @cached_property
+    def guide(self):
+        if self._parent is not None:
+            return self._parent.guide
+        return _guide(self.interp.c[3], self.total)
+
+    def scaled(self, eps):
+        """The table in the variable eps*x: nodes x -> eps*x and the
+        coefficient of (x - x_i)^k divided by eps^k.  The node values and the
+        total do not change, so the guide is the parent's."""
+        powers = np.arange(3, -1, -1)[:, None]
+        interp = PPoly(self.interp.c / eps**powers, eps * self.interp.x, extrapolate=False)
+        return CdfTable(interp, self.total, self)
+
+
+def _guide(lo, total):
+    """Guide of the node values lo (see CdfTable).  A uniform u in bucket b
+    has u*total between edges[b] and edges[b + 1], the products rounded as
+    _invert_cdf rounds them, so its cell lies between theirs."""
+    m = 1 << (8 * lo.size - 1).bit_length()
+    edges = np.arange(m + 1) / m * total
+    cell = np.searchsorted(lo, edges) - 1  # the cell _invert_cdf gives u*total
+    guide = np.maximum(cell[:-1], 0)
+    guide[cell[1:] - guide > 1] = -1
+    return guide
+
+
+def _invert_cdf(table, u):
+    """Invert a CdfTable at the fractions u of its total mass.
+
+    A draw's cell is the last whose left node value lies below u*total.  The
+    guide gives it with one compare against the cell's right node value;
+    draws in the few buckets that span more than two cells (the guide's -1)
+    take a binary search instead.  The root then starts at the secant guess
+    and takes _NEWTON_STEPS (four) Newton steps on that cell's cubic, each
+    clamped to the cell, so a draw never leaves its bracket.  Where the
+    density is close to linear across a cell this inverts the table to
+    rounding.  In a cell where the density vanishes like x^k with k >= 2, the
+    steps can stop short by a few percent of that cell's mass.
+    """
+    shape = np.shape(u)
+    u = np.reshape(u, -1)
+    cells, guide = table.cells, table.guide
+    uu = u * table.total
+    i = guide.take((u * guide.size).astype(np.intp))
+    wide = np.flatnonzero(i < 0)
+    if wide.size:
+        i[wide] = np.searchsorted(cells[2], uu[wide]) - 1
+    i += cells[3].take(i) < uu
+    left, width, lo, hi, c0, c1, c2 = cells.take(i, axis=1)
+    # s = width (uu - lo) / (hi - lo), r = lo - uu, and the Newton steps
+    # below, in place but in the operation order of the formulas, so every
+    # draw is bitwise that of the formulas
+    s = np.subtract(uu, lo)
+    s *= width
+    hi -= lo
+    s /= hi
+    r = np.subtract(lo, uu, out=lo)
+    c0x3 = np.multiply(c0, 3.0, out=hi)
+    c1x2 = np.multiply(c1, 2.0, out=uu)
+    f = np.empty_like(s)
+    df = np.empty_like(s)
     for _ in range(_NEWTON_STEPS):
-        f = ((c0 * s + c1) * s + c2) * s + r
-        df = (3.0 * c0 * s + 2.0 * c1) * s + c2
-        s = np.clip(s - f / np.maximum(df, 1e-300), 0.0, width)
-    return x[i] + s
+        # f = ((c0 s + c1) s + c2) s + r and df = (3 c0 s + 2 c1) s + c2
+        np.multiply(c0, s, out=f)
+        f += c1
+        f *= s
+        f += c2
+        f *= s
+        f += r
+        np.multiply(c0x3, s, out=df)
+        df += c1x2
+        df *= s
+        df += c2
+        np.maximum(df, 1e-300, out=df)
+        f /= df
+        s -= f
+        np.clip(s, 0.0, width, out=s)
+    s += left
+    return s.reshape(shape)
 
 
 class RadialProfile:
@@ -109,13 +192,13 @@ class RadialProfile:
     def with_table(cls, shape, eta_max, dim, norm_const, table, family="custom", params=None):
         """Profile whose normalizer and CDF table are already known.
 
-        `table` is a (cubic PPoly, total mass) pair as `_cdf_table` returns
-        it; no quadrature runs.  scale_profile builds its result this way.
+        `table` is a CdfTable as `_cdf_table` returns it; no quadrature
+        runs.  scale_profile builds its result this way.
         """
         p = cls.__new__(cls)
         p._set_fields(shape, eta_max, dim, family, params)
         p.norm_const = float(norm_const)
-        p._cache["cdf"], p._cache["cdf_total"] = table
+        p._cache["cdf"] = table
         return p
 
     def _set_fields(self, shape, eta_max, dim, family, params):
@@ -143,29 +226,28 @@ class RadialProfile:
 
     # -- CDF tabulation ------------------------------------------------------
 
-    def _cdf_interp(self):
-        interp = self._cache.get("cdf")
-        if interp is None:
+    def _cdf_interp(self) -> CdfTable:
+        table = self._cache.get("cdf")
+        if table is None:
             area = sphere_area(self.dim)
             nm1 = self.dim.n - 1
 
             def measure(etas):
                 return area * self.g(etas) * np.sinh(etas) ** nm1
 
-            interp, self._cache["cdf_total"] = _cdf_table(measure, self.eta_max)
-            self._cache["cdf"] = interp
-        return interp
+            table = self._cache["cdf"] = _cdf_table(measure, self.eta_max)
+        return table
 
     def _cdf_eval(self, etas):
-        interp = self._cdf_interp()
+        table = self._cdf_interp()
         etas = np.asarray(etas, dtype=float)
         out = np.empty(etas.shape)
         below = etas <= 0.0
         above = etas >= self.eta_max
         inside = ~(below | above)
         out[below] = 0.0
-        out[above] = self._cache["cdf_total"]
-        out[inside] = interp(etas[inside])
+        out[above] = table.total
+        out[inside] = table.interp(etas[inside])
         return out
 
     def _moment(self, k: int) -> float:
@@ -285,17 +367,18 @@ def open_uniforms(u, out=None):
 def _sample_eta_many(p: RadialProfile, u: np.ndarray) -> np.ndarray:
     """Vectorized inversion of the cubic CDF table at the draws u in (0, 1).
 
-    The inversion is _invert_cdf's.  In the first cell, where the density
-    vanishes like eta^{n-1}, the Newton steps can stop short by a few
-    percent of that cell's mass (for the unit bump in n = 3 the cell holds
-    5e-11 and the residual in u stays below 2e-12).  The table's own error
-    is what the 1e-12 doubling criterion of _cdf_table bounds: successive
-    interpolants agree to 1e-12 at the finer nodes.
+    The inversion is _invert_cdf's: a guide-table lookup of each draw's
+    cell, then four clamped Newton steps on its cubic.  In the first cell,
+    where the density vanishes like eta^{n-1}, the Newton steps can stop
+    short by a few percent of that cell's mass (for the unit bump in n = 3
+    the cell holds 5e-11 and the residual in u stays below 2e-12).  The
+    table's own error is what the 1e-12 doubling criterion of _cdf_table
+    bounds: successive interpolants agree to 1e-12 at the finer nodes.
     """
     u = np.asarray(u, dtype=float)
     if np.any((u <= 0.0) | (u >= 1.0)):
         raise ValueError("uniform draws must lie strictly inside (0, 1)")
-    return _invert_cdf(p._cdf_interp(), p._cache["cdf_total"], u)
+    return _invert_cdf(p._cdf_interp(), u)
 
 
 def sample_eta(p: RadialProfile, u: float) -> float:
@@ -346,12 +429,7 @@ def scale_profile(p: RadialProfile, eps: float) -> RadialProfile:
 
     params = dict(p.params)
     params["scaled_by"] = eps * p.params.get("scaled_by", 1.0)
-    # the parent's cubic table in the variable eps*eta: nodes x -> eps*x and
-    # the coefficient of (eta - x_i)^k divided by eps^k (slopes -> slopes/eps)
-    parent = p._cdf_interp()
-    powers = np.arange(3, -1, -1)[:, None]
-    table = (PPoly(parent.c / eps**powers, eps * parent.x, extrapolate=False),
-             p._cache["cdf_total"])
+    table = p._cdf_interp().scaled(eps)
     # the substitution eta -> eps*eta preserves the mass, so the norm is 1
     return RadialProfile.with_table(shape, eps * p.eta_max, p.dim, 1.0, table,
                                     family=p.family, params=params)

@@ -32,8 +32,10 @@ for its angle: N radii, then N angles.  A draw depends only on
 step blocking or worker count.
 
 Paths run in chunks of _CHUNK, and a chunk makes its draws one block of
-steps at a time, at most _BLOCK draws of each kind per block, so the memory
-a walk needs does not grow with N.
+steps at a time, at most _BLOCK = 2^13 draws of each kind per block, so the
+memory a walk needs does not grow with N.  At 64 KiB an array of a block
+stays in cache and below malloc's mmap threshold, so making it faults in no
+fresh pages; the steps reuse their temporaries in place.
 """
 
 import math
@@ -55,7 +57,7 @@ from .radial_density import (RadialProfile, _cdf_table, _invert_cdf, _sample_eta
                              open_uniforms)
 
 _CHUNK = 4096
-_BLOCK = 2**16  # draws of each kind per block of steps, as one (steps, paths) array
+_BLOCK = 2**13  # draws of each kind per block of steps, as one (steps, paths) array
 _MODES = ("clt", "lln", "sturm")
 _ETA_GUARD = 2.0 * math.atanh(1.0 - BOUNDARY_TOL)  # radius of ||s|| = 1 - BOUNDARY_TOL
 
@@ -151,7 +153,7 @@ def _angle_q(n: int, u: np.ndarray) -> np.ndarray:
     inverted angle table for n >= 4."""
     if n == 3:
         return u
-    theta = np.pi * u if n == 2 else _invert_cdf(*_angle_table(n), u)
+    theta = np.pi * u if n == 2 else _invert_cdf(_angle_table(n), u)
     return np.sin(0.5 * theta) ** 2
 
 
@@ -162,6 +164,9 @@ def _run_chunk(cfg: WalkConfig, start: int, count: int) -> np.ndarray:
     eps = {"clt": 1.0 / math.sqrt(N), "lln": 1.0 / N, "sturm": 1.0}[cfg.scaling]
     seeds = path_stream_seed(cfg.master_seed, np.arange(start, start + count, dtype=np.uint64))
     eta = np.zeros(count)
+    # the step's temporaries, reused by every step: h and rows of `work`
+    h = np.empty(count)
+    work = np.empty((5 if sturm else 1, count))
     steps = max(1, _BLOCK // count)
     for k0 in range(0, N, steps):
         block = min(steps, N - k0)
@@ -170,12 +175,22 @@ def _run_chunk(cfg: WalkConfig, start: int, count: int) -> np.ndarray:
         if sturm:
             h_z = np.sinh(0.5 * eta_z) ** 2
         for k in range(block):
-            # sinh^2(d/2) with d the distance between -s (Sturm: s) and z
-            h = np.sinh(0.5 * (eta - eta_z[k])) ** 2 + np.sinh(eta) * sq[k]
+            # h = sinh^2(d/2) = sinh^2((eta - eta_z)/2) + sinh(eta) sq, with d
+            # the distance between -s (Sturm: s) and z
+            np.subtract(eta, eta_z[k], out=h)
+            h *= 0.5
+            np.sinh(h, out=h)
+            np.square(h, out=h)
+            np.sinh(eta, out=work[0])
+            work[0] *= sq[k]
+            h += work[0]
             if sturm:
-                eta = _stewart(eta, h_z[k], h, 1.0 / (k0 + k + 1))
+                _stewart(eta, h_z[k], h, 1.0 / (k0 + k + 1), work)
             else:
-                eta = 2.0 * np.arcsinh(np.sqrt(h))
+                # eta = 2 arcsinh(sqrt(h))
+                np.sqrt(h, out=h)
+                np.arcsinh(h, out=eta)
+                eta *= 2.0
             if not float(np.max(eta)) < _ETA_GUARD:
                 bad = np.nonzero(~(eta < _ETA_GUARD))[0]
                 raise BoundaryError(f"paths {(start + bad).tolist()} reached the boundary "
@@ -183,10 +198,11 @@ def _run_chunk(cfg: WalkConfig, start: int, count: int) -> np.ndarray:
     return eta
 
 
-def _stewart(eta_s, h_z, h_d, weight):
+def _stewart(eta_s, h_z, h_d, weight, work):
     """Radius of the point at distance x = weight * D from s on the geodesic
     from s to z, given eta_s = |s|, h_z = sinh^2(|z|/2) and h_d = sinh^2(D/2),
-    D = d(s, z).
+    D = d(s, z).  The radius is written into eta_s; h_d and the five rows of
+    `work`, arrays of eta_s's shape, are overwritten.
 
     Stewart's cosh(eta') sinh D = cosh(eta_s) sinh(D - x) + cosh(eta_z) sinh x,
     with cosh = 1 + 2 sinh^2(./2) and sinh(D - x) + sinh x - sinh D
@@ -194,17 +210,37 @@ def _stewart(eta_s, h_z, h_d, weight):
     sinh^2(eta'/2) sinh D = h_s sinh(D - x) + h_z sinh x
     - 2 sinh((D - x)/2) sinh(x/2) sinh(D/2), with no arccosh near 1.
     """
-    s_half = np.sqrt(h_d)
-    d = 2.0 * np.arcsinh(s_half)
-    x = weight * d
-    y = d - x
-    h_s = np.sinh(0.5 * eta_s) ** 2
-    num = (h_s * np.sinh(y) + h_z * np.sinh(x)
-           - 2.0 * np.sinh(0.5 * y) * np.sinh(0.5 * x) * s_half)
-    sinh_d = np.sinh(d)
+    s_half = np.sqrt(h_d, out=h_d)
+    d, x, y, num, term = work
+    np.arcsinh(s_half, out=d)
+    d *= 2.0
+    np.multiply(d, weight, out=x)
+    np.subtract(d, x, out=y)
+    sinh_d = np.sinh(d, out=d)
+    h_s = np.multiply(eta_s, 0.5, out=eta_s)
+    np.sinh(h_s, out=h_s)
+    np.square(h_s, out=h_s)
+    # num = h_s sinh(y) + h_z sinh(x) - 2 sinh(y/2) sinh(x/2) s_half
+    np.sinh(y, out=num)
+    num *= h_s
+    np.sinh(x, out=term)
+    term *= h_z
+    num += term
+    y *= 0.5
+    np.sinh(y, out=term)
+    term *= 2.0
+    x *= 0.5
+    np.sinh(x, out=x)
+    term *= x
+    term *= s_half
+    num -= term
     # D = 0 means z = s, and the step stays at s
     h = np.divide(num, sinh_d, out=h_s, where=sinh_d > 0.0)
-    return 2.0 * np.arcsinh(np.sqrt(np.maximum(h, 0.0)))
+    # eta' = 2 arcsinh(sqrt(max(h, 0)))
+    np.maximum(h, 0.0, out=h)
+    np.sqrt(h, out=h)
+    np.arcsinh(h, out=h)
+    h *= 2.0
 
 
 def _thread_count() -> int:
@@ -225,10 +261,13 @@ def run_walk(cfg: WalkConfig) -> WalkEnsemble:
     """Simulate every path of the configuration; deterministic per (seed, index)."""
     t0 = time.perf_counter()
     workers = _thread_count()
-    # build the shared tables before any workers start
-    cfg.profile._cdf_interp()
+    # build the shared tables and, by one draw, their inverse arrays before
+    # any workers start
+    tables = [cfg.profile._cdf_interp()]
     if cfg.profile.dim.n > 3:
-        _angle_table(cfg.profile.dim.n)
+        tables.append(_angle_table(cfg.profile.dim.n))
+    for table in tables:
+        _invert_cdf(table, np.array([0.5]))
     out = np.empty(cfg.paths)
     spans = [(s, min(_CHUNK, cfg.paths - s)) for s in range(0, cfg.paths, _CHUNK)]
     if workers > 1 and len(spans) > 1:

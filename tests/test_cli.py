@@ -128,3 +128,44 @@ def test_bad_grid_spec(capsys):
     code, _, _ = run(capsys, "heat-kernel", "--dim", "3", "--t", "1.0",
                      "--eta", "5:0:0.1")
     assert code == 2
+
+
+def _csv_writer_reference(header, rows):
+    """The CSV that csv.writer makes of the header and of the rows, each value
+    written as repr(float(x)) when it is a float and str(x) otherwise."""
+    import csv
+    import io
+
+    def fmt(x):
+        return repr(float(x)) if isinstance(x, (float, np.floating)) else str(x)
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([fmt(v) for v in row])
+    return buf.getvalue()
+
+
+def test_write_csv_matches_csv_writer(tmp_path, capsys):
+    """The sliced writer gives csv.writer's bytes, to a file and to stdout,
+    across several slices and for ints, zeros, tiny, huge and subnormal
+    floats, and non-finite values."""
+    from hyperwalk import cli
+
+    special = [0.0, -0.0, 1e-05, 5e-324, 2.2250738585072014e-308, 1e16, 1.5e300,
+               0.1, 1.0 / 3.0, -2.5, float("inf"), float("-inf"), float("nan")]
+    rng = np.random.default_rng(3)
+    count = 2 * cli._CSV_SLICE + 17
+    col = np.concatenate([special, rng.standard_normal(count - len(special))
+                          * 10.0 ** rng.integers(-20, 20, count - len(special))])
+    index = np.arange(count)
+    rows = np.rec.fromarrays([index, col, col[::-1].copy()])
+    header = ["path", "eta", "other"]
+    want = _csv_writer_reference(header, zip(index.tolist(), col, col[::-1]))
+    out = tmp_path / "w.csv"
+    cli._write_csv(str(out), header, rows)
+    assert out.read_bytes() == want.encode()
+    capsys.readouterr()
+    cli._write_csv(None, header, rows)
+    assert capsys.readouterr().out == want

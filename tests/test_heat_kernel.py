@@ -86,19 +86,49 @@ def test_hk_even_m1_mckean_oracle():
 
 
 def test_small_eta_series_branch_continuity(monkeypatch):
-    # at each eta around the series/direct switch (eta = 0.125), force the
-    # series branch and then the direct branch; the two must agree there.
-    # The series converges for eta < pi and is cut at eta^16, so it is exact
-    # to ~(0.125/pi)^16 here; the 1e-8 leaves room for the cancellation among
-    # the singular terms of the direct branch.
+    # at each eta around the series/direct switch of order m, force the series
+    # branch and then the direct branch; the two must agree there.  The
+    # series converges for eta < pi and takes _series_order(m) terms, so it is
+    # exact to ~(eta/pi)^order here; the 1e-8 leaves room for the
+    # cancellation among the singular terms of the direct branch.
     for t in (0.4, 1.1):
-        for m in (1, 2, 3, 4):
-            for eta in (0.1249, 0.125, 0.1251):
-                monkeypatch.setattr(heat_kernel, "_SMALL_ETA", 2.0 * eta)
+        for m in range(1, 8):
+            switch = heat_kernel._small_eta(m)
+            for eta in (0.999 * switch, switch, 1.001 * switch):
+                monkeypatch.setattr(heat_kernel, "_small_eta", lambda m, e=eta: 2.0 * e)
                 series = hk_odd(t, eta, m)
-                monkeypatch.setattr(heat_kernel, "_SMALL_ETA", 0.5 * eta)
+                monkeypatch.setattr(heat_kernel, "_small_eta", lambda m, e=eta: 0.5 * e)
                 direct = hk_odd(t, eta, m)
+                monkeypatch.undo()
                 assert series == pytest.approx(direct, rel=1e-8)
+
+
+def hk_odd_mp(t, eta, m):
+    """hk_odd as a 60-digit mpmath sum of the same order-m terms, with the same
+    prefactor and Gaussian: no series, and no cancellation left to see."""
+    import mpmath
+
+    with mpmath.workdps(60):
+        e, t = mpmath.mpf(eta), mpmath.mpf(t)
+        tau = 2 * t
+        coth, csch = mpmath.coth(e), mpmath.csch(e)
+        terms = mpmath.fsum(coef * e**a * coth**b * csch**c * tau**-d
+                            for (a, b, c, d), coef in heat_kernel._odd_terms(m))
+        pref = mpmath.exp(-m * m * t) / ((2 * mpmath.pi) ** m * mpmath.sqrt(2 * mpmath.pi * tau))
+        return float(pref * terms * mpmath.exp(-e * e / (2 * tau)))
+
+
+def test_hk_odd_against_60_digit_sum_around_each_switch():
+    """Both branches are accurate where they meet: below the switch of order
+    m the series answers, at and above it the direct sum.  At the same
+    multiples of a switch fixed at 0.125 for every m, and the same times,
+    hk_odd missed by 1.4e-9 at m = 4, 7e-5 at m = 6 and 6e-2 at m = 7."""
+    for m in range(1, 8):
+        switch = heat_kernel._small_eta(m)
+        etas = switch * np.array([0.5, 0.9, 0.999, 1.0, 1.001, 1.1, 1.5])
+        for t in (0.025, 0.4, 1.1, 5.0):
+            want = np.array([hk_odd_mp(t, e, m) for e in etas])
+            assert hk_odd(t, etas, m) == pytest.approx(want, rel=1e-10, abs=0.0)
 
 
 def test_series_table_exact_coefficients():

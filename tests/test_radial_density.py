@@ -7,7 +7,8 @@ from scipy.stats import ks_2samp, kstest
 
 from hyperwalk import (cdf_eta, limit_time, make_bump, make_table, mean_eta,
                        pdf_eta, profile_from_config, sample_eta, sample_point,
-                       sample_points, scale_profile, second_moment, sphere_area)
+                       sample_points, scale_profile, second_moment, sphere_area, walk_sim)
+from hyperwalk.radial_density import _invert_cdf
 
 from conftest import ks_critical
 
@@ -193,3 +194,76 @@ def test_normalization_invariant_after_scaling(bump2):
     mass = quad(lambda e: area * float(s.g(np.array([e]))[0]) * math.sinh(e), 0.0,
                 s.eta_max, epsabs=1e-13, epsrel=1e-13, limit=100)[0]
     assert mass == pytest.approx(1.0, abs=1e-10)
+
+
+def _invert_cdf_searchsorted(table, u):
+    """The binary-search inverter that the guide replaced, kept as the oracle
+    of _invert_cdf: the same cell, the same secant start and the same four
+    clamped Newton steps, written as plain formulas."""
+    x, c, total = table.interp.x, table.interp.c, table.total
+    uu = u * total
+    i = np.searchsorted(c[3], uu) - 1  # c[3] holds the left node values
+    width = x[i + 1] - x[i]
+    lo = c[3, i]
+    hi = np.append(c[3, 1:], total)[i]
+    c0, c1, c2, r = c[0, i], c[1, i], c[2, i], lo - uu
+    s = width * (uu - lo) / (hi - lo)
+    for _ in range(4):
+        f = ((c0 * s + c1) * s + c2) * s + r
+        df = (3.0 * c0 * s + 2.0 * c1) * s + c2
+        s = np.clip(s - f / np.maximum(df, 1e-300), 0.0, width)
+    return x[i] + s
+
+
+def _zero_run_table():
+    """A table profile that vanishes on [0.3, 0.6]: its CDF repeats one node
+    value across thousands of cells."""
+    etas = np.linspace(0.0, 1.0, 41)
+    values = np.where((etas >= 0.3) & (etas <= 0.6), 0.0, np.exp(-etas))
+    return make_table(etas, values, 3)._cdf_interp()
+
+
+_INVERSION_TABLES = {
+    "bump2": lambda: make_bump(1.0, 2)._cdf_interp(),
+    "bump3": lambda: make_bump(1.0, 3)._cdf_interp(),
+    "bump5": lambda: make_bump(1.0, 5)._cdf_interp(),
+    "bump3-eps-1/sqrt1000": lambda: scale_profile(make_bump(1.0, 3),
+                                                  1.0 / math.sqrt(1000))._cdf_interp(),
+    "bump3-eps-1e-4": lambda: scale_profile(make_bump(1.0, 3), 1e-4)._cdf_interp(),
+    "angle4": lambda: walk_sim._angle_table(4),
+    "angle5": lambda: walk_sim._angle_table(5),
+    "angle7": lambda: walk_sim._angle_table(7),
+    "zero-run": _zero_run_table,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_INVERSION_TABLES))
+def test_guide_inversion_matches_binary_search_bitwise(name):
+    """The guide inverter gives every draw bitwise what the binary search
+    gives: on 10^6 random draws, at the extreme draws 2^-54 and 1 - 2^-53,
+    at every u whose u*total lands exactly on a node value, and at the
+    neighbours of those u and of every bucket edge of the guide."""
+    table = _INVERSION_TABLES[name]()
+    lo, total, m = table.interp.c[3], table.total, table.guide.size
+    u = np.random.default_rng(2024).random(10**6)
+    near = np.concatenate([lo[1:] / total, np.arange(1, m) / m])
+    near = np.concatenate([near, np.nextafter(near, 0.0), np.nextafter(near, 1.0)])
+    on_node = near[np.isin(near * total, lo)]
+    u = np.concatenate([u, [2.0**-54, 1.0 - 2.0**-53], near, on_node])
+    u = u[(u > 0.0) & (u < 1.0)]
+    assert on_node.size > 0.5 * lo.size  # most node values are hit exactly
+    if name == "zero-run":
+        assert np.count_nonzero(np.diff(lo) == 0.0) > 1000
+    got = _invert_cdf(table, u)
+    want = _invert_cdf_searchsorted(table, u)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    # the draws' array shape does not matter
+    block = u[:1000].reshape(10, 100)
+    assert np.array_equal(_invert_cdf(table, block), got[:1000].reshape(10, 100))
+
+
+def test_scaled_table_shares_the_guide(bump3):
+    """Scaling the variable leaves the node values and the total unchanged,
+    so scale_profile reuses the parent's guide array."""
+    parent = bump3._cdf_interp()
+    assert scale_profile(bump3, 0.1)._cdf_interp().guide is parent.guide

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from scipy.stats import ks_2samp, kstest
 from hyperwalk import (BoundaryError, WalkConfig, cdf_eta, empirical_radial_density,
                        limit_time, make_bump, mean_radius, pdf_eta, psi_clt, run_walk,
                        sample_point, sample_points, scale_profile, sphere_area, walk_sim)
+from hyperwalk.cli import main
 from hyperwalk.diagnostics import _limit_radial_cdf
 from hyperwalk.gyro import mobius_add_raw, mobius_scalar_raw
 from hyperwalk.radial_density import _sample_eta_many, open_uniforms
@@ -290,3 +292,40 @@ def test_angle_draws_invert_the_beta_law(n):
     u = (np.arange(10**5) + 0.5) / 10**5
     q = walk_sim._angle_q(n, u)
     assert float(np.max(np.abs(betainc(0.5 * (n - 1), 0.5 * (n - 1), q) - u))) < 1e-11
+
+
+# SHA-256 of run_walk(WalkConfig(make_bump(1.0, n), 40, 700, mode, 1000 + n))
+# .terminal_etas.tobytes(), and of the stdout of one `hyperwalk walk` call,
+# recorded with the binary-search inverter, blocks of 2^16 draws and freshly
+# allocated step temporaries.  They pin the draws and the steps' arithmetic
+# bit for bit.  numpy's elementwise sinh and arcsinh may round differently on
+# another CPU family or numpy build, which would need the hashes re-recorded.
+_PINNED = {
+    ("clt", 2): "49f274f7061497711a0226241cd5f536134084d3a72f1766bbf3ab3177ae93c0",
+    ("clt", 3): "4956558c115f2ba4ae9a01898f7abbffd12e273069d3d8cd41f0a39a0af898ad",
+    ("clt", 5): "81ec25988a25cbf67a8cbca435f0b92276f1c9273dc71387cd205d2ee14b8311",
+    ("lln", 2): "78d82c9229a7922a0014ad3ba07f6e40d4f3260298d343b64341465ddcdfbd99",
+    ("lln", 3): "7067004242f94ac565e7b43b8a6ae23cb6fdc96f99eb8e7c86075db058610fab",
+    ("lln", 5): "a43f34272ce72426154ef8277b26c0c18dd7a0950e86d928b23c4596f3aebfae",
+    ("sturm", 2): "8e51e9ca8c054d7417c740b0fbcc3e41a5881d1ec7dcdd712b494beba8a02222",
+    ("sturm", 3): "50e736848a6901c7814935f2280f5cbf3ae27ef58cd10814d8fe4c7f9f5b16b9",
+    ("sturm", 5): "f44cb1b51d5ce70ad68d04b3c8ce489da135cbaa983c71e753d18dfe68ae89d9",
+}
+_PINNED_CSV = "e46ee48b9ff1b81ecd3da3f74f895dbc11f081555942d39d4b3adac94723e212"
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("mode", ["clt", "lln", "sturm"])
+def test_terminal_radii_pinned(mode, n, monkeypatch):
+    """Every path takes several blocks of steps at the default _BLOCK."""
+    monkeypatch.delenv("HYPERWALK_THREADS", raising=False)
+    etas = run_walk(WalkConfig(make_bump(1.0, n), 40, 700, mode, 1000 + n)).terminal_etas
+    assert hashlib.sha256(etas.tobytes()).hexdigest() == _PINNED[mode, n]
+
+
+def test_walk_csv_pinned(capsys, monkeypatch):
+    monkeypatch.delenv("HYPERWALK_THREADS", raising=False)
+    assert main(["walk", "--dim", "5", "--density", "bump:0.8", "--N", "20",
+                 "--paths", "5000", "--seed", "3"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == _PINNED_CSV
