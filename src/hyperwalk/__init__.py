@@ -2,20 +2,16 @@
 
 __version__ = "0.1.0"
 
-from .geometry import (BallPoint, Dimension, GeodesicPolar, from_geodesic,
-                       radial_area_weight, sphere_area, to_geodesic, volume_weight)
-from .gyro import (BoundaryError, distance, geodesic_point, gyration, mobius_add,
-                   mobius_neg, mobius_scalar, sturm_step, translate,
-                   translate_conformal_factor)
-from .heat_kernel import HeatKernelSpec, hk, hk_even, hk_fourier, hk_odd, psi_clt
+from .geometry import Dimension, sphere_area
+from .gyro import BoundaryError
+from .heat_kernel import hk, hk_even, hk_fourier, hk_odd, psi_clt
 from .radial_density import (RadialProfile, cdf_eta, limit_time, make_bump,
                              make_table, mean_eta, pdf_eta, profile_from_config,
-                             sample_eta, sample_point, sample_points,
                              scale_profile, second_moment)
-from .spectral import (SpectralFunction, char2, convolution_profile, convolve_direct,
-                       fh_inverse, fh_inverse_grid, fh_transform, inversion_constant,
-                       phi, phi_integral, phi_many, phi_series, plancherel_density,
-                       variance_direct, walk_density, walk_density_grid, walk_transform)
+from .spectral import (char2, convolution_profile, convolve_direct, fh_inverse_grid,
+                       fh_transform, inversion_constant, phi, phi_integral, phi_many,
+                       phi_series, plancherel_density, variance_direct,
+                       walk_density_grid, walk_transform)
 from .diagnostics import (Verdict, clt_check, gyro_property_suite, lln_check,
                           llt_check, variance_rate_check)
 from .walk_sim import (WalkConfig, WalkEnsemble, empirical_radial_density,

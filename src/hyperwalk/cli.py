@@ -13,7 +13,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .diagnostics import clt_check, gyro_property_suite, lln_check, llt_check, variance_rate_check
+from .diagnostics import (_llt_eta_grid, clt_check, gyro_property_suite, lln_check,
+                          llt_check, variance_rate_check)
 from .geometry import as_dim
 from .heat_kernel import hk, psi_clt
 from .radial_density import profile_from_config
@@ -158,30 +159,38 @@ _VERIFY_KEYS = {
 }
 
 
+def _check_integers(cfg: dict):
+    """Reject a count or a seed that is not a JSON integer: 100.9, "100" and
+    true are configuration errors, not truncated to 100 or 1."""
+    values = [(key, cfg[key]) for key in ("N", "paths", "seed", "eta_points") if key in cfg]
+    if "Ns" in cfg:
+        if not isinstance(cfg["Ns"], list):
+            raise ConfigError(f"Ns must be a list of integers, got {cfg['Ns']!r}")
+        values += [("Ns", v) for v in cfg["Ns"]]
+    for key, v in values:
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise ConfigError(f"{key} must be an integer, got {v!r}")
+
+
 def _cmd_verify(args) -> int:
     cfg = _load_config(args.config, _VERIFY_KEYS[args.check])
+    _check_integers(cfg)
     try:
         profile = profile_from_config(cfg["density"])
         if args.check == "clt":
             verdict = clt_check(
-                profile, int(cfg["N"]), int(cfg["paths"]), int(cfg["seed"]),
+                profile, cfg["N"], cfg["paths"], cfg["seed"],
                 t_scale=float(cfg.get("t_scale", 1.0)),
                 bias_coeff=float(cfg.get("bias_coeff", 5.0)),
                 threshold=cfg.get("threshold"))
         elif args.check == "llt":
-            eta_grid = None
-            if "eta_points" in cfg:
-                import math as _m
-
-                from .radial_density import limit_time as _lt
-                t = _lt(profile)
-                eta_grid = np.linspace(0.0, 2.0 * _m.sqrt(t) + 2.0, int(cfg["eta_points"]))
+            eta_grid = _llt_eta_grid(profile, cfg["eta_points"]) if "eta_points" in cfg else None
             verdict = llt_check(profile, cfg["Ns"], eta_grid=eta_grid,
                                 slope_max=float(cfg.get("slope_max", -0.8)),
                                 limit=cfg.get("limit", "clt"))
         elif args.check == "lln":
-            verdict = lln_check(profile, cfg["Ns"], int(cfg["paths"]),
-                                int(cfg["seed"]), scaling=cfg.get("scaling", "lln"))
+            verdict = lln_check(profile, cfg["Ns"], cfg["paths"],
+                                cfg["seed"], scaling=cfg.get("scaling", "lln"))
         else:
             verdict = variance_rate_check(profile, cfg["Ns"],
                                           slope_max=float(cfg.get("slope_max", -0.8)))

@@ -102,6 +102,12 @@ def clt_check(p: RadialProfile, N: int, paths: int, seed: int,
         config={"density": p.config(), "N": N, "paths": paths})
 
 
+def _llt_eta_grid(p: RadialProfile, points: int) -> np.ndarray:
+    """The llt check's default grid: points radii from 0 to 2 sqrt(t) + 2,
+    t the limit time, which holds the bulk of the limit density."""
+    return np.linspace(0.0, 2.0 * math.sqrt(limit_time(p)) + 2.0, points)
+
+
 def llt_check(p: RadialProfile, Ns, eta_grid=None, slope_max: float = -0.8,
               slope_window=(-1.3, -0.8), limit: str = "clt") -> Verdict:
     """Sup-norm distance between the exact walk density and the limit density
@@ -115,10 +121,7 @@ def llt_check(p: RadialProfile, Ns, eta_grid=None, slope_max: float = -0.8,
         raise ValueError("need at least three N values for a slope fit")
     n = p.dim.n
     t = limit_time(p)
-    if eta_grid is None:
-        eta_grid = np.linspace(0.0, 2.0 * math.sqrt(t) + 2.0, 200)
-    else:
-        eta_grid = np.asarray(eta_grid, dtype=float)
+    eta_grid = _llt_eta_grid(p, 200) if eta_grid is None else np.asarray(eta_grid, dtype=float)
     target = psi_clt(t, eta_grid, n) if limit == "clt" else hk(t, eta_grid, n)
     errors = {}
     for N in Ns:

@@ -1,9 +1,8 @@
-"""Poincare ball coordinates, metric weights and the geodesic radial measure.
+"""The dimension of the Poincare ball, its boundary guard and sphere areas.
 
 The model is the open Euclidean unit ball with metric 4*||dx||^2/(1-||x||^2)^2
-(curvature -1).  Points are stored in Euclidean coordinates; the geodesic
-polar representation carries the hyperbolic distance to the origin
-eta = 2*atanh(||x||) and a unit direction.
+(curvature -1).  Points are plain float arrays in Euclidean coordinates; the
+geodesic radial coordinate of x is eta = 2*atanh(||x||).
 """
 
 import math
@@ -44,102 +43,12 @@ class Dimension:
 
 
 def as_dim(n) -> Dimension:
-    return n if isinstance(n, Dimension) else Dimension(int(n))
-
-
-@dataclass(frozen=True)
-class BallPoint:
-    """A point of the open unit ball, strictly inside the boundary guard."""
-
-    coords: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coords, dtype=float)
-        if c.ndim != 1:
-            raise ValueError("coords must be a 1-d vector")
-        if c.size < 2:
-            raise ValueError("ball points need dimension >= 2")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("coords must be finite")
-        if float(np.linalg.norm(c)) >= 1.0 - BOUNDARY_TOL:
-            raise ValueError("point outside the admissible ball ||p|| < 1 - 1e-12")
-        c = c.copy()
-        c.setflags(write=False)
-        object.__setattr__(self, "coords", c)
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coords))
-
-    @property
-    def dim(self) -> Dimension:
-        return Dimension(self.coords.size)
-
-
-@dataclass(frozen=True)
-class GeodesicPolar:
-    """Geodesic polar coordinates (eta, theta): radial distance and unit direction."""
-
-    eta: float
-    theta: np.ndarray
-
-    def __post_init__(self):
-        if not (self.eta >= 0.0 and math.isfinite(self.eta)):
-            raise ValueError(f"eta must be finite and >= 0, got {self.eta!r}")
-        th = np.asarray(self.theta, dtype=float)
-        if th.ndim != 1 or th.size < 2:
-            raise ValueError("theta must be a 1-d vector of dimension >= 2")
-        if abs(float(np.linalg.norm(th)) - 1.0) > 1e-12:
-            raise ValueError("theta must be a unit vector (within 1e-12)")
-        th = th.copy()
-        th.setflags(write=False)
-        object.__setattr__(self, "theta", th)
-        object.__setattr__(self, "eta", float(self.eta))
-
-
-def _e1(n: int) -> np.ndarray:
-    th = np.zeros(n)
-    th[0] = 1.0
-    return th
-
-
-def eta_from_radius(r):
-    """Hyperbolic distance to the origin, eta = 2*atanh(r) = log((1+r)/(1-r))."""
-    return 2.0 * np.arctanh(r)
-
-
-def radius_from_eta(eta):
-    return np.tanh(np.asarray(eta, dtype=float) / 2.0)
-
-
-def to_geodesic(p: BallPoint) -> GeodesicPolar:
-    """Geodesic polar coordinates of p; direction at the origin is e1 by convention."""
-    r = p.norm
-    if r == 0.0:
-        return GeodesicPolar(0.0, _e1(p.coords.size))
-    return GeodesicPolar(float(eta_from_radius(r)), p.coords / r)
-
-
-def from_geodesic(g: GeodesicPolar) -> BallPoint:
-    return BallPoint(math.tanh(g.eta / 2.0) * g.theta)
-
-
-def volume_weight(p: BallPoint) -> float:
-    """Density 2^n (1-||p||^2)^{-n} of the Riemannian volume against Lebesgue measure."""
-    n = p.coords.size
-    return float(2.0**n * (1.0 - p.norm**2) ** (-n))
+    """n as a Dimension; an n that is not an integer (3.7, "3", True) is a
+    ValueError, not truncated."""
+    return n if isinstance(n, Dimension) else Dimension(n)
 
 
 def sphere_area(n) -> float:
     """Surface area of the unit sphere S^{n-1}."""
     d = as_dim(n).n
     return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
-
-
-def radial_area_weight(eta, n):
-    """Radial Jacobian sinh(eta)^{n-1} of the volume in geodesic polars.
-
-    The sphere factor is carried separately by sphere_area.
-    """
-    d = as_dim(n).n
-    return np.sinh(np.asarray(eta, dtype=float)) ** (d - 1)

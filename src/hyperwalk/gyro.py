@@ -1,21 +1,18 @@
 """Mobius gyrogroup operations on the open unit ball.
 
-Everything here is composed out of the single addition formula
+Everything is composed out of the single addition formula
 
     x (+) y = ((1 + 2<x,y> + ||y||^2) x + (1 - ||x||^2) y)
               / (1 + 2<x,y> + ||x||^2 ||y||^2),
 
-so gyration, translation and the geodesic-walk step are definitional
-compositions and the algebraic identities stay honest test targets.
-The *_raw functions act on plain float arrays with shape (..., n) and do not
-validate; the typed wrappers guard the near-boundary region.
+and the scalar product t (x) z = tanh(t * atanh(||z||)) z/||z||, so gyration,
+translation and the Sturm geodesic step are compositions of the two and the
+algebraic identities stay honest test targets.  Both act on plain float
+arrays with shape (..., n) and do not validate: the walk engine guards the
+boundary band itself.
 """
 
-import math
-
 import numpy as np
-
-from .geometry import BOUNDARY_TOL, BallPoint
 
 
 class BoundaryError(ArithmeticError):
@@ -40,59 +37,3 @@ def mobius_scalar_raw(gamma, z):
     safe = np.where(r > 0.0, r, 1.0)
     scale = np.where(r > 0.0, np.tanh(np.asarray(gamma) * np.arctanh(np.minimum(r, 1.0))) / safe, 0.0)
     return scale * z
-
-
-def _wrap(arr) -> BallPoint:
-    if float(np.linalg.norm(arr)) >= 1.0 - BOUNDARY_TOL:
-        raise BoundaryError("result reached ||.|| >= 1 - 1e-12; inputs violate the compact-support regime")
-    return BallPoint(arr)
-
-
-def mobius_add(x: BallPoint, y: BallPoint) -> BallPoint:
-    return _wrap(mobius_add_raw(x.coords, y.coords))
-
-
-def mobius_neg(x: BallPoint) -> BallPoint:
-    return BallPoint(-x.coords)
-
-
-def mobius_scalar(gamma: float, z: BallPoint) -> BallPoint:
-    return _wrap(mobius_scalar_raw(gamma, z.coords))
-
-
-def gyration(a: BallPoint, b: BallPoint, c: BallPoint) -> BallPoint:
-    """gyr[a,b]c = -(a+b) (+) (a (+) (b (+) c)), the rotation defect of (+)."""
-    ab = mobius_add_raw(a.coords, b.coords)
-    abc = mobius_add_raw(a.coords, mobius_add_raw(b.coords, c.coords))
-    return _wrap(mobius_add_raw(-ab, abc))
-
-
-def translate(a: BallPoint, x: BallPoint) -> BallPoint:
-    """Hyperbolic translation T_a(x) = (-a) (+) x; T_{-a} is its inverse."""
-    return _wrap(mobius_add_raw(-a.coords, x.coords))
-
-
-def translate_conformal_factor(a: BallPoint, x: BallPoint) -> float:
-    """Spectral norm of the Jacobian of T_a at x; its n-th power is the determinant."""
-    xa = float(np.dot(x.coords, a.coords))
-    return (1.0 - a.norm**2) / (1.0 - 2.0 * xa + (x.norm * a.norm) ** 2)
-
-
-def geodesic_point(a: BallPoint, b: BallPoint, t: float) -> BallPoint:
-    """x(t) = a (+) (t (x) b), the geodesic with x(0) = a and x(1) = a (+) b."""
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"geodesic parameter must lie in [0, 1], got {t!r}")
-    return _wrap(mobius_add_raw(a.coords, mobius_scalar_raw(t, b.coords)))
-
-
-def sturm_step(s_prev: BallPoint, z: BallPoint, k: int) -> BallPoint:
-    """One update of the Sturm geodesic walk: s (+) (1/k)(x)((-s) (+) z)."""
-    if k < 1:
-        raise ValueError(f"step index must be >= 1, got {k!r}")
-    inner = mobius_add_raw(-s_prev.coords, z.coords)
-    return _wrap(mobius_add_raw(s_prev.coords, mobius_scalar_raw(1.0 / k, inner)))
-
-
-def distance(x: BallPoint, y: BallPoint) -> float:
-    """Hyperbolic distance d(x, y) = 2*atanh(||(-x) (+) y||)."""
-    return 2.0 * math.atanh(float(np.linalg.norm(mobius_add_raw(-x.coords, y.coords))))

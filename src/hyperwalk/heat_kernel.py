@@ -16,29 +16,13 @@ and eta csch(eta); its negative powers cancel exactly before any rounding.
 """
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .geometry import Dimension, as_dim
+from .geometry import as_dim
 from .quadrature import gauss_legendre
-
-
-@dataclass(frozen=True)
-class HeatKernelSpec:
-    """Time/variance parameter and dimension of a kernel evaluation."""
-
-    t: float
-    dim: Dimension
-    rho: float = field(init=False)
-
-    def __post_init__(self):
-        if self.t <= 0.0:
-            raise ValueError(f"t must be positive, got {self.t!r}")
-        object.__setattr__(self, "dim", as_dim(self.dim))
-        object.__setattr__(self, "rho", self.dim.rho)
 
 # Near eta = 0 the direct sum of the order-m terms cancels singular parts of
 # size eta^(1 - 2m) down to a finite value and loses about two digits per

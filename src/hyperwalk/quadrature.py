@@ -46,21 +46,16 @@ def panel_nodes(a: float, b: float, npanels: int, q: int):
     return nodes, weights
 
 
-def integrate_gl(f, a: float, b: float, npanels: int = 1, q: int = 32) -> float:
-    nodes, weights = panel_nodes(a, b, npanels, q)
-    return float(np.dot(weights, np.asarray(f(nodes), dtype=float)))
-
-
 def integrate_adaptive(f, a: float, b: float, abs_tol: float = 1e-13,
                        rel_tol: float = 1e-13, npanels: int = 1, q: int = 32,
                        max_doublings: int = 14) -> float:
     """Composite GL with panel doubling until two consecutive levels agree."""
     if b <= a:
         return 0.0
-    prev = integrate_gl(f, a, b, npanels, q)
-    for _ in range(max_doublings):
-        npanels *= 2
-        cur = integrate_gl(f, a, b, npanels, q)
+    prev = math.inf
+    for level in range(max_doublings + 1):
+        nodes, weights = panel_nodes(a, b, npanels << level, q)
+        cur = float(np.dot(weights, np.asarray(f(nodes), dtype=float)))
         if abs(cur - prev) <= max(abs_tol, rel_tol * abs(cur)):
             return cur
         prev = cur

@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline, CubicSpline, PchipInterpolator, PPoly
 
-from .geometry import BallPoint, Dimension, as_dim, sphere_area
+from .geometry import as_dim, sphere_area
 from .quadrature import cumulative_gl, integrate_adaptive
 
 _CDF_TOL = 1e-12
@@ -326,13 +326,13 @@ def profile_from_config(cfg: dict) -> RadialProfile:
         unknown = set(cfg) - allowed
         if unknown:
             raise ValueError(f"unknown density keys: {sorted(unknown)}")
-        return make_bump(float(cfg["eta_max"]), int(cfg["dim"]))
+        return make_bump(float(cfg["eta_max"]), cfg["dim"])
     if family == "table":
         allowed = {"family", "etas", "values", "dim", "interpolation"}
         unknown = set(cfg) - allowed
         if unknown:
             raise ValueError(f"unknown density keys: {sorted(unknown)}")
-        return make_table(cfg["etas"], cfg["values"], int(cfg["dim"]),
+        return make_table(cfg["etas"], cfg["values"], cfg["dim"],
                           interpolation=cfg.get("interpolation", "pchip"))
     raise ValueError(f"unknown density family {family!r}")
 
@@ -355,8 +355,8 @@ def cdf_eta(p: RadialProfile, eta):
 def open_uniforms(u, out=None):
     """Map uniform draws from [0, 1) into (0, 1).
 
-    The draws are multiples of 2^-53, as Generator.random() and the walk's
-    counter-based streams make them, so the only one outside
+    The draws are multiples of 2^-53, as the walk's counter-based streams
+    (and numpy's Generator.random()) make them, so the only one outside
     (0, 1) is 0 itself; it becomes 2^-54, the middle of the first step.
     Every other draw is returned unchanged, bit for bit.  `out` is passed to
     np.maximum, so a caller that owns the draws can map them in place.
@@ -379,33 +379,6 @@ def _sample_eta_many(p: RadialProfile, u: np.ndarray) -> np.ndarray:
     if np.any((u <= 0.0) | (u >= 1.0)):
         raise ValueError("uniform draws must lie strictly inside (0, 1)")
     return _invert_cdf(p._cdf_interp(), u)
-
-
-def sample_eta(p: RadialProfile, u: float) -> float:
-    """Radial draw by inverting the CDF at the uniform variate u in (0, 1)."""
-    return float(_sample_eta_many(p, np.array([float(u)]))[0])
-
-
-def sample_point(p: RadialProfile, stream: np.random.Generator) -> BallPoint:
-    """Draw one point: eta by CDF inversion, direction uniform on the sphere."""
-    eta = sample_eta(p, float(open_uniforms(stream.random())))
-    g = stream.standard_normal(p.dim.n)
-    nrm = float(np.linalg.norm(g))
-    theta = g / nrm if nrm > 0.0 else np.eye(p.dim.n)[0]
-    return BallPoint(math.tanh(eta / 2.0) * theta)
-
-
-def sample_points(p: RadialProfile, stream: np.random.Generator, count: int) -> np.ndarray:
-    """Batch of draws as a (count, n) coordinate array.
-
-    Draw protocol: count uniforms for the radii (through open_uniforms),
-    then count*n standard normals for the directions.
-    """
-    etas = _sample_eta_many(p, open_uniforms(stream.random(count)))
-    g = stream.standard_normal((count, p.dim.n))
-    nrm = np.linalg.norm(g, axis=1, keepdims=True)
-    nrm[nrm == 0.0] = 1.0
-    return np.tanh(etas / 2.0)[:, None] * g / nrm
 
 
 def scale_profile(p: RadialProfile, eps: float) -> RadialProfile:

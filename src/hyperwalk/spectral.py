@@ -22,12 +22,11 @@ lambda arrays (and may return a scalar, which is broadcast).
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import loggamma
 
-from .geometry import Dimension, as_dim, sphere_area
+from .geometry import as_dim, sphere_area
 from .quadrature import (QuadratureError, gauss_jacobi_sym, gk_adaptive_vector,
                          integrate_adaptive, panel_nodes)
 from .radial_density import RadialProfile, pdf_eta, scale_profile, sinch
@@ -47,32 +46,6 @@ class SeriesError(RuntimeError):
 
 class TruncationError(RuntimeError):
     """No admissible truncation point for the inverse transform."""
-
-
-@dataclass(frozen=True)
-class SpectralFunction:
-    """A tabulation lambda -> value; radial transforms are real and even."""
-
-    lambdas: np.ndarray
-    values: np.ndarray
-    dim: Dimension
-
-    def __post_init__(self):
-        lam = np.asarray(self.lambdas, dtype=float)
-        val = np.asarray(self.values, dtype=float)
-        if lam.ndim != 1 or lam.shape != val.shape:
-            raise ValueError("lambdas and values must be matching 1-d arrays")
-        if np.any(np.diff(lam) <= 0.0) or np.any(lam < 0.0):
-            raise ValueError("lambda grid must be nonnegative and strictly increasing")
-        if not np.all(np.isfinite(val)):
-            raise ValueError("values must be finite")
-        lam.setflags(write=False)
-        val.setflags(write=False)
-        object.__setattr__(self, "lambdas", lam)
-        object.__setattr__(self, "values", val)
-
-    def at(self, lam):
-        return np.interp(np.abs(lam), self.lambdas, self.values)
 
 
 def _kn(n: int) -> float:
@@ -319,12 +292,6 @@ def fh_transform(p: RadialProfile, lam):
     return float(out[0]) if lams.ndim == 0 else out.reshape(lams.shape)
 
 
-def _resolve_spectral(F):
-    if isinstance(F, SpectralFunction):
-        return F.at, F.dim.n
-    return F, None
-
-
 def find_truncation(envelope, n, tail_tol=_TAIL_THRESHOLD, cap=_LAMBDA_CAP) -> float:
     """Smallest grid point beyond which |F| |c|^{-2} stays below the tail
     tolerance (three consecutive grid points); hard error past the cap.
@@ -372,11 +339,12 @@ def find_truncation(envelope, n, tail_tol=_TAIL_THRESHOLD, cap=_LAMBDA_CAP) -> f
 
 def fh_inverse_grid(F, etas, n, envelope=None, abs_tol=1e-13,
                     tail_tol=_TAIL_THRESHOLD):
-    """Inverse transform on a grid of radii, sharing the lambda panels.
+    """Inverse transform in dimension n on a grid of radii, sharing the
+    lambda panels.
 
-    F is a callable lambda -> value (or a SpectralFunction).  It is called
-    once per 15-node Kronrod panel with a 1-d lambda array and returns the
-    values at those lambdas, or a scalar that holds for all of them.
+    F is a callable lambda -> value.  It is called once per 15-node Kronrod
+    panel with a 1-d lambda array and returns the values at those lambdas,
+    or a scalar that holds for all of them.
     envelope is a decay certificate bounding |F| (defaults to |F| itself),
     called with blocks of the truncation scan grid in the same way.
     Transforms whose numerically computed values bottom out at the
@@ -384,14 +352,11 @@ def fh_inverse_grid(F, etas, n, envelope=None, abs_tol=1e-13,
     matched to the target accuracy, since the default integrand bound of
     1e-14 is then never certified.
     """
-    raw, fdim = _resolve_spectral(F)
-    if n is None and fdim is None:
-        raise ValueError("dimension required when F is a bare callable")
-    d = as_dim(n).n if n is not None else fdim
+    d = as_dim(n).n
     etas = np.asarray(etas, dtype=float)
 
     def func(lams):
-        return np.broadcast_to(np.asarray(raw(lams), dtype=float), lams.shape)
+        return np.broadcast_to(np.asarray(F(lams), dtype=float), lams.shape)
 
     env = envelope or (lambda lams: np.abs(func(lams)))
     lam_max = find_truncation(env, d, tail_tol=tail_tol)
@@ -412,11 +377,6 @@ def fh_inverse_grid(F, etas, n, envelope=None, abs_tol=1e-13,
     integral = gk_adaptive_vector(rows, np.asarray(edges),
                                   abs_tol=max(abs_tol, 0.1 * tail_tol))
     return inversion_constant(d) * integral
-
-
-def fh_inverse(F, eta, n=None, envelope=None, tail_tol=_TAIL_THRESHOLD) -> float:
-    return float(fh_inverse_grid(F, np.array([float(eta)]), n, envelope,
-                                 tail_tol=tail_tol)[0])
 
 
 # -- characteristic function, variance, walk transforms ------------------------
@@ -501,12 +461,6 @@ def walk_density_grid(p: RadialProfile, N: int, etas, envelope=None,
         return fh_transform(scaled, lam) ** N
 
     return fh_inverse_grid(F, etas, p.dim.n, envelope=envelope, tail_tol=tail_tol)
-
-
-def walk_density(p: RadialProfile, N: int, eta, envelope=None,
-                 tail_tol=_TAIL_THRESHOLD) -> float:
-    return float(walk_density_grid(p, N, np.array([float(eta)]), envelope=envelope,
-                                   tail_tol=tail_tol)[0])
 
 
 # -- direct (space-side) convolution ------------------------------------------

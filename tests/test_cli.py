@@ -124,6 +124,29 @@ def test_verify_unknown_key_rejected(tmp_path, capsys):
     assert "typo_key" in json.loads(err)["error"]
 
 
+def test_verify_rejects_config_numbers_that_are_not_integers(tmp_path, capsys):
+    """dim 3.7, N 100.9 or paths 10000.5 used to run as 3, 100 and 10000."""
+    bump = {"family": "bump", "eta_max": 1.0, "dim": 3}
+    clt = {"density": bump, "N": 100, "paths": 10000, "seed": 1}
+    llt = {"density": bump, "Ns": [16, 32, 64], "eta_points": 50}
+    cases = [("clt", {**clt, "density": {**bump, "dim": 3.7}}),
+             ("clt", {**clt, "density": {**bump, "dim": "3"}}),
+             ("clt", {**clt, "N": 100.9}),
+             ("clt", {**clt, "paths": 10000.5}),
+             ("clt", {**clt, "seed": True}),
+             ("clt", {**clt, "seed": "1"}),
+             ("llt", {**llt, "Ns": [16, 32.0, 64]}),
+             ("llt", {**llt, "Ns": 64}),
+             ("llt", {**llt, "eta_points": 50.5}),
+             ("lln", {"density": bump, "Ns": [10, 100], "paths": 100, "seed": 1e3})]
+    cfg = tmp_path / "cfg.json"
+    for check, doc in cases:
+        cfg.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", check, "--config", str(cfg))
+        assert code == 2 and out == "", doc
+        assert "integer" in json.loads(err)["error"], doc
+
+
 def test_bad_grid_spec(capsys):
     code, _, _ = run(capsys, "heat-kernel", "--dim", "3", "--t", "1.0",
                      "--eta", "5:0:0.1")

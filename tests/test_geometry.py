@@ -4,14 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from hyperwalk import (BallPoint, Dimension, GeodesicPolar, from_geodesic,
-                       radial_area_weight, sphere_area, to_geodesic, volume_weight)
-
-
-def e(n, i=0):
-    v = np.zeros(n)
-    v[i] = 1.0
-    return v
+from hyperwalk import Dimension, sphere_area
+from hyperwalk.geometry import as_dim
 
 
 def test_dimension_rejects_bad_values():
@@ -22,76 +16,17 @@ def test_dimension_rejects_bad_values():
     assert Dimension(2).rho == 0.5
     assert Dimension(5).half_split == 2
     assert Dimension(4).half_split == 2
-
-
-def test_ballpoint_boundary_guard():
-    BallPoint(0.999 * e(3))
-    with pytest.raises(ValueError):
-        BallPoint((1.0 - 1e-13) * e(3))
-    with pytest.raises(ValueError):
-        BallPoint(np.array([0.5]))
-
-
-def test_to_geodesic_origin_convention():
-    g = to_geodesic(BallPoint(np.zeros(3)))
-    assert g.eta == 0.0
-    assert np.allclose(g.theta, e(3))
-
-
-def test_to_geodesic_values():
-    g = to_geodesic(BallPoint(0.5 * e(2)))
-    assert g.eta == pytest.approx(math.log(3.0), abs=1e-15)
-    # 2*atanh(0.9) = log(1.9/0.1)
-    g = to_geodesic(BallPoint(0.9 * e(4, 2)))
-    assert g.eta == pytest.approx(math.log(19.0), rel=1e-14)
-
-
-def test_from_geodesic_values():
-    assert from_geodesic(GeodesicPolar(0.0, e(3))).norm == 0.0
-    p = from_geodesic(GeodesicPolar(math.log(3.0), e(2)))
-    assert p.coords[0] == pytest.approx(0.5, abs=1e-15)
-    p = from_geodesic(GeodesicPolar(2.0, e(3, 1)))
-    assert p.coords[1] == pytest.approx(math.tanh(1.0), abs=1e-15)
-
-
-def test_round_trip_bulk():
-    rng = np.random.default_rng(7)
-    n = 3
-    worst = 0.0
-    for _ in range(100):
-        v = rng.standard_normal((100, n))
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
-        r = rng.uniform(0.0, 1.0 - 1e-6, size=(100, 1))
-        for row in r * v:
-            p = BallPoint(row)
-            back = from_geodesic(to_geodesic(p))
-            worst = max(worst, float(np.linalg.norm(back.coords - p.coords)))
-    assert worst < 1e-10
-
-
-def test_eta_monotone_in_radius():
-    rs = np.linspace(0.0, 0.999, 500)
-    etas = [to_geodesic(BallPoint(r * e(2))).eta for r in rs]
-    assert np.all(np.diff(etas) > 0.0)
-
-
-def test_volume_weight_values():
-    assert volume_weight(BallPoint(np.zeros(2))) == 4.0
-    assert volume_weight(BallPoint(np.zeros(3))) == 8.0
-    assert volume_weight(BallPoint(0.5 * e(2))) == pytest.approx(64.0 / 9.0, rel=1e-15)
+    # a dimension that is not an integer is an error, not truncated
+    for bad in (3.7, 3.0, "3", True):
+        with pytest.raises(ValueError, match="integer"):
+            as_dim(bad)
+    assert as_dim(np.int64(3)) == Dimension(3)
 
 
 def test_sphere_area_values():
     assert sphere_area(2) == pytest.approx(2.0 * math.pi, rel=1e-15)
     assert sphere_area(3) == pytest.approx(4.0 * math.pi, rel=1e-15)
     assert sphere_area(4) == pytest.approx(2.0 * math.pi**2, rel=1e-15)
-
-
-def test_radial_area_weight_values():
-    assert radial_area_weight(0.0, 2) == 0.0
-    assert radial_area_weight(0.0, 5) == 0.0
-    assert radial_area_weight(1.0, 2) == pytest.approx(math.sinh(1.0), rel=1e-15)
-    assert radial_area_weight(2.0, 4) == pytest.approx(math.sinh(2.0) ** 3, rel=1e-14)
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from hyperwalk import (HeatKernelSpec, fh_inverse_grid, fh_transform, heat_kernel, hk,
-                       hk_even, hk_fourier, hk_odd, make_table, psi_clt, sphere_area)
+from hyperwalk import (fh_inverse_grid, fh_transform, heat_kernel, hk, hk_even, hk_fourier,
+                       hk_odd, make_table, psi_clt, sphere_area)
 from hyperwalk.quadrature import cumulative_gl
 
 
@@ -18,13 +18,6 @@ def classical_h3(t, etas):
     etas = np.asarray(etas, dtype=float)
     shape = np.where(etas > 0, etas / np.sinh(np.maximum(etas, 1e-300)), 1.0)
     return (4 * math.pi * t) ** -1.5 * shape * np.exp(-t - etas**2 / (4 * t))
-
-
-def test_spec_type_validation():
-    spec = HeatKernelSpec(0.5, 3)
-    assert spec.rho == 1.0
-    with pytest.raises(ValueError):
-        HeatKernelSpec(0.0, 3)
 
 
 def test_hk_fourier_values():

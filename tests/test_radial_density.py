@@ -6,9 +6,10 @@ from scipy.integrate import quad
 from scipy.stats import ks_2samp, kstest
 
 from hyperwalk import (cdf_eta, limit_time, make_bump, make_table, mean_eta,
-                       pdf_eta, profile_from_config, sample_eta, sample_point,
-                       sample_points, scale_profile, second_moment, sphere_area, walk_sim)
-from hyperwalk.radial_density import _invert_cdf
+                       pdf_eta, profile_from_config, scale_profile, second_moment,
+                       sphere_area, walk_sim)
+from hyperwalk.gyro import mobius_scalar_raw
+from hyperwalk.radial_density import _invert_cdf, _sample_eta_many, open_uniforms
 
 from conftest import ks_critical
 
@@ -57,45 +58,24 @@ def test_cdf_monotone_and_ends(bump3):
 
 
 def test_sample_eta_limits(bump3):
-    assert sample_eta(bump3, 1e-12) < 0.05
-    assert sample_eta(bump3, 1.0 - 1e-12) > 0.95
-    with pytest.raises(ValueError):
-        sample_eta(bump3, 0.0)
-    with pytest.raises(ValueError):
-        sample_eta(bump3, 1.0)
+    etas = _sample_eta_many(bump3, np.array([1e-12, 1.0 - 1e-12]))
+    assert etas[0] < 0.05 and etas[1] > 0.95
+    for u in (0.0, 1.0):
+        with pytest.raises(ValueError):
+            _sample_eta_many(bump3, np.array([0.5, u]))
 
 
 def test_sample_eta_inverts_cdf(bump3):
-    rng = np.random.default_rng(0)
-    us = rng.random(500)
-    etas = np.array([sample_eta(bump3, u) for u in us])
+    us = np.random.default_rng(0).random(500)
+    etas = _sample_eta_many(bump3, us)
     assert float(np.max(np.abs(cdf_eta(bump3, etas) - us))) < 1e-10
 
 
 def test_radial_sampling_ks(bump3):
     rng = np.random.default_rng(101)
-    from hyperwalk.radial_density import _sample_eta_many
     etas = _sample_eta_many(bump3, rng.random(10**6))
     stat = kstest(etas, lambda e: cdf_eta(bump3, e)).statistic
     assert stat < 0.002
-
-
-def test_sample_point_marginals(bump3):
-    rng = np.random.default_rng(42)
-    pts = sample_points(bump3, rng, 10**6)
-    norms = np.linalg.norm(pts, axis=1)
-    assert float(np.max(norms)) <= math.tanh(0.5) + 1e-12
-    etas = 2.0 * np.arctanh(norms)
-    assert kstest(etas, lambda e: cdf_eta(bump3, e)).statistic < 0.002
-    mean_dir = np.mean(pts / norms[:, None], axis=0)
-    assert float(np.linalg.norm(mean_dir)) < 0.005
-
-
-def test_sample_point_scalar_protocol(bump3):
-    rng = np.random.default_rng(9)
-    p = sample_point(bump3, rng)
-    assert p.coords.size == 3
-    assert p.norm <= math.tanh(0.5)
 
 
 def test_scale_profile_identity_and_support(bump3):
@@ -123,18 +103,17 @@ def test_scaled_samples_match_contracted_points(bump3):
     """Draws from scale_profile(p, eps) and Mobius contractions eps (x) Z of
     draws from p share one radial law, the exact CDF of the scaled profile.
 
+    The scalar product is radial, so the contracted points lie on one axis.
     Bounds are Kolmogorov critical values at alpha = 1e-3, so a correct law
     fails each comparison with probability 1e-3.
     """
-    from hyperwalk.gyro import mobius_scalar_raw
-
     rng = np.random.default_rng(77)
     eps = 0.4
     m = k = 10**5
     scaled = scale_profile(bump3, eps)
-    direct = sample_points(scaled, rng, m)
-    contracted = mobius_scalar_raw(eps, sample_points(bump3, rng, k))
-    eta_direct = 2.0 * np.arctanh(np.linalg.norm(direct, axis=1))
+    eta_direct = _sample_eta_many(scaled, open_uniforms(rng.random(m)))
+    radii = np.tanh(0.5 * _sample_eta_many(bump3, open_uniforms(rng.random(k))))
+    contracted = mobius_scalar_raw(eps, radii[:, None] * np.array([1.0, 0.0, 0.0]))
     eta_contracted = 2.0 * np.arctanh(np.linalg.norm(contracted, axis=1))
     assert ks_2samp(eta_direct, eta_contracted).statistic < ks_critical(1e-3, m, k)
     exact = lambda e: cdf_eta(scaled, e)
@@ -144,7 +123,6 @@ def test_scaled_samples_match_contracted_points(bump3):
 
 def test_second_moment_monte_carlo(bump3):
     rng = np.random.default_rng(8)
-    from hyperwalk.radial_density import _sample_eta_many
     etas = _sample_eta_many(bump3, rng.random(10**6))
     mc = float(np.mean(etas**2 / 3.0))
     se = float(np.std(etas**2 / 3.0, ddof=1)) / 1000.0

@@ -11,7 +11,7 @@ from hyperwalk import (char2, convolution_profile, convolve_direct, fh_inverse_g
                        walk_density_grid, walk_transform)
 from hyperwalk.geometry import as_dim
 from hyperwalk.quadrature import integrate_adaptive
-from hyperwalk.spectral import SeriesError, SpectralFunction, TruncationError
+from hyperwalk.spectral import SeriesError, TruncationError
 
 from conftest import bump_transform_envelope
 
@@ -210,14 +210,6 @@ def test_inverse_decays_beyond_support(bump3):
 def test_truncation_failure_is_hard_error():
     with pytest.raises(TruncationError):
         fh_inverse_grid(lambda lam: 1.0, np.array([0.5]), 3)
-
-
-def test_spectral_function_table(bump3):
-    lams = np.linspace(0.0, 5.0, 21)
-    tab = SpectralFunction(lams, np.array([fh_transform(bump3, l) for l in lams]), bump3.dim)
-    assert tab.at(1.25) == pytest.approx(fh_transform(bump3, 1.25), abs=1e-3)
-    with pytest.raises(ValueError):
-        SpectralFunction(lams[::-1], np.zeros(21), bump3.dim)
 
 
 # -- lambda arrays ------------------------------------------------------------------

@@ -7,13 +7,13 @@ from scipy.special import betainc
 from scipy.stats import ks_2samp, kstest
 
 from hyperwalk import (BoundaryError, WalkConfig, cdf_eta, empirical_radial_density,
-                       limit_time, make_bump, mean_radius, pdf_eta, psi_clt, run_walk,
-                       sample_point, sample_points, scale_profile, sphere_area, walk_sim)
+                       limit_time, make_bump, mean_radius, psi_clt, run_walk,
+                       sphere_area, walk_sim)
 from hyperwalk.cli import main
 from hyperwalk.diagnostics import _limit_radial_cdf
 from hyperwalk.gyro import mobius_add_raw, mobius_scalar_raw
 from hyperwalk.radial_density import _sample_eta_many, open_uniforms
-from hyperwalk.walk_sim import path_stream_seed, splitmix64
+from hyperwalk.walk_sim import _angle_q, _uniforms, path_stream_seed, splitmix64
 
 from conftest import ks_critical
 
@@ -96,26 +96,14 @@ def test_single_step_law_matches_scaled_profile(bump3):
         assert stat < ks_critical(1e-3, paths)
 
 
-class _ZeroFirstDraw(np.random.Generator):
-    """A generator whose uniform draws start with an exact 0.0, a value
-    Generator.random() can return."""
-
-    def random(self, size=None):
-        u = np.array(super().random(size))
-        u.reshape(-1)[0] = 0.0
-        return u if size is not None else float(u)
-
-
 def test_zero_uniform_draw_is_mapped_inside(bump3, monkeypatch):
     u = np.array([0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53])
     assert np.array_equal(open_uniforms(u), [2.0**-54, 2.0**-53, 0.5, 1.0 - 2.0**-53])
     with pytest.raises(ValueError):
         _sample_eta_many(bump3, np.array([0.0]))
     # a zero draw gives the smallest radius, and no other draw changes
-    assert np.linalg.norm(sample_point(bump3, _ZeroFirstDraw(np.random.PCG64(1))).coords) < 1e-3
-    pts = sample_points(bump3, _ZeroFirstDraw(np.random.PCG64(1)), 5)
-    ref = sample_points(bump3, np.random.default_rng(np.random.PCG64(1)), 5)
-    assert np.linalg.norm(pts[0]) < 1e-3 and np.array_equal(pts[1:], ref[1:])
+    etas = _sample_eta_many(bump3, open_uniforms(u))
+    assert etas[0] < 1e-3 and np.array_equal(etas[1:], _sample_eta_many(bump3, u[1:]))
     # in the walk, the counter stream gives the radius draw of step 0 the
     # word splitmix64(seed of the path); make that word 0 for every path
     cfg = WalkConfig(bump3, 1, 3, "clt", 9)
@@ -282,6 +270,52 @@ def test_radial_chain_matches_vector_oracle(mode, n):
         oracle = _vector_walk(p, N, paths, mode, rng)
         # two-sample Kolmogorov critical value at alpha = 1e-3
         assert ks_2samp(chain, oracle).statistic < ks_critical(1e-3, paths, paths)
+
+
+def _pathwise_points_walk(p, N, paths, mode, seed):
+    """Terminal radii of the walk of points in the ball, folded with Mobius
+    addition and scalar multiplication, from run_walk's own counter-stream
+    draws: step k's radius eta_z from draw k and its q from draw N + k, and
+    z placed at cosine 1 - 2q to -s (to s in the Sturm mode), with the rest
+    of its direction random, since the law of cosines sees only the angle."""
+    n = p.dim.n
+    eps = {"clt": 1.0 / math.sqrt(N), "lln": 1.0 / N, "sturm": 1.0}[mode]
+    seeds = path_stream_seed(seed, np.arange(paths, dtype=np.uint64))
+    eta_z = eps * _sample_eta_many(p, _uniforms(seeds, 0, N))
+    cos = 1.0 - 2.0 * _angle_q(n, _uniforms(seeds, N, N))
+    rng = np.random.default_rng(seed)
+    s = np.zeros((paths, n))
+    for k in range(N):
+        if k == 0:
+            e = np.tile(np.eye(n)[0], (paths, 1))  # s = 0: any direction will do
+        else:
+            e = s / np.linalg.norm(s, axis=1, keepdims=True)
+        if mode != "sturm":
+            e = -e
+        f = rng.standard_normal((paths, n))
+        f -= np.sum(f * e, axis=1, keepdims=True) * e
+        f /= np.linalg.norm(f, axis=1, keepdims=True)
+        c = cos[k][:, None]
+        z = np.tanh(0.5 * eta_z[k])[:, None] * (c * e + np.sqrt(1.0 - c * c) * f)
+        if mode == "sturm":
+            s = mobius_add_raw(s, mobius_scalar_raw(1.0 / (k + 1), mobius_add_raw(-s, z)))
+        else:
+            s = mobius_add_raw(s, z)
+    return 2.0 * np.arctanh(np.linalg.norm(s, axis=1))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("mode", ["clt", "lln", "sturm"])
+def test_radial_chain_matches_points_walk_pathwise(mode, n, monkeypatch):
+    """Path by path, the radial chain's terminal radius is that of the walk of
+    points built from the same draws, to 1e-12 relative: a check of the law
+    of cosines, the Stewart step and the step weights 1/k that a law test at
+    its noise floor cannot make."""
+    monkeypatch.delenv("HYPERWALK_THREADS", raising=False)
+    p, N, paths, seed = make_bump(1.0, n), 8, 50, 300 + n
+    chain = run_walk(WalkConfig(p, N, paths, mode, seed)).terminal_etas
+    points = _pathwise_points_walk(p, N, paths, mode, seed)
+    assert float(np.max(np.abs(chain - points) / points)) < 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 4, 5, 7])
