@@ -8,6 +8,7 @@ echoing the resolved configuration so reruns are byte-identical.
 import argparse
 import contextlib
 import json
+import math
 import sys
 
 import numpy as np
@@ -15,7 +16,7 @@ import numpy as np
 from . import __version__
 from .diagnostics import (_llt_eta_grid, clt_check, gyro_property_suite, lln_check,
                           llt_check, variance_rate_check)
-from .geometry import as_dim
+from .geometry import as_dim, require_int
 from .heat_kernel import hk, psi_clt
 from .radial_density import profile_from_config
 from .spectral import fh_transform
@@ -128,8 +129,8 @@ def _cmd_transform(args) -> int:
 
 def _cmd_heat_kernel(args) -> int:
     as_dim(args.dim)
-    if args.t <= 0.0:
-        raise ConfigError("--t must be positive")
+    if not 0.0 < args.t < math.inf:
+        raise ConfigError(f"--t must be positive and finite, got {args.t!r}")
     etas = _parse_grid(args.eta)
     psi_vals = hk(args.t, etas, args.dim)
     big_psi = psi_clt(args.t, etas, args.dim)
@@ -168,8 +169,7 @@ def _check_integers(cfg: dict):
             raise ConfigError(f"Ns must be a list of integers, got {cfg['Ns']!r}")
         values += [("Ns", v) for v in cfg["Ns"]]
     for key, v in values:
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise ConfigError(f"{key} must be an integer, got {v!r}")
+        require_int(key, v)
 
 
 def _cmd_verify(args) -> int:

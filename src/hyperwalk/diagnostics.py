@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import as_dim, sphere_area
+from .geometry import as_dim, require_int, sphere_area
 from .gyro import mobius_add_raw, mobius_scalar_raw
 from .heat_kernel import hk, psi_clt
 from .quadrature import cumulative_gl
@@ -102,6 +102,14 @@ def clt_check(p: RadialProfile, N: int, paths: int, seed: int,
         config={"density": p.config(), "N": N, "paths": paths})
 
 
+def _ladder(Ns) -> list:
+    """The N values of a ladder, sorted; each must be an integer."""
+    Ns = list(Ns)
+    for N in Ns:
+        require_int("Ns", N)
+    return sorted(int(N) for N in Ns)
+
+
 def _llt_eta_grid(p: RadialProfile, points: int) -> np.ndarray:
     """The llt check's default grid: points radii from 0 to 2 sqrt(t) + 2,
     t the limit time, which holds the bulk of the limit density."""
@@ -109,14 +117,15 @@ def _llt_eta_grid(p: RadialProfile, points: int) -> np.ndarray:
 
 
 def llt_check(p: RadialProfile, Ns, eta_grid=None, slope_max: float = -0.8,
-              slope_window=(-1.3, -0.8), limit: str = "clt") -> Verdict:
+              limit: str = "clt") -> Verdict:
     """Sup-norm distance between the exact walk density and the limit density
     across a geometric ladder of N, with a log-log rate fit.
 
     limit="unhalved" compares against the kernel at the unhalved time; that
-    wrong scaling must plateau and is the negative control.
+    wrong scaling must plateau and is the negative control.  The verdict
+    records the rate window (-1.3, -0.8) of a correct walk.
     """
-    Ns = sorted(int(N) for N in Ns)
+    Ns = _ladder(Ns)
     if len(Ns) < 3:
         raise ValueError("need at least three N values for a slope fit")
     n = p.dim.n
@@ -133,7 +142,7 @@ def llt_check(p: RadialProfile, Ns, eta_grid=None, slope_max: float = -0.8,
     passed = slope <= slope_max and monotone
     return Verdict(
         name="llt", statistic=float(evals[-1]), threshold=float(evals[0]),
-        passed=passed, fitted_slope=slope, slope_window=tuple(slope_window),
+        passed=passed, fitted_slope=slope, slope_window=(-1.3, -0.8),
         details={"errors": {str(N): errors[N] for N in Ns}, "t": t,
                  "monotone": monotone, "eta_max_grid": float(eta_grid.max()),
                  "grid_points": int(eta_grid.size), "limit": limit},
@@ -144,7 +153,7 @@ def lln_check(p: RadialProfile, Ns, paths: int, seed: int,
               scaling: str = "lln") -> Verdict:
     """Mean terminal radius of the LLN walk must decay across Ns and end below
     10% of the single-step mean radius.  scaling="clt" is the negative control."""
-    Ns = sorted(int(N) for N in Ns)
+    Ns = _ladder(Ns)
     means, ses = [], []
     for i, N in enumerate(Ns):
         ens = run_walk(WalkConfig(p, N, paths, scaling, seed + i))
@@ -164,12 +173,11 @@ def lln_check(p: RadialProfile, Ns, paths: int, seed: int,
         config={"density": p.config(), "Ns": Ns, "paths": paths})
 
 
-def variance_rate_check(p: RadialProfile, Ns, slope_max: float = -0.8,
-                        slope_window=(-1.5, -0.8)) -> Verdict:
+def variance_rate_check(p: RadialProfile, Ns, slope_max: float = -0.8) -> Verdict:
     """Rate of |V_{S_N} - t|: the walk variance is N times the one-step
     variance of the contracted law (variance additivity), and must approach
-    the limit time at rate 1/N."""
-    Ns = sorted(int(N) for N in Ns)
+    the limit time at rate 1/N; the verdict records the window (-1.5, -0.8)."""
+    Ns = _ladder(Ns)
     if len(Ns) < 3:
         raise ValueError("need at least three N values for a slope fit")
     t = limit_time(p)
@@ -182,7 +190,7 @@ def variance_rate_check(p: RadialProfile, Ns, slope_max: float = -0.8,
     passed = slope <= slope_max
     return Verdict(
         name="variance_rate", statistic=float(vals[-1]), threshold=float(vals[0]),
-        passed=passed, fitted_slope=slope, slope_window=tuple(slope_window),
+        passed=passed, fitted_slope=slope, slope_window=(-1.5, -0.8),
         details={"t": t, "gaps": {str(N): gaps[N] for N in Ns}},
         config={"density": p.config(), "Ns": Ns})
 
@@ -200,8 +208,9 @@ def _random_points(rng: np.random.Generator, trials: int, n: int, rmax=0.8):
     return rng.uniform(0.0, rmax, size=(trials, 1)) * g
 
 
-def gyro_property_suite(n_list, trials: int, seed: int, tol: float = 1e-12) -> Verdict:
-    """Worst-case residuals of the gyrogroup identities over random batches."""
+def gyro_property_suite(n_list, trials: int, seed: int) -> Verdict:
+    """Worst-case residuals of the gyrogroup identities over random batches;
+    the suite passes when every residual is below 1e-12."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials!r}")
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -262,9 +271,9 @@ def gyro_property_suite(n_list, trials: int, seed: int, tol: float = 1e-12) -> V
         witness_gap = max(witness_gap, float(np.max(np.linalg.norm(half_ab - split, axis=1))))
 
     worst = max(residuals.values())
-    passed = worst < tol and witness_gap > 1e-3
+    passed = worst < 1e-12 and witness_gap > 1e-3
     return Verdict(
-        name="gyro_properties", statistic=worst, threshold=tol, passed=passed,
+        name="gyro_properties", statistic=worst, threshold=1e-12, passed=passed,
         seed=seed,
         details={"residuals": residuals, "nondistributivity_gap": witness_gap,
                  "trials": trials, "dims": [as_dim(n).n for n in n_list]},

@@ -1,4 +1,5 @@
-"""The dimension of the Poincare ball, its boundary guard and sphere areas.
+"""The dimension of the Poincare ball, its boundary guard, sphere areas and
+the integer check of counts and dimensions.
 
 The model is the open Euclidean unit ball with metric 4*||dx||^2/(1-||x||^2)^2
 (curvature -1).  Points are plain float arrays in Euclidean coordinates; the
@@ -15,6 +16,13 @@ import numpy as np
 BOUNDARY_TOL = 1e-12
 
 
+def require_int(name: str, value):
+    """Reject a count, seed or dimension that is not an integer: 10.5, "10"
+    and True are a ValueError, not truncated; numpy integers pass."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Dimension:
     """Ambient dimension n >= 2 of the ball."""
@@ -22,8 +30,7 @@ class Dimension:
     n: int
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)):
-            raise ValueError(f"dimension must be an integer, got {self.n!r}")
+        require_int("dimension", self.n)
         if self.n < 2:
             raise ValueError(f"dimension must be >= 2, got {self.n}")
         object.__setattr__(self, "n", int(self.n))

@@ -34,6 +34,7 @@ from .quadrature import gauss_legendre
 _SMALL_ETA = 0.125  # the switch for m = 1
 _SERIES_ORDER = 16  # the series terms for m = 1
 _SWITCH_CAP = 1.0
+_EVEN_DOUBLINGS = 6  # panel doublings of the even-n descent integral
 
 
 def _small_eta(m: int) -> float:
@@ -148,7 +149,7 @@ def _eval_terms(m: int, etas: np.ndarray, tau: float) -> np.ndarray:
 
 def hk_fourier(t: float, lam, n) -> float:
     """Spectral side: exp(-(lambda^2 + rho^2) t)."""
-    if t <= 0.0:
+    if not t > 0.0:
         raise ValueError(f"t must be positive, got {t!r}")
     rho = as_dim(n).rho
     lam = np.asarray(lam, dtype=float)
@@ -162,7 +163,7 @@ def _gaussian(etas, tau):
 
 def hk_odd(t: float, eta, m: int):
     """Space side for n = 2m+1 via the iterated sinh-derivative operator."""
-    if t <= 0.0 or m < 1:
+    if not t > 0.0 or m < 1:
         raise ValueError("need t > 0 and m >= 1")
     scalar = np.isscalar(eta) or np.asarray(eta).ndim == 0
     etas = np.atleast_1d(np.asarray(eta, dtype=float))
@@ -172,7 +173,7 @@ def hk_odd(t: float, eta, m: int):
     return float(out[0]) if scalar else out
 
 
-def hk_even(t: float, eta, m: int, max_doublings=6):
+def hk_even(t: float, eta, m: int):
     """Space side for n = 2m via the regularized descent integral.
 
     The descent integrand csch(s) (-d/ds) (-csch(s) d/ds)^(m-1) applied to the
@@ -181,7 +182,7 @@ def hk_even(t: float, eta, m: int, max_doublings=6):
     endpoint singularity; s is recovered stably through asinh of
     sqrt(sinh(eta)^2 + u^2 (2 cosh(eta) + u^2)).
     """
-    if t <= 0.0 or m < 1:
+    if not t > 0.0 or m < 1:
         raise ValueError("need t > 0 and m >= 1")
     scalar = np.isscalar(eta) or np.asarray(eta).ndim == 0
     etas = np.atleast_1d(np.asarray(eta, dtype=float))
@@ -209,7 +210,7 @@ def hk_even(t: float, eta, m: int, max_doublings=6):
 
     npanels = max(8, int(reach / math.sqrt(tau)) + 2)
     prev = level(npanels)
-    for _ in range(max_doublings):
+    for _ in range(_EVEN_DOUBLINGS):
         npanels *= 2
         cur = level(npanels)
         if float(np.max(np.abs(cur - prev))) <= 1e-13 * (1.0 + float(np.max(np.abs(cur)))):

@@ -11,6 +11,10 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_jacobi
 
+# budgets of integrate_adaptive and gk_adaptive_vector
+_MAX_DOUBLINGS = 14
+_MAX_PANELS = 400
+
 
 class QuadratureError(RuntimeError):
     """An adaptive rule failed to reach its tolerance within its budget."""
@@ -47,19 +51,18 @@ def panel_nodes(a: float, b: float, npanels: int, q: int):
 
 
 def integrate_adaptive(f, a: float, b: float, abs_tol: float = 1e-13,
-                       rel_tol: float = 1e-13, npanels: int = 1, q: int = 32,
-                       max_doublings: int = 14) -> float:
+                       rel_tol: float = 1e-13, npanels: int = 1, q: int = 32) -> float:
     """Composite GL with panel doubling until two consecutive levels agree."""
     if b <= a:
         return 0.0
     prev = math.inf
-    for level in range(max_doublings + 1):
+    for level in range(_MAX_DOUBLINGS + 1):
         nodes, weights = panel_nodes(a, b, npanels << level, q)
         cur = float(np.dot(weights, np.asarray(f(nodes), dtype=float)))
         if abs(cur - prev) <= max(abs_tol, rel_tol * abs(cur)):
             return cur
         prev = cur
-    raise QuadratureError(f"no convergence on [{a}, {b}] after {max_doublings} doublings")
+    raise QuadratureError(f"no convergence on [{a}, {b}] after {_MAX_DOUBLINGS} doublings")
 
 
 def cumulative_gl(f, grid: np.ndarray, q: int = 16) -> np.ndarray:
@@ -114,7 +117,7 @@ def _gk_panel(fvec, a: float, b: float):
     return k15, err
 
 
-def gk_adaptive_vector(fvec, edges, abs_tol: float = 1e-13, max_panels: int = 400):
+def gk_adaptive_vector(fvec, edges, abs_tol: float = 1e-13):
     """Adaptive Gauss-Kronrod panels for a vector integrand; bisects worst panel.
 
     fvec maps an array of abscissae (L,) to values (L, K); `edges` is the
@@ -135,9 +138,9 @@ def gk_adaptive_vector(fvec, edges, abs_tol: float = 1e-13, max_panels: int = 40
         errs = [p[0] for p in panels]
         if sum(errs) <= tol:
             return total
-        if len(panels) >= max_panels:
+        if len(panels) >= _MAX_PANELS:
             raise QuadratureError(
-                f"Kronrod refinement exceeded {max_panels} panels (residual {sum(errs):.3e})")
+                f"Kronrod refinement exceeded {_MAX_PANELS} panels (residual {sum(errs):.3e})")
         worst = int(np.argmax(errs))
         err, lo, hi, _ = panels.pop(worst)
         mid = 0.5 * (lo + hi)

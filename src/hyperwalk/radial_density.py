@@ -14,7 +14,7 @@ import math
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline, CubicSpline, PchipInterpolator, PPoly
+from scipy.interpolate import CubicHermiteSpline, CubicSpline, PchipInterpolator
 
 from .geometry import as_dim, sphere_area
 from .quadrature import cumulative_gl, integrate_adaptive
@@ -74,14 +74,12 @@ class CdfTable:
     the bucket index of the inversion: bucket b of M (a power of two at least
     8 times the cell count) holds the uniforms in [b/M, (b+1)/M), and
     guide[b] is the cell of the bucket's lower edge, or -1 when the bucket
-    spans more than two cells.  A table scaled from `parent` shares its
-    guide.
+    spans more than two cells.
     """
 
-    def __init__(self, interp, total, parent=None):
+    def __init__(self, interp, total):
         self.interp = interp
         self.total = total
-        self._parent = parent
 
     @cached_property
     def cells(self):
@@ -91,17 +89,7 @@ class CdfTable:
 
     @cached_property
     def guide(self):
-        if self._parent is not None:
-            return self._parent.guide
         return _guide(self.interp.c[3], self.total)
-
-    def scaled(self, eps):
-        """The table in the variable eps*x: nodes x -> eps*x and the
-        coefficient of (x - x_i)^k divided by eps^k.  The node values and the
-        total do not change, so the guide is the parent's."""
-        powers = np.arange(3, -1, -1)[:, None]
-        interp = PPoly(self.interp.c / eps**powers, eps * self.interp.x, extrapolate=False)
-        return CdfTable(interp, self.total, self)
 
 
 def _guide(lo, total):
@@ -175,7 +163,14 @@ class RadialProfile:
     """A normalized radial density with compact support [0, eta_max]."""
 
     def __init__(self, shape, eta_max, dim, family="custom", params=None):
-        self._set_fields(shape, eta_max, dim, family, params)
+        if not 0.0 < eta_max < math.inf:
+            raise ValueError(f"eta_max must be positive and finite, got {eta_max!r}")
+        self.dim = as_dim(dim)
+        self.eta_max = float(eta_max)
+        self.family = family
+        self.params = dict(params or {})
+        self._shape = shape
+        self._cache = {}
         area = sphere_area(self.dim)
         nm1 = self.dim.n - 1
 
@@ -187,29 +182,6 @@ class RadialProfile:
                                              abs_tol=1e-14, rel_tol=1e-14, q=32)
         if not (self.norm_const > 0.0 and math.isfinite(self.norm_const)):
             raise ValueError("profile shape must have positive finite mass")
-
-    @classmethod
-    def with_table(cls, shape, eta_max, dim, norm_const, table, family="custom", params=None):
-        """Profile whose normalizer and CDF table are already known.
-
-        `table` is a CdfTable as `_cdf_table` returns it; no quadrature
-        runs.  scale_profile builds its result this way.
-        """
-        p = cls.__new__(cls)
-        p._set_fields(shape, eta_max, dim, family, params)
-        p.norm_const = float(norm_const)
-        p._cache["cdf"] = table
-        return p
-
-    def _set_fields(self, shape, eta_max, dim, family, params):
-        if eta_max <= 0.0:
-            raise ValueError(f"eta_max must be positive, got {eta_max!r}")
-        self.dim = as_dim(dim)
-        self.eta_max = float(eta_max)
-        self.family = family
-        self.params = dict(params or {})
-        self._shape = shape
-        self._cache = {}
 
     # -- density views ------------------------------------------------------
 
@@ -267,9 +239,8 @@ class RadialProfile:
 
 
 def make_bump(eta_max, dim) -> RadialProfile:
-    """Smooth bump exp(-1/(1-(eta/eta_max)^2)) on [0, eta_max), normalized."""
-    if eta_max <= 0.0:
-        raise ValueError(f"eta_max must be positive, got {eta_max!r}")
+    """Smooth bump exp(-1/(1-(eta/eta_max)^2)) on [0, eta_max), normalized;
+    an eta_max that is not positive and finite is a ValueError."""
     eta_max = float(eta_max)
 
     def shape(etas):
@@ -402,10 +373,9 @@ def scale_profile(p: RadialProfile, eps: float) -> RadialProfile:
 
     params = dict(p.params)
     params["scaled_by"] = eps * p.params.get("scaled_by", 1.0)
-    table = p._cdf_interp().scaled(eps)
-    # the substitution eta -> eps*eta preserves the mass, so the norm is 1
-    return RadialProfile.with_table(shape, eps * p.eta_max, p.dim, 1.0, table,
-                                    family=p.family, params=params)
+    # the substitution eta -> eps*eta preserves the mass, so the computed
+    # normaliser is 1 up to the quadrature's error
+    return RadialProfile(shape, eps * p.eta_max, p.dim, family=p.family, params=params)
 
 
 def second_moment(p: RadialProfile) -> float:

@@ -1,24 +1,23 @@
 """Radial Fourier analysis on the ball: spherical functions, the Helgason
 transform and its inverse, characteristic functions and variance.
 
-The spherical function has two numerical representations:
-
-* an endpoint-regularized Gauss-Jacobi form of the radial integral
-  (the substitution s = eta*v and the product formula
-  cosh(eta) - cosh(eta*v) = 2 sinh(eta(1+v)/2) sinh(eta(1-v)/2) turn the
-  endpoint singularity into the Jacobi weight (1-v^2)^{(n-3)/2});
-* a hypergeometric-type power series in sinh(eta/2), fast for small radii.
+The spherical function is computed by an endpoint-regularized Gauss-Jacobi
+form of its radial integral: the substitution s = eta*v and the product
+formula cosh(eta) - cosh(eta*v) = 2 sinh(eta(1+v)/2) sinh(eta(1-v)/2) turn
+the endpoint singularity into the Jacobi weight (1-v^2)^{(n-3)/2}.  A
+hypergeometric-type power series in sinh(eta/2) is kept beside it as an
+independent oracle for small radii; no production route calls it.
 
 Transforms of radial profiles are therefore one-dimensional quadratures, and
 the inverse transform is an adaptive Gauss-Kronrod integral against the
 Plancherel density |c(lambda)|^{-2} of the Harish-Chandra c-function.
 
-Array contract: `phi_many`, `phi_integral`, `fh_transform` and
-`plancherel_density` take a scalar or an array of lambda and evaluate every
-lambda in one call; each lambda gets exactly the value a scalar call would
-give it.  `fh_inverse_grid` evaluates its spectral integrand one 15-node
-Kronrod panel at a time, so the F and envelope it is given receive 1-d
-lambda arrays (and may return a scalar, which is broadcast).
+Array contract: `phi_many`, `fh_transform` and `plancherel_density` take a
+scalar or an array of lambda and evaluate every lambda in one call; each
+lambda gets exactly the value a scalar call would give it.
+`fh_inverse_grid` evaluates its spectral integrand one 15-node Kronrod panel
+at a time, so the F and envelope it is given receive 1-d lambda arrays (and
+may return a scalar, which is broadcast).
 """
 
 import math
@@ -38,10 +37,12 @@ _LAMBDA_CAP = 1e4
 _COS_BLOCK = 1 << 18
 # truncation scan points whose envelope is evaluated in one call
 _SCAN_BLOCK = 16
+_SERIES_TOL = 1e-17  # the series oracle stops at two terms below this, relative
+_SERIES_TERMS = 200  # and fails after this many
 
 
 class SeriesError(RuntimeError):
-    """The power-series representation failed to converge in 200 terms."""
+    """phi_series failed to converge in _SERIES_TERMS terms."""
 
 
 class TruncationError(RuntimeError):
@@ -109,19 +110,24 @@ def phi_integral(lam, eta, n, order=None):
     return _lam_shape(lam, out, etas.shape)
 
 
-def phi_series(lam, eta, n, tol=1e-17, max_terms=200):
+# the production spherical function: (L, M) values for an array lam of L
+# values and M radii, (M,) for a scalar lam
+phi_many = phi_integral
+
+
+def phi_series(lam, eta, n):
     """Spherical function as the hypergeometric series with parameters
-    rho +- i*lambda and argument -sinh(eta/2)^2.
+    rho +- i*lambda and argument -sinh(eta/2)^2: the small-radius oracle
+    that tests compare phi_integral against.
 
     lam and eta broadcast against each other.  Each (lambda, eta) pair sums
     its own terms and stops after two consecutive terms below
-    tol * (1 + |partial sum|).
+    _SERIES_TOL * (1 + |partial sum|).
 
     The lambda scaling is pinned by the eigenvalue -(lambda^2 + rho^2): the
     eta^2 coefficient must be -(lambda^2 + rho^2)/(2n), which the Pochhammer
-    factors (rho+j)^2 + lambda^2 reproduce.  Hard-errors if 200 terms do not
-    converge; callers should fall back to phi_integral outside the
-    small-radius regime.
+    factors (rho+j)^2 + lambda^2 reproduce.  Raises SeriesError if
+    _SERIES_TERMS terms do not converge, as for sinh(eta/2) >= 1.
     """
     d = as_dim(n).n
     rho = (d - 1) / 2.0
@@ -135,55 +141,22 @@ def phi_series(lam, eta, n, tol=1e-17, max_terms=200):
     term = np.ones(etas.size)
     lam2 = lams * lams
     runs = np.zeros(etas.size, dtype=int)
-    for q in range(1, max_terms + 1):
+    for q in range(1, _SERIES_TERMS + 1):
         term = term * neg_x * ((rho + q - 1.0) ** 2 + lam2) / (q * (mser + q))
         total += term
-        runs = (runs + 1) * (np.abs(term) <= tol * (1.0 + np.abs(total)))
+        runs = (runs + 1) * (np.abs(term) <= _SERIES_TOL * (1.0 + np.abs(total)))
         done = runs >= 2
         if np.all(done):
             return float(total[0]) if not shape else total.reshape(shape)
         term[done] = 0.0  # a finished pair adds nothing more
     bad = runs < 2
-    raise SeriesError(f"no convergence after {max_terms} terms "
+    raise SeriesError(f"no convergence after {_SERIES_TERMS} terms "
                       f"(lam={np.max(lams[bad])}, max eta={np.max(etas[bad])})")
 
 
 def phi(lam, eta, n):
-    """Spherical function with automatic representation dispatch.
-
-    The series branch is taken when lam*sinh(eta/2) < 0.5 and eta < 0.5; the
-    two branches agree to 1e-10 across the switch boundary.
-    """
-    return float(phi_many(lam, np.array([float(eta)]), n)[0])
-
-
-def phi_many(lam, etas, n):
-    """Vectorized dispatcher over (lambda, eta): (L, M) values for an array
-    lam of L values and M radii, (M,) for a scalar lam.
-
-    Each pair takes the series when lam*sinh(eta/2) < 0.5 and eta < 0.5, the
-    Jacobi-rule integral otherwise.
-    """
-    d = as_dim(n).n
-    lams = np.abs(np.asarray(lam, dtype=float)).reshape(-1)
-    etas = np.asarray(etas, dtype=float)
-    e = etas.reshape(-1)
-    out = np.ones((lams.size, e.size))
-    pos = e > 0.0
-    series = pos & (e < 0.5) & (lams[:, None] * np.sinh(e / 2.0) < 0.5)
-    integral = pos & ~series
-    if np.any(series):
-        li, mi = np.nonzero(series)
-        out[li, mi] = phi_series(lams[li], e[mi], d)
-    rows = np.nonzero(np.any(integral, axis=1))[0]
-    if rows.size:
-        # each row's integral radii run up to the largest radius, so the
-        # union of columns leaves every row's node count unchanged
-        cols = np.nonzero(np.any(integral[rows], axis=0))[0]
-        block = np.ix_(rows, cols)
-        out[block] = np.where(integral[block], phi_integral(lams[rows], e[cols], d),
-                              out[block])
-    return _lam_shape(lam, out, etas.shape)
+    """Spherical function at one lambda and one radius, as a float."""
+    return float(phi_many(lam, float(eta), n))
 
 
 # -- Harish-Chandra c-function and Plancherel density -------------------------
@@ -292,9 +265,9 @@ def fh_transform(p: RadialProfile, lam):
     return float(out[0]) if lams.ndim == 0 else out.reshape(lams.shape)
 
 
-def find_truncation(envelope, n, tail_tol=_TAIL_THRESHOLD, cap=_LAMBDA_CAP) -> float:
+def find_truncation(envelope, n, tail_tol=_TAIL_THRESHOLD) -> float:
     """Smallest grid point beyond which |F| |c|^{-2} stays below the tail
-    tolerance (three consecutive grid points); hard error past the cap.
+    tolerance (three consecutive grid points); hard error past _LAMBDA_CAP.
 
     The scan grid is fine near the origin and coarsens proportionally at
     large lambda, so super-polynomially decaying transforms are located in
@@ -309,9 +282,9 @@ def find_truncation(envelope, n, tail_tol=_TAIL_THRESHOLD, cap=_LAMBDA_CAP) -> f
     first = None
     prev_bound = math.inf
     growing = 0
-    while lam <= cap:
+    while lam <= _LAMBDA_CAP:
         block = []
-        while lam <= cap and len(block) < _SCAN_BLOCK:
+        while lam <= _LAMBDA_CAP and len(block) < _SCAN_BLOCK:
             block.append(lam)
             lam += max(0.25, lam / 16.0)
         lams = np.array(block)
@@ -334,11 +307,10 @@ def find_truncation(envelope, n, tail_tol=_TAIL_THRESHOLD, cap=_LAMBDA_CAP) -> f
                         "envelope stopped decaying before certifying the tail; "
                         "supply an analytic decay certificate")
             prev_bound = bound
-    raise TruncationError(f"no admissible truncation below lambda = {cap}")
+    raise TruncationError(f"no admissible truncation below lambda = {_LAMBDA_CAP}")
 
 
-def fh_inverse_grid(F, etas, n, envelope=None, abs_tol=1e-13,
-                    tail_tol=_TAIL_THRESHOLD):
+def fh_inverse_grid(F, etas, n, envelope=None, tail_tol=_TAIL_THRESHOLD):
     """Inverse transform in dimension n on a grid of radii, sharing the
     lambda panels.
 
@@ -375,7 +347,7 @@ def fh_inverse_grid(F, etas, n, envelope=None, abs_tol=1e-13,
             step *= 1.35
         edges.append(min(edges[-1] + step, lam_max))
     integral = gk_adaptive_vector(rows, np.asarray(edges),
-                                  abs_tol=max(abs_tol, 0.1 * tail_tol))
+                                  abs_tol=max(_ABS_TARGET, 0.1 * tail_tol))
     return inversion_constant(d) * integral
 
 
@@ -465,12 +437,14 @@ def walk_density_grid(p: RadialProfile, N: int, etas, envelope=None,
 
 # -- direct (space-side) convolution ------------------------------------------
 
-def convolve_direct(f: RadialProfile, g: RadialProfile, etas, qy=256, qc=128):
+def convolve_direct(f: RadialProfile, g: RadialProfile, etas):
     """Brute-force convolution of two radial densities, evaluated at radii etas.
 
     The translation identity for 1 - ||T_y(x)||^2 reduces the ball integral to
-    a 2-d quadrature over (radial coordinate of y, polar angle); this is the
-    independent oracle for the product rule of the transform.
+    a 2-d quadrature over (radial coordinate of y, polar angle): eight
+    32-node Gauss-Legendre panels in y and a 128-node Gauss-Jacobi rule in
+    the angle.  This is the independent oracle for the product rule of the
+    transform.
     """
     if f.dim.n != g.dim.n:
         raise ValueError("profiles must share the dimension")
@@ -481,8 +455,8 @@ def convolve_direct(f: RadialProfile, g: RadialProfile, etas, qy=256, qc=128):
     area_angle = 2.0 * math.pi ** ((d - 1) / 2.0) / math.gamma((d - 1) / 2.0)
 
     rx = np.tanh(etas / 2.0)
-    y_nodes, y_weights = panel_nodes(0.0, g.eta_max, max(2, qy // 32), 32)
-    c_nodes, c_weights = gauss_jacobi_sym(qc, alpha)
+    y_nodes, y_weights = panel_nodes(0.0, g.eta_max, 8, 32)
+    c_nodes, c_weights = gauss_jacobi_sym(128, alpha)
     ry = np.tanh(y_nodes / 2.0)
     gy = g.g(y_nodes) * np.sinh(y_nodes) ** (d - 1)
 
@@ -502,12 +476,12 @@ def convolve_direct(f: RadialProfile, g: RadialProfile, etas, qy=256, qc=128):
     return float(out[0]) if scalar else out
 
 
-def convolution_profile(f: RadialProfile, g: RadialProfile, points=301,
-                        interpolation="spline") -> RadialProfile:
-    """Tabulate the direct convolution on its support and wrap it as a profile."""
+def convolution_profile(f: RadialProfile, g: RadialProfile, points=301) -> RadialProfile:
+    """Tabulate the direct convolution on its support and wrap it as a profile
+    with a not-a-knot cubic spline."""
     from .radial_density import make_table
 
     support = f.eta_max + g.eta_max
     grid = np.linspace(0.0, support, points)
     vals = convolve_direct(f, g, grid)
-    return make_table(grid, np.maximum(vals, 0.0), f.dim.n, interpolation=interpolation)
+    return make_table(grid, np.maximum(vals, 0.0), f.dim.n, interpolation="spline")

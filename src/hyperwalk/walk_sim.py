@@ -40,14 +40,13 @@ fresh pages; the steps reuse their temporaries in place.
 
 import math
 import os
-import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 
-from .geometry import BOUNDARY_TOL, sphere_area
+from .geometry import BOUNDARY_TOL, require_int, sphere_area
 from .gyro import BoundaryError
 # bench/tracing.py rebinds these two names in this module to count their
 # calls; the radial chain makes none
@@ -71,6 +70,8 @@ class WalkConfig:
     master_seed: int
 
     def __post_init__(self):
+        for key in ("N", "paths", "master_seed"):
+            require_int(key, getattr(self, key))
         if self.N < 1:
             raise ValueError(f"N must be >= 1, got {self.N!r}")
         if self.paths < 1:
@@ -93,7 +94,6 @@ class WalkConfig:
 class WalkEnsemble:
     terminal_etas: np.ndarray
     config: WalkConfig
-    elapsed_seconds: float = field(compare=False, default=0.0)
 
     def __post_init__(self):
         etas = np.asarray(self.terminal_etas, dtype=float)
@@ -259,7 +259,6 @@ def _thread_count() -> int:
 
 def run_walk(cfg: WalkConfig) -> WalkEnsemble:
     """Simulate every path of the configuration; deterministic per (seed, index)."""
-    t0 = time.perf_counter()
     workers = _thread_count()
     # build the shared tables and, by one draw, their inverse arrays before
     # any workers start
@@ -278,7 +277,7 @@ def run_walk(cfg: WalkConfig) -> WalkEnsemble:
     else:
         for start, count in spans:
             out[start:start + count] = _run_chunk(cfg, start, count)
-    return WalkEnsemble(out, cfg, time.perf_counter() - t0)
+    return WalkEnsemble(out, cfg)
 
 
 def empirical_radial_density(e: WalkEnsemble, bins) -> tuple[np.ndarray, np.ndarray]:

@@ -147,6 +147,27 @@ def test_verify_rejects_config_numbers_that_are_not_integers(tmp_path, capsys):
         assert "integer" in json.loads(err)["error"], doc
 
 
+@pytest.mark.parametrize("t", ["nan", "inf", "-1"])
+def test_heat_kernel_rejects_time_that_is_not_positive_and_finite(t, tmp_path, capsys):
+    out = tmp_path / "hk.csv"
+    code, _, err = run(capsys, "heat-kernel", "--dim", "3", "--t", t,
+                       "--eta", "0:1:0.5", "--out", str(out))
+    assert code == 2 and "--t" in json.loads(err)["error"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["walk", "--density", "bump:inf", "--N", "4", "--paths", "10", "--seed", "7"],
+    ["transform", "--density", "bump:nan", "--lambda", "0:1:0.5"],
+    ["verify", "llt", "--config"]], ids=["walk-inf", "transform-nan", "verify-nan"])
+def test_non_finite_bump_support_is_a_configuration_error(argv, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"  # Python's json module reads NaN
+    cfg.write_text('{"density": {"family": "bump", "eta_max": NaN, "dim": 3}, "Ns": [16, 32, 64]}')
+    code, out, err = run(capsys, *argv, *([str(cfg)] if argv[0] == "verify" else ["--dim", "3"]))
+    assert code == 2 and out == ""
+    assert "eta_max" in json.loads(err)["error"]
+
+
 def test_bad_grid_spec(capsys):
     code, _, _ = run(capsys, "heat-kernel", "--dim", "3", "--t", "1.0",
                      "--eta", "5:0:0.1")

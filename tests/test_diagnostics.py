@@ -66,6 +66,18 @@ def test_llt_requires_ladder(bump3):
         llt_check(bump3, [16, 32])
 
 
+def test_ladders_reject_non_integer_N(bump3):
+    """An N that is not an integer is an error, not truncated to one."""
+    with pytest.raises(ValueError, match="integer"):
+        llt_check(bump3, [16.7, 32, 64])
+    with pytest.raises(ValueError, match="integer"):
+        variance_rate_check(bump3, [4.7, 16, 64.9])
+    with pytest.raises(ValueError, match="integer"):
+        lln_check(bump3, [100, "1000"], 10, seed=5)
+    with pytest.raises(ValueError, match="integer"):
+        variance_rate_check(bump3, [4, True, 64])
+
+
 def test_lln_check_passes(bump3):
     v = lln_check(bump3, [100, 1000], 3000, seed=5)
     assert v.passed
@@ -87,6 +99,8 @@ def test_variance_rate_check(bump3):
     v = variance_rate_check(bump3, [4, 16, 64])
     assert v.passed
     assert v.fitted_slope <= -0.8
+    # numpy integers are integers; the ladder is sorted
+    assert variance_rate_check(bump3, np.array([64, 4, 16])).to_json() == v.to_json()
     with pytest.raises(ValueError):
         variance_rate_check(bump3, [4, 16])
 

@@ -29,6 +29,10 @@ def test_hk_fourier_values():
     assert ratio == pytest.approx(math.exp(-lam * lam * t), rel=1e-14)
     with pytest.raises(ValueError):
         hk_fourier(-1.0, 0.0, 3)
+    # NaN passes a 't <= 0' guard; every kernel must still reject it
+    for kernel, arg in ((hk_fourier, 3), (hk_odd, 1), (hk_even, 1)):
+        with pytest.raises(ValueError):
+            kernel(math.nan, 0.5, arg)
 
 
 def test_hk_odd_m1_closed_form():

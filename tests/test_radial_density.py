@@ -193,6 +193,15 @@ def _invert_cdf_searchsorted(table, u):
     return x[i] + s
 
 
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_scaled_profile_normaliser_is_one(n):
+    """The scaled shape carries the Jacobian eps^-n of eta -> eps*eta, so its
+    computed mass is 1; a wrong power would be normalised away unseen."""
+    p = make_bump(1.0, n)
+    for eps in (0.3, 1.0 / 16.0, 1e-4):
+        assert abs(scale_profile(p, eps).norm_const - 1.0) < 1e-13
+
+
 def _zero_run_table():
     """A table profile that vanishes on [0.3, 0.6]: its CDF repeats one node
     value across thousands of cells."""
@@ -238,10 +247,3 @@ def test_guide_inversion_matches_binary_search_bitwise(name):
     # the draws' array shape does not matter
     block = u[:1000].reshape(10, 100)
     assert np.array_equal(_invert_cdf(table, block), got[:1000].reshape(10, 100))
-
-
-def test_scaled_table_shares_the_guide(bump3):
-    """Scaling the variable leaves the node values and the total unchanged,
-    so scale_profile reuses the parent's guide array."""
-    parent = bump3._cdf_interp()
-    assert scale_profile(bump3, 0.1)._cdf_interp().guide is parent.guide

@@ -49,13 +49,14 @@ def test_phi_series_matches_closed_form_n3():
 
 
 def test_phi_representations_agree_small_radius():
-    for n in (2, 3, 4, 5):
-        lams = np.linspace(0.0, 20.0, 9)
-        etas = np.linspace(0.01, 0.5, 7)
-        for lam in lams:
+    """The Jacobi rule against the series oracle where the series converges
+    fastest: radii up to 0.5, down to 1e-6."""
+    etas = np.concatenate([[1e-6, 1e-3], np.linspace(0.01, 0.5, 7)])
+    for n in (2, 3, 4, 5, 7, 9):
+        for lam in np.linspace(0.0, 20.0, 9):
             a = phi_series(lam, etas, n)
             b = phi_integral(lam, etas, n)
-            assert float(np.max(np.abs(a - b))) < 1e-10
+            assert float(np.max(np.abs(a - b))) < 1e-13
 
 
 def test_phi_series_divergence_is_hard_error():
@@ -68,17 +69,6 @@ def test_phi_integral_doubled_nodes_oracle():
     v2 = phi_integral(0.0, 1.0, 2, order=96)
     assert 0.0 < v1 < 1.0
     assert v1 == pytest.approx(v2, abs=1e-13)
-
-
-def test_phi_dispatch_boundary_agreement():
-    # straddle the series/integral switch lam*sinh(eta/2) = 0.5, eta < 0.5
-    for n in (2, 4):
-        for eta in (0.2, 0.4, 0.49):
-            lam_switch = 0.5 / math.sinh(eta / 2.0)
-            for lam in (0.98 * lam_switch, 1.02 * lam_switch):
-                a = phi(lam, eta, n)
-                b = phi_integral(lam, eta, n)
-                assert a == pytest.approx(b, abs=1e-10)
 
 
 def test_phi_domination_and_strict_bound():
@@ -221,8 +211,8 @@ def _same(batch, stacked):
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_lambda_arrays_match_scalar_calls(n, monkeypatch):
     """A lambda array gives each lambda the value of its own scalar call: the
-    series/integral dispatch, the Jacobi node count, the cosine blocks and
-    the per-lambda transform levels do not depend on the other lambdas."""
+    Jacobi node count, the cosine blocks, the series oracle's per-pair stop
+    and the per-lambda transform levels do not depend on the other lambdas."""
     etas = np.linspace(0.0, 3.0, 61)
     lams = np.concatenate([[0.0, 0.3, 1.0, 1.9], np.linspace(2.5, 150.0, 23)])
     stacked = np.array([phi_many(lam, etas, n) for lam in lams])

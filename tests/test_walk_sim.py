@@ -25,6 +25,11 @@ def test_config_validation(bump3):
         WalkConfig(bump3, 10, 0, "clt", 1)
     with pytest.raises(ValueError):
         WalkConfig(bump3, 10, 10, "diffusive", 1)
+    # a count or seed that is not an integer is rejected, not truncated
+    for bad in ((10.5, 10, 1), (10, 100.0, 1), (10, 10, 1.5), (True, 10, 1), (10, 10, "1")):
+        with pytest.raises(ValueError, match="integer"):
+            WalkConfig(bump3, bad[0], bad[1], "clt", bad[2])
+    assert WalkConfig(bump3, np.int64(10), np.int32(10), "clt", np.uint64(1)).N == 10
 
 
 def test_splitmix_determinism():
