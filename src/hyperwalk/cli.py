@@ -153,10 +153,10 @@ def _cmd_walk(args) -> int:
 
 
 _VERIFY_KEYS = {
-    "clt": {"density", "N", "paths", "seed", "t_scale", "bias_coeff", "threshold"},
-    "llt": {"density", "Ns", "eta_points", "limit", "slope_max"},
+    "clt": {"density", "N", "paths", "seed", "t_scale"},
+    "llt": {"density", "Ns", "eta_points", "limit"},
     "lln": {"density", "Ns", "paths", "seed", "scaling"},
-    "variance": {"density", "Ns", "slope_max"},
+    "variance": {"density", "Ns"},
 }
 
 
@@ -180,20 +180,16 @@ def _cmd_verify(args) -> int:
         if args.check == "clt":
             verdict = clt_check(
                 profile, cfg["N"], cfg["paths"], cfg["seed"],
-                t_scale=float(cfg.get("t_scale", 1.0)),
-                bias_coeff=float(cfg.get("bias_coeff", 5.0)),
-                threshold=cfg.get("threshold"))
+                t_scale=float(cfg.get("t_scale", 1.0)))
         elif args.check == "llt":
             eta_grid = _llt_eta_grid(profile, cfg["eta_points"]) if "eta_points" in cfg else None
             verdict = llt_check(profile, cfg["Ns"], eta_grid=eta_grid,
-                                slope_max=float(cfg.get("slope_max", -0.8)),
                                 limit=cfg.get("limit", "clt"))
         elif args.check == "lln":
             verdict = lln_check(profile, cfg["Ns"], cfg["paths"],
                                 cfg["seed"], scaling=cfg.get("scaling", "lln"))
         else:
-            verdict = variance_rate_check(profile, cfg["Ns"],
-                                          slope_max=float(cfg.get("slope_max", -0.8)))
+            verdict = variance_rate_check(profile, cfg["Ns"])
     except KeyError as exc:
         raise ConfigError(f"missing config key: {exc.args[0]}")
     return _emit_verdict(verdict, args.out)

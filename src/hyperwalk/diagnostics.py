@@ -22,6 +22,9 @@ from .spectral import variance_direct, walk_density_grid
 from .walk_sim import WalkConfig, mean_radius, run_walk
 
 _KS_COEFF = 1.36  # 95% Kolmogorov quantile scale for the noise floor
+_BIAS_COEFF = 5.0  # the clt verdict's finite-N bias allowance is _BIAS_COEFF / N
+_LLT_WINDOW = (-1.3, -0.8)  # rate windows of a correct walk's log-log slope
+_VARIANCE_WINDOW = (-1.5, -0.8)
 
 
 @dataclass
@@ -78,8 +81,7 @@ def _limit_radial_cdf(t: float, n: int, eta_hi: float, points: int = 2001):
 
 
 def clt_check(p: RadialProfile, N: int, paths: int, seed: int,
-              t_scale: float = 1.0, bias_coeff: float = 5.0,
-              threshold: float = None) -> Verdict:
+              t_scale: float = 1.0, threshold: float = None) -> Verdict:
     """KS distance between the terminal radial law of the CLT walk and the
     radial CDF of the limit density at t = limit_time (times t_scale; values
     other than 1 are deliberate corruptions for negative controls)."""
@@ -93,7 +95,7 @@ def clt_check(p: RadialProfile, N: int, paths: int, seed: int,
     model = np.interp(ens.terminal_etas, grid, cdf_vals)
     ks = _ks_statistic(ens.terminal_etas, model)
     noise = _KS_COEFF / math.sqrt(paths)
-    bias = bias_coeff / N
+    bias = _BIAS_COEFF / N
     thr = threshold if threshold is not None else noise + bias
     return Verdict(
         name="clt", statistic=ks, threshold=thr, passed=ks < thr, seed=seed,
@@ -102,12 +104,19 @@ def clt_check(p: RadialProfile, N: int, paths: int, seed: int,
         config={"density": p.config(), "N": N, "paths": paths})
 
 
-def _ladder(Ns) -> list:
-    """The N values of a ladder, sorted; each must be an integer."""
+def _ladder(Ns, least: int, purpose: str) -> list:
+    """The N values of a ladder, sorted; each must be an integer, and there
+    must be at least `least` of them."""
     Ns = list(Ns)
     for N in Ns:
         require_int("Ns", N)
+    if len(Ns) < least:
+        raise ValueError(f"need at least {least} N values for {purpose}, got {len(Ns)}")
     return sorted(int(N) for N in Ns)
+
+
+def _in_window(slope: float, window: tuple) -> bool:
+    return window[0] <= slope <= window[1]
 
 
 def _llt_eta_grid(p: RadialProfile, points: int) -> np.ndarray:
@@ -116,18 +125,16 @@ def _llt_eta_grid(p: RadialProfile, points: int) -> np.ndarray:
     return np.linspace(0.0, 2.0 * math.sqrt(limit_time(p)) + 2.0, points)
 
 
-def llt_check(p: RadialProfile, Ns, eta_grid=None, slope_max: float = -0.8,
-              limit: str = "clt") -> Verdict:
+def llt_check(p: RadialProfile, Ns, eta_grid=None, limit: str = "clt") -> Verdict:
     """Sup-norm distance between the exact walk density and the limit density
     across a geometric ladder of N, with a log-log rate fit.
 
     limit="unhalved" compares against the kernel at the unhalved time; that
     wrong scaling must plateau and is the negative control.  The verdict
-    records the rate window (-1.3, -0.8) of a correct walk.
+    passes when the errors do not grow and the fitted slope lies inside the
+    rate window (-1.3, -0.8) of a correct walk, which it records.
     """
-    Ns = _ladder(Ns)
-    if len(Ns) < 3:
-        raise ValueError("need at least three N values for a slope fit")
+    Ns = _ladder(Ns, 3, "a slope fit")
     n = p.dim.n
     t = limit_time(p)
     eta_grid = _llt_eta_grid(p, 200) if eta_grid is None else np.asarray(eta_grid, dtype=float)
@@ -139,10 +146,10 @@ def llt_check(p: RadialProfile, Ns, eta_grid=None, slope_max: float = -0.8,
     evals = np.array([errors[N] for N in Ns])
     slope = float(np.polyfit(np.log(Ns), np.log(evals), 1)[0])
     monotone = bool(np.all(evals[1:] <= 1.1 * evals[:-1]))
-    passed = slope <= slope_max and monotone
     return Verdict(
         name="llt", statistic=float(evals[-1]), threshold=float(evals[0]),
-        passed=passed, fitted_slope=slope, slope_window=(-1.3, -0.8),
+        passed=_in_window(slope, _LLT_WINDOW) and monotone, fitted_slope=slope,
+        slope_window=_LLT_WINDOW,
         details={"errors": {str(N): errors[N] for N in Ns}, "t": t,
                  "monotone": monotone, "eta_max_grid": float(eta_grid.max()),
                  "grid_points": int(eta_grid.size), "limit": limit},
@@ -152,8 +159,12 @@ def llt_check(p: RadialProfile, Ns, eta_grid=None, slope_max: float = -0.8,
 def lln_check(p: RadialProfile, Ns, paths: int, seed: int,
               scaling: str = "lln") -> Verdict:
     """Mean terminal radius of the LLN walk must decay across Ns and end below
-    10% of the single-step mean radius.  scaling="clt" is the negative control."""
-    Ns = _ladder(Ns)
+    10% of the single-step mean radius.  scaling="clt" is the negative control.
+    The decay needs two N values, and each mean's standard error two paths."""
+    Ns = _ladder(Ns, 2, "a decay")
+    require_int("paths", paths)
+    if paths < 2:
+        raise ValueError(f"need at least 2 paths for a standard error, got {paths!r}")
     means, ses = [], []
     for i, N in enumerate(Ns):
         ens = run_walk(WalkConfig(p, N, paths, scaling, seed + i))
@@ -173,13 +184,12 @@ def lln_check(p: RadialProfile, Ns, paths: int, seed: int,
         config={"density": p.config(), "Ns": Ns, "paths": paths})
 
 
-def variance_rate_check(p: RadialProfile, Ns, slope_max: float = -0.8) -> Verdict:
+def variance_rate_check(p: RadialProfile, Ns) -> Verdict:
     """Rate of |V_{S_N} - t|: the walk variance is N times the one-step
     variance of the contracted law (variance additivity), and must approach
-    the limit time at rate 1/N; the verdict records the window (-1.5, -0.8)."""
-    Ns = _ladder(Ns)
-    if len(Ns) < 3:
-        raise ValueError("need at least three N values for a slope fit")
+    the limit time at rate 1/N; the verdict passes when the fitted slope lies
+    inside the window (-1.5, -0.8), which it records."""
+    Ns = _ladder(Ns, 3, "a slope fit")
     t = limit_time(p)
     gaps = {}
     for N in Ns:
@@ -187,10 +197,10 @@ def variance_rate_check(p: RadialProfile, Ns, slope_max: float = -0.8) -> Verdic
         gaps[N] = abs(v - t)
     vals = np.array([gaps[N] for N in Ns])
     slope = float(np.polyfit(np.log(Ns), np.log(vals), 1)[0])
-    passed = slope <= slope_max
     return Verdict(
         name="variance_rate", statistic=float(vals[-1]), threshold=float(vals[0]),
-        passed=passed, fitted_slope=slope, slope_window=(-1.5, -0.8),
+        passed=_in_window(slope, _VARIANCE_WINDOW), fitted_slope=slope,
+        slope_window=_VARIANCE_WINDOW,
         details={"t": t, "gaps": {str(N): gaps[N] for N in Ns}},
         config={"density": p.config(), "Ns": Ns})
 

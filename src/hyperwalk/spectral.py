@@ -424,15 +424,8 @@ def walk_density_grid(p: RadialProfile, N: int, etas, envelope=None,
     an analytic envelope and/or a tail_tol matched to the accuracy target
     (see fh_inverse_grid).
     """
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N!r}")
-    N = int(N)
-    scaled = _scaled_for_walk(p, N)
-
-    def F(lam):
-        return fh_transform(scaled, lam) ** N
-
-    return fh_inverse_grid(F, etas, p.dim.n, envelope=envelope, tail_tol=tail_tol)
+    return fh_inverse_grid(lambda lam: walk_transform(p, N, lam), etas, p.dim.n,
+                           envelope=envelope, tail_tol=tail_tol)
 
 
 # -- direct (space-side) convolution ------------------------------------------

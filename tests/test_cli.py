@@ -64,28 +64,18 @@ def test_transform_matches_library(tmp_path, capsys):
     assert float(val0) == pytest.approx(fh_transform(p, 0.0), abs=1e-10)
 
 
-def test_walk_reproducible_across_threads(tmp_path, capsys, monkeypatch):
+def test_walk_rerun_is_byte_identical(tmp_path, capsys):
     args = ["walk", "--dim", "3", "--density", "bump:1.0", "--N", "40",
             "--paths", "4000", "--seed", "7"]
-    monkeypatch.setenv("HYPERWALK_THREADS", "1")
-    code, _, _ = run(capsys, *args, "--out", str(tmp_path / "a.csv"))
-    assert code == 0
-    monkeypatch.setenv("HYPERWALK_THREADS", "3")
-    code, _, _ = run(capsys, *args, "--out", str(tmp_path / "b.csv"))
-    assert code == 0
-    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    for name in ("a.csv", "b.csv"):
+        code, _, _ = run(capsys, *args, "--out", str(tmp_path / name))
+        assert code == 0
+    for suffix in ("", ".json"):
+        assert ((tmp_path / f"a.csv{suffix}").read_bytes()
+                == (tmp_path / f"b.csv{suffix}").read_bytes())
     assert (tmp_path / "a.csv").read_text().splitlines()[0] == "path,eta"
     sidecar = json.loads((tmp_path / "a.csv.json").read_text())
     assert sidecar["master_seed"] == 7 and sidecar["N"] == 40
-
-
-def test_walk_bad_thread_count_is_a_configuration_error(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("HYPERWALK_THREADS", "0")
-    code, _, err = run(capsys, "walk", "--dim", "3", "--density", "bump:1.0", "--N", "4",
-                       "--paths", "10", "--seed", "7", "--out", str(tmp_path / "a.csv"))
-    assert code == 2
-    assert "HYPERWALK_THREADS" in json.loads(err)["error"]
-    assert not (tmp_path / "a.csv").exists()
 
 
 def test_verify_variance_and_reproducibility(tmp_path, capsys):
@@ -115,13 +105,35 @@ def test_verify_missing_config(capsys):
 
 
 def test_verify_unknown_key_rejected(tmp_path, capsys):
+    """A typo, and the verdict settings that are fixed: the llt and variance
+    rate windows, the clt bias allowance and the clt threshold."""
+    bump = {"family": "bump", "eta_max": 1.0, "dim": 3}
+    docs = {"clt": {"density": bump, "N": 100, "paths": 10000, "seed": 1},
+            "llt": {"density": bump, "Ns": [16, 32, 64]},
+            "variance": {"density": bump, "Ns": [4, 16, 64]}}
     cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps({
-        "density": {"family": "bump", "eta_max": 1.0, "dim": 3},
-        "Ns": [4, 16, 64], "typo_key": 1}))
-    code, _, err = run(capsys, "verify", "variance", "--config", str(cfg))
-    assert code == 2
-    assert "typo_key" in json.loads(err)["error"]
+    for check, key, value in [("variance", "typo_key", 1), ("variance", "slope_max", 5.0),
+                              ("llt", "slope_max", 5.0), ("clt", "bias_coeff", 0.0),
+                              ("clt", "threshold", 1.0)]:
+        cfg.write_text(json.dumps({**docs[check], key: value}))
+        code, out, err = run(capsys, "verify", check, "--config", str(cfg))
+        assert code == 2 and out == "", key
+        assert key in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("doc", [{"Ns": [], "paths": 100}, {"Ns": [10], "paths": 100},
+                                 {"Ns": [10, 100], "paths": 1}],
+                         ids=["empty-ladder", "one-N", "one-path"])
+def test_verify_lln_needs_two_N_and_two_paths(doc, tmp_path, capsys):
+    """The verdict claims a decay across the ladder and reports each mean's
+    standard error: a shorter ladder or a single path is a configuration
+    error, not an index error (exit 1) or a NaN in the verdict."""
+    cfg = tmp_path / "lln.json"
+    cfg.write_text(json.dumps({"density": {"family": "bump", "eta_max": 1.0, "dim": 3},
+                               "seed": 1, **doc}))
+    code, out, err = run(capsys, "verify", "lln", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert "at least 2" in json.loads(err)["error"]
 
 
 def test_verify_rejects_config_numbers_that_are_not_integers(tmp_path, capsys):

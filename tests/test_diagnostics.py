@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from hyperwalk import (clt_check, gyro_property_suite, lln_check, llt_check,
-                       make_bump, variance_rate_check)
+from hyperwalk import (clt_check, diagnostics, gyro_property_suite, limit_time, lln_check,
+                       llt_check, make_bump, psi_clt, variance_rate_check)
 
 
 def test_gyro_suite_passes_and_reports(bump3):
@@ -64,6 +64,28 @@ def test_llt_negative_control_plateaus(bump3):
 def test_llt_requires_ladder(bump3):
     with pytest.raises(ValueError):
         llt_check(bump3, [16, 32])
+
+
+def test_rate_verdicts_fail_below_their_window(bump3, monkeypatch):
+    """Errors that fall like 1/N^2, faster than a correct walk's 1/N, fit a
+    slope of about -2, below both windows: the verdicts fail, as they do
+    above the window."""
+    t = limit_time(bump3)
+    monkeypatch.setattr(diagnostics, "walk_density_grid",
+                        lambda p, N, etas: psi_clt(t, etas, 3) + 1.0 / N**2)
+    v = llt_check(bump3, [8, 16, 32, 64], eta_grid=np.linspace(0.0, 2.5, 80))
+    assert v.fitted_slope == pytest.approx(-2.0, abs=1e-6)
+    assert v.details["monotone"] and not v.passed
+    # the profile contracted by eps = N^(-1/2) gets the variance eps^2 (t + eps^4),
+    # so N * V - t = 1/N^2
+    def variance(scaled):
+        eps2 = (scaled.eta_max / bump3.eta_max) ** 2
+        return eps2 * (t + eps2**2)
+
+    monkeypatch.setattr(diagnostics, "variance_direct", variance)
+    v = variance_rate_check(bump3, [4, 16, 64])
+    assert v.fitted_slope == pytest.approx(-2.0, abs=1e-6)
+    assert not v.passed
 
 
 def test_ladders_reject_non_integer_N(bump3):

@@ -54,23 +54,13 @@ def test_splitmix64_known_answers():
 @pytest.mark.parametrize("mode", ["clt", "lln", "sturm"])
 def test_draws_independent_of_chunk_and_block_size(mode, monkeypatch):
     """Draw i of path j depends on (master seed, j, i) alone, so the terminal
-    radii are bitwise the same for any path chunk, any block of steps and
-    any worker count."""
+    radii are bitwise the same for any path chunk and any block of steps."""
     cfg = WalkConfig(make_bump(1.0, 5), 30, 100, mode, 77)
-    monkeypatch.delenv("HYPERWALK_THREADS", raising=False)
     ref = run_walk(cfg).terminal_etas
-    monkeypatch.setenv("HYPERWALK_THREADS", "2")
     for chunk, block in ((7, 50), (64, 1), (1, 3), (33, 10**6)):
         monkeypatch.setattr(walk_sim, "_CHUNK", chunk)
         monkeypatch.setattr(walk_sim, "_BLOCK", block)
         assert np.array_equal(run_walk(cfg).terminal_etas, ref)
-
-
-@pytest.mark.parametrize("value", ["0", "-1", "x"])
-def test_thread_count_must_be_a_positive_integer(bump3, monkeypatch, value):
-    monkeypatch.setenv("HYPERWALK_THREADS", value)
-    with pytest.raises(ValueError, match="HYPERWALK_THREADS"):
-        run_walk(WalkConfig(bump3, 2, 10, "clt", 1))
 
 
 def test_boundary_guard_stops_the_walk():
@@ -78,15 +68,6 @@ def test_boundary_guard_stops_the_walk():
     2 atanh(1 - 1e-12) = 28.3 of the guard band."""
     with pytest.raises(BoundaryError, match=r"reached the boundary guard at step 1"):
         run_walk(WalkConfig(make_bump(40.0, 2), 1, 50, "clt", 1))
-
-
-def test_bitwise_reproducibility_and_thread_independence(bump3, monkeypatch):
-    cfg = WalkConfig(bump3, 50, 9000, "clt", 2024)
-    monkeypatch.setenv("HYPERWALK_THREADS", "1")
-    a = run_walk(cfg).terminal_etas
-    monkeypatch.setenv("HYPERWALK_THREADS", "4")
-    b = run_walk(WalkConfig(bump3, 50, 9000, "clt", 2024)).terminal_etas
-    assert np.array_equal(a, b)
 
 
 def test_single_step_law_matches_scaled_profile(bump3):
@@ -311,12 +292,11 @@ def _pathwise_points_walk(p, N, paths, mode, seed):
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 @pytest.mark.parametrize("mode", ["clt", "lln", "sturm"])
-def test_radial_chain_matches_points_walk_pathwise(mode, n, monkeypatch):
+def test_radial_chain_matches_points_walk_pathwise(mode, n):
     """Path by path, the radial chain's terminal radius is that of the walk of
     points built from the same draws, to 1e-12 relative: a check of the law
     of cosines, the Stewart step and the step weights 1/k that a law test at
     its noise floor cannot make."""
-    monkeypatch.delenv("HYPERWALK_THREADS", raising=False)
     p, N, paths, seed = make_bump(1.0, n), 8, 50, 300 + n
     chain = run_walk(WalkConfig(p, N, paths, mode, seed)).terminal_etas
     points = _pathwise_points_walk(p, N, paths, mode, seed)
@@ -355,15 +335,13 @@ _PINNED_CSV = "e46ee48b9ff1b81ecd3da3f74f895dbc11f081555942d39d4b3adac94723e212"
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 @pytest.mark.parametrize("mode", ["clt", "lln", "sturm"])
-def test_terminal_radii_pinned(mode, n, monkeypatch):
+def test_terminal_radii_pinned(mode, n):
     """Every path takes several blocks of steps at the default _BLOCK."""
-    monkeypatch.delenv("HYPERWALK_THREADS", raising=False)
     etas = run_walk(WalkConfig(make_bump(1.0, n), 40, 700, mode, 1000 + n)).terminal_etas
     assert hashlib.sha256(etas.tobytes()).hexdigest() == _PINNED[mode, n]
 
 
-def test_walk_csv_pinned(capsys, monkeypatch):
-    monkeypatch.delenv("HYPERWALK_THREADS", raising=False)
+def test_walk_csv_pinned(capsys):
     assert main(["walk", "--dim", "5", "--density", "bump:0.8", "--N", "20",
                  "--paths", "5000", "--seed", "3"]) == 0
     out = capsys.readouterr().out
