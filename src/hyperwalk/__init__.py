@@ -8,11 +8,9 @@ from .heat_kernel import hk, hk_even, hk_fourier, hk_odd, psi_clt
 from .radial_density import (RadialProfile, cdf_eta, limit_time, make_bump,
                              make_table, mean_eta, pdf_eta, profile_from_config,
                              scale_profile, second_moment)
-from .spectral import (char2, convolution_profile, convolve_direct, fh_inverse_grid,
-                       fh_transform, inversion_constant, phi, phi_integral, phi_many,
-                       phi_series, plancherel_density, variance_direct,
-                       walk_density_grid, walk_transform)
+from .spectral import (fh_inverse_grid, fh_transform, inversion_constant, phi_many,
+                       plancherel_density, variance_direct, walk_density_grid,
+                       walk_transform)
 from .diagnostics import (Verdict, clt_check, gyro_property_suite, lln_check,
                           llt_check, variance_rate_check)
-from .walk_sim import (WalkConfig, WalkEnsemble, empirical_radial_density,
-                       mean_radius, run_walk)
+from .walk_sim import WalkConfig, run_walk

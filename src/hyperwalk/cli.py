@@ -44,7 +44,7 @@ def _parse_grid(spec: str) -> np.ndarray:
         start, stop, step = (float(x) for x in spec.split(":"))
     except ValueError as exc:
         raise ConfigError(f"bad grid spec {spec!r}; expected start:stop:step") from exc
-    if step <= 0.0 or stop < start:
+    if not all(map(math.isfinite, (start, stop, step))) or step <= 0.0 or stop < start:
         raise ConfigError(f"bad grid spec {spec!r}")
     count = int(round((stop - start) / step)) + 1
     return start + step * np.arange(count)
@@ -145,8 +145,7 @@ def _cmd_walk(args) -> int:
     density = _parse_density(args.density, args.dim)
     profile = profile_from_config(density)
     cfg = WalkConfig(profile, args.N, args.paths, args.scaling, args.seed)
-    ensemble = run_walk(cfg)
-    rows = np.rec.fromarrays([np.arange(cfg.paths), ensemble.terminal_etas])
+    rows = np.rec.fromarrays([np.arange(cfg.paths), run_walk(cfg)])
     _write_csv(args.out, ["path", "eta"], rows)
     _write_sidecar(args.out, {"command": "walk", **cfg.describe()})
     return 0

@@ -19,7 +19,7 @@ from .heat_kernel import hk, psi_clt
 from .quadrature import cumulative_gl
 from .radial_density import RadialProfile, limit_time, mean_eta, scale_profile
 from .spectral import variance_direct, walk_density_grid
-from .walk_sim import WalkConfig, mean_radius, run_walk
+from .walk_sim import WalkConfig, run_walk
 
 _KS_COEFF = 1.36  # 95% Kolmogorov quantile scale for the noise floor
 _BIAS_COEFF = 5.0  # the clt verdict's finite-N bias allowance is _BIAS_COEFF / N
@@ -89,11 +89,10 @@ def clt_check(p: RadialProfile, N: int, paths: int, seed: int,
         raise ValueError("clt_check needs N >= 100 and paths >= 1e4")
     n = p.dim.n
     t = t_scale * limit_time(p)
-    ens = run_walk(WalkConfig(p, N, paths, "clt", seed))
-    eta_hi = max(float(ens.terminal_etas.max()) * 1.05, 6.0 * math.sqrt(max(t, 1e-12)))
+    etas = run_walk(WalkConfig(p, N, paths, "clt", seed))
+    eta_hi = max(float(etas.max()) * 1.05, 6.0 * math.sqrt(max(t, 1e-12)))
     grid, cdf_vals = _limit_radial_cdf(t, n, eta_hi)
-    model = np.interp(ens.terminal_etas, grid, cdf_vals)
-    ks = _ks_statistic(ens.terminal_etas, model)
+    ks = _ks_statistic(etas, np.interp(etas, grid, cdf_vals))
     noise = _KS_COEFF / math.sqrt(paths)
     bias = _BIAS_COEFF / N
     thr = threshold if threshold is not None else noise + bias
@@ -130,10 +129,13 @@ def llt_check(p: RadialProfile, Ns, eta_grid=None, limit: str = "clt") -> Verdic
     across a geometric ladder of N, with a log-log rate fit.
 
     limit="unhalved" compares against the kernel at the unhalved time; that
-    wrong scaling must plateau and is the negative control.  The verdict
-    passes when the errors do not grow and the fitted slope lies inside the
-    rate window (-1.3, -0.8) of a correct walk, which it records.
+    wrong scaling must plateau and is the negative control.  Any other limit
+    than "clt" and "unhalved" is a ValueError.  The verdict passes when the
+    errors do not grow and the fitted slope lies inside the rate window
+    (-1.3, -0.8) of a correct walk, which it records.
     """
+    if limit not in ("clt", "unhalved"):
+        raise ValueError(f'limit must be "clt" or "unhalved", got {limit!r}')
     Ns = _ladder(Ns, 3, "a slope fit")
     n = p.dim.n
     t = limit_time(p)
@@ -167,9 +169,9 @@ def lln_check(p: RadialProfile, Ns, paths: int, seed: int,
         raise ValueError(f"need at least 2 paths for a standard error, got {paths!r}")
     means, ses = [], []
     for i, N in enumerate(Ns):
-        ens = run_walk(WalkConfig(p, N, paths, scaling, seed + i))
-        means.append(mean_radius(ens))
-        ses.append(float(np.std(ens.terminal_etas, ddof=1)) / math.sqrt(paths))
+        etas = run_walk(WalkConfig(p, N, paths, scaling, seed + i))
+        means.append(float(np.mean(etas)))
+        ses.append(float(np.std(etas, ddof=1)) / math.sqrt(paths))
     decreasing = all(
         means[i + 1] < means[i] + 2.0 * (ses[i] + ses[i + 1]) for i in range(len(Ns) - 1))
     single_step = mean_eta(p)

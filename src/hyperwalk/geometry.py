@@ -35,19 +35,6 @@ class Dimension:
             raise ValueError(f"dimension must be >= 2, got {self.n}")
         object.__setattr__(self, "n", int(self.n))
 
-    @property
-    def rho(self) -> float:
-        return (self.n - 1) / 2.0
-
-    @property
-    def is_odd(self) -> bool:
-        return self.n % 2 == 1
-
-    @property
-    def half_split(self) -> int:
-        """m with n = 2m+1 (odd n) or n = 2m (even n)."""
-        return (self.n - 1) // 2 if self.n % 2 == 1 else self.n // 2
-
 
 def as_dim(n) -> Dimension:
     """n as a Dimension; an n that is not an integer (3.7, "3", True) is a

@@ -151,7 +151,7 @@ def hk_fourier(t: float, lam, n) -> float:
     """Spectral side: exp(-(lambda^2 + rho^2) t)."""
     if not t > 0.0:
         raise ValueError(f"t must be positive, got {t!r}")
-    rho = as_dim(n).rho
+    rho = (as_dim(n).n - 1) / 2.0
     lam = np.asarray(lam, dtype=float)
     out = np.exp(-(lam**2 + rho**2) * t)
     return float(out) if out.ndim == 0 else out
@@ -222,11 +222,10 @@ def hk_even(t: float, eta, m: int):
 
 
 def hk(t: float, eta, n):
-    """Heat kernel of d/dt = Laplacian; parity dispatch lives here."""
-    d = as_dim(n)
-    if d.is_odd:
-        return hk_odd(t, eta, d.half_split)
-    return hk_even(t, eta, d.half_split)
+    """Heat kernel of d/dt = Laplacian: hk_odd for n = 2m+1, hk_even for
+    n = 2m, m = n // 2 in both cases."""
+    d = as_dim(n).n
+    return (hk_odd if d % 2 else hk_even)(t, eta, d // 2)
 
 
 def psi_clt(t: float, eta, n):

@@ -2,7 +2,7 @@
 
 All rules are fixed-node Gauss families with doubling-based error control, so
 results are bit-reproducible for a given input; nothing here depends on
-runtime state or thread count.
+runtime state.
 """
 
 import math

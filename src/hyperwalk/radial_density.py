@@ -14,7 +14,7 @@ import math
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline, CubicSpline, PchipInterpolator
+from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
 from .geometry import as_dim, sphere_area
 from .quadrature import cumulative_gl, integrate_adaptive
@@ -201,13 +201,8 @@ class RadialProfile:
     def _cdf_interp(self) -> CdfTable:
         table = self._cache.get("cdf")
         if table is None:
-            area = sphere_area(self.dim)
-            nm1 = self.dim.n - 1
-
-            def measure(etas):
-                return area * self.g(etas) * np.sinh(etas) ** nm1
-
-            table = self._cache["cdf"] = _cdf_table(measure, self.eta_max)
+            table = self._cache["cdf"] = _cdf_table(lambda etas: pdf_eta(self, etas),
+                                                    self.eta_max)
         return table
 
     def _cdf_eval(self, etas):
@@ -255,12 +250,11 @@ def make_bump(eta_max, dim) -> RadialProfile:
     return RadialProfile(shape, eta_max, dim, family="bump")
 
 
-def make_table(etas, values, dim, interpolation="pchip") -> RadialProfile:
+def make_table(etas, values, dim) -> RadialProfile:
     """Profile from tabulated (eta, value) pairs; zero beyond the last eta.
 
-    Values are interpreted per unit Riemannian volume and renormalized.
-    pchip is shape preserving; spline (not-a-knot cubic) is higher order for
-    smooth data but may be clipped at zero near the support edge.
+    Values are interpreted per unit Riemannian volume and renormalized, and
+    interpolated by pchip, which preserves their shape.
     """
     etas = np.asarray(etas, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -270,12 +264,7 @@ def make_table(etas, values, dim, interpolation="pchip") -> RadialProfile:
         raise ValueError("etas must start at 0 and increase strictly")
     if np.any(values < 0.0) or not np.all(np.isfinite(values)):
         raise ValueError("table values must be finite and nonnegative")
-    if interpolation == "pchip":
-        interp = PchipInterpolator(etas, values, extrapolate=False)
-    elif interpolation == "spline":
-        interp = CubicSpline(etas, values, extrapolate=False)
-    else:
-        raise ValueError(f"unknown interpolation {interpolation!r}")
+    interp = PchipInterpolator(etas, values, extrapolate=False)
     eta_max = float(etas[-1])
 
     def shape(e):
@@ -299,12 +288,11 @@ def profile_from_config(cfg: dict) -> RadialProfile:
             raise ValueError(f"unknown density keys: {sorted(unknown)}")
         return make_bump(float(cfg["eta_max"]), cfg["dim"])
     if family == "table":
-        allowed = {"family", "etas", "values", "dim", "interpolation"}
+        allowed = {"family", "etas", "values", "dim"}
         unknown = set(cfg) - allowed
         if unknown:
             raise ValueError(f"unknown density keys: {sorted(unknown)}")
-        return make_table(cfg["etas"], cfg["values"], cfg["dim"],
-                          interpolation=cfg.get("interpolation", "pchip"))
+        return make_table(cfg["etas"], cfg["values"], cfg["dim"])
     raise ValueError(f"unknown density family {family!r}")
 
 
@@ -371,11 +359,9 @@ def scale_profile(p: RadialProfile, eps: float) -> RadialProfile:
         ratio = (sinch(etas * inv) / sinch(etas)) ** nm1
         return inv ** p.dim.n * parent_g(etas * inv) * ratio
 
-    params = dict(p.params)
-    params["scaled_by"] = eps * p.params.get("scaled_by", 1.0)
     # the substitution eta -> eps*eta preserves the mass, so the computed
     # normaliser is 1 up to the quadrature's error
-    return RadialProfile(shape, eps * p.eta_max, p.dim, family=p.family, params=params)
+    return RadialProfile(shape, eps * p.eta_max, p.dim, family=p.family, params=p.params)
 
 
 def second_moment(p: RadialProfile) -> float:

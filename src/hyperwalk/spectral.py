@@ -1,12 +1,10 @@
 """Radial Fourier analysis on the ball: spherical functions, the Helgason
-transform and its inverse, characteristic functions and variance.
+transform and its inverse, the variance and the exact N-step walk densities.
 
 The spherical function is computed by an endpoint-regularized Gauss-Jacobi
 form of its radial integral: the substitution s = eta*v and the product
 formula cosh(eta) - cosh(eta*v) = 2 sinh(eta(1+v)/2) sinh(eta(1-v)/2) turn
-the endpoint singularity into the Jacobi weight (1-v^2)^{(n-3)/2}.  A
-hypergeometric-type power series in sinh(eta/2) is kept beside it as an
-independent oracle for small radii; no production route calls it.
+the endpoint singularity into the Jacobi weight (1-v^2)^{(n-3)/2}.
 
 Transforms of radial profiles are therefore one-dimensional quadratures, and
 the inverse transform is an adaptive Gauss-Kronrod integral against the
@@ -37,12 +35,6 @@ _LAMBDA_CAP = 1e4
 _COS_BLOCK = 1 << 18
 # truncation scan points whose envelope is evaluated in one call
 _SCAN_BLOCK = 16
-_SERIES_TOL = 1e-17  # the series oracle stops at two terms below this, relative
-_SERIES_TERMS = 200  # and fails after this many
-
-
-class SeriesError(RuntimeError):
-    """phi_series failed to converge in _SERIES_TERMS terms."""
 
 
 class TruncationError(RuntimeError):
@@ -68,20 +60,27 @@ def _gj_half(q: int, alpha: float):
     return v[half:], w[half:]
 
 
+def _jacobi_factor(etas: np.ndarray, v: np.ndarray, alpha: float) -> np.ndarray:
+    """(sinch(a) sinch(b))^alpha at a, b = eta (1 +- v)/2, as (M, nodes): the
+    smooth part of the radial integrand left by the Jacobi weight."""
+    a = 0.5 * etas[:, None] * (1.0 + v[None, :])
+    b = 0.5 * etas[:, None] * (1.0 - v[None, :])
+    return (sinch(a) * sinch(b)) ** alpha
+
+
 def _lam_shape(lam, out: np.ndarray, eta_shape: tuple):
     """Reshape (L, M) values to lam's shape followed by eta's shape."""
     out = out.reshape(np.shape(lam) + eta_shape)
     return float(out) if out.ndim == 0 else out
 
 
-def phi_integral(lam, eta, n, order=None):
+def phi_many(lam, eta, n):
     """Spherical function by Gauss-Jacobi quadrature of its radial integral.
 
     Accepts scalar or array lam and eta; the result has lam's shape followed
     by eta's.  Each lambda takes the node count _gj_order(lambda, max eta),
     and the lambdas sharing a node count are evaluated together in blocks of
-    at most _COS_BLOCK cosines.  `order` overrides the node count (used by
-    doubled-resolution oracle tests).
+    at most _COS_BLOCK cosines.
     """
     d = as_dim(n).n
     lams = np.abs(np.asarray(lam, dtype=float)).reshape(-1)
@@ -93,13 +92,11 @@ def phi_integral(lam, eta, n, order=None):
         ep = e[pos]
         alpha = (d - 3) / 2.0
         scale = _kn(d) * sinch(ep) ** (2 - d)
-        orders = np.full(lams.size, order) if order else _gj_order(lams, float(np.max(ep)))
+        orders = _gj_order(lams, float(np.max(ep)))
         for q in np.unique(orders):
             rows = np.nonzero(orders == q)[0]
             v, w = _gj_half(int(q), alpha)
-            a = 0.5 * ep[:, None] * (1.0 + v[None, :])
-            b = 0.5 * ep[:, None] * (1.0 - v[None, :])
-            smooth_w = (sinch(a) * sinch(b)) ** alpha * w
+            smooth_w = _jacobi_factor(ep, v, alpha) * w
             step = max(1, _COS_BLOCK // smooth_w.size)
             for i in range(0, rows.size, step):
                 r = rows[i:i + step]
@@ -108,55 +105,6 @@ def phi_integral(lam, eta, n, order=None):
                 c *= smooth_w
                 out[r[:, None], pos] = scale * (2.0 * c.sum(axis=-1))
     return _lam_shape(lam, out, etas.shape)
-
-
-# the production spherical function: (L, M) values for an array lam of L
-# values and M radii, (M,) for a scalar lam
-phi_many = phi_integral
-
-
-def phi_series(lam, eta, n):
-    """Spherical function as the hypergeometric series with parameters
-    rho +- i*lambda and argument -sinh(eta/2)^2: the small-radius oracle
-    that tests compare phi_integral against.
-
-    lam and eta broadcast against each other.  Each (lambda, eta) pair sums
-    its own terms and stops after two consecutive terms below
-    _SERIES_TOL * (1 + |partial sum|).
-
-    The lambda scaling is pinned by the eigenvalue -(lambda^2 + rho^2): the
-    eta^2 coefficient must be -(lambda^2 + rho^2)/(2n), which the Pochhammer
-    factors (rho+j)^2 + lambda^2 reproduce.  Raises SeriesError if
-    _SERIES_TERMS terms do not converge, as for sinh(eta/2) >= 1.
-    """
-    d = as_dim(n).n
-    rho = (d - 1) / 2.0
-    mser = d / 2.0 - 1.0
-    lams, etas = np.broadcast_arrays(np.abs(np.asarray(lam, dtype=float)),
-                                     np.asarray(eta, dtype=float))
-    shape = etas.shape
-    lams, etas = lams.reshape(-1), etas.reshape(-1)
-    neg_x = -np.sinh(etas / 2.0) ** 2
-    total = np.ones(etas.size)
-    term = np.ones(etas.size)
-    lam2 = lams * lams
-    runs = np.zeros(etas.size, dtype=int)
-    for q in range(1, _SERIES_TERMS + 1):
-        term = term * neg_x * ((rho + q - 1.0) ** 2 + lam2) / (q * (mser + q))
-        total += term
-        runs = (runs + 1) * (np.abs(term) <= _SERIES_TOL * (1.0 + np.abs(total)))
-        done = runs >= 2
-        if np.all(done):
-            return float(total[0]) if not shape else total.reshape(shape)
-        term[done] = 0.0  # a finished pair adds nothing more
-    bad = runs < 2
-    raise SeriesError(f"no convergence after {_SERIES_TERMS} terms "
-                      f"(lam={np.max(lams[bad])}, max eta={np.max(etas[bad])})")
-
-
-def phi(lam, eta, n):
-    """Spherical function at one lambda and one radius, as a float."""
-    return float(phi_many(lam, float(eta), n))
 
 
 # -- Harish-Chandra c-function and Plancherel density -------------------------
@@ -351,7 +299,7 @@ def fh_inverse_grid(F, etas, n, envelope=None, tail_tol=_TAIL_THRESHOLD):
     return inversion_constant(d) * integral
 
 
-# -- characteristic function, variance, walk transforms ------------------------
+# -- variance and walk transforms ---------------------------------------------
 
 def _fhat0(p: RadialProfile) -> float:
     val = p._cache.get("fhat0")
@@ -363,14 +311,6 @@ def _fhat0(p: RadialProfile) -> float:
     return val
 
 
-def char2(p: RadialProfile, lam) -> float:
-    """Characteristic function of the second kind: transform normalized to 1 at 0."""
-    lam = float(lam)
-    if lam == 0.0:
-        return 1.0
-    return fh_transform(p, lam) / _fhat0(p)
-
-
 def variance_kernel(etas, n):
     """Radial kernel whose integral against the law gives the raw second
     spectral derivative at 0 (with opposite sign)."""
@@ -378,10 +318,7 @@ def variance_kernel(etas, n):
     etas = np.asarray(etas, dtype=float)
     alpha = (d - 3) / 2.0
     v, w = _gj_half(48, alpha)
-    a = 0.5 * etas[:, None] * (1.0 + v[None, :])
-    b = 0.5 * etas[:, None] * (1.0 - v[None, :])
-    smooth = (sinch(a) * sinch(b)) ** alpha
-    j = 2.0 * ((smooth * v[None, :] ** 2) @ w)
+    j = 2.0 * ((_jacobi_factor(etas, v, alpha) * v[None, :] ** 2) @ w)
     return _kn(d) * sinch(etas) ** (2 - d) * etas**2 * j
 
 
@@ -427,54 +364,3 @@ def walk_density_grid(p: RadialProfile, N: int, etas, envelope=None,
     return fh_inverse_grid(lambda lam: walk_transform(p, N, lam), etas, p.dim.n,
                            envelope=envelope, tail_tol=tail_tol)
 
-
-# -- direct (space-side) convolution ------------------------------------------
-
-def convolve_direct(f: RadialProfile, g: RadialProfile, etas):
-    """Brute-force convolution of two radial densities, evaluated at radii etas.
-
-    The translation identity for 1 - ||T_y(x)||^2 reduces the ball integral to
-    a 2-d quadrature over (radial coordinate of y, polar angle): eight
-    32-node Gauss-Legendre panels in y and a 128-node Gauss-Jacobi rule in
-    the angle.  This is the independent oracle for the product rule of the
-    transform.
-    """
-    if f.dim.n != g.dim.n:
-        raise ValueError("profiles must share the dimension")
-    d = f.dim.n
-    scalar = np.isscalar(etas) or np.asarray(etas).ndim == 0
-    etas = np.atleast_1d(np.asarray(etas, dtype=float))
-    alpha = (d - 3) / 2.0
-    area_angle = 2.0 * math.pi ** ((d - 1) / 2.0) / math.gamma((d - 1) / 2.0)
-
-    rx = np.tanh(etas / 2.0)
-    y_nodes, y_weights = panel_nodes(0.0, g.eta_max, 8, 32)
-    c_nodes, c_weights = gauss_jacobi_sym(128, alpha)
-    ry = np.tanh(y_nodes / 2.0)
-    gy = g.g(y_nodes) * np.sinh(y_nodes) ** (d - 1)
-
-    rx2 = (rx**2)[:, None, None]
-    rxv = rx[:, None, None]
-    ryv = ry[None, :, None]
-    cv = c_nodes[None, None, :]
-    denom = 1.0 - 2.0 * rxv * ryv * cv + rx2 * ryv**2
-    one_minus_t2 = (1.0 - rx2) * (1.0 - ryv**2) / denom
-    norm_t = np.sqrt(np.clip(1.0 - one_minus_t2, 0.0, None))
-    eta_t = 2.0 * np.arctanh(np.minimum(norm_t, 1.0 - 1e-16))
-    fvals = f.g(eta_t.ravel()).reshape(eta_t.shape)
-
-    inner = fvals @ c_weights
-    total = (inner * gy[None, :]) @ y_weights
-    out = area_angle * total
-    return float(out[0]) if scalar else out
-
-
-def convolution_profile(f: RadialProfile, g: RadialProfile, points=301) -> RadialProfile:
-    """Tabulate the direct convolution on its support and wrap it as a profile
-    with a not-a-knot cubic spline."""
-    from .radial_density import make_table
-
-    support = f.eta_max + g.eta_max
-    grid = np.linspace(0.0, support, points)
-    vals = convolve_direct(f, g, grid)
-    return make_table(grid, np.maximum(vals, 0.0), f.dim.n, interpolation="spline")

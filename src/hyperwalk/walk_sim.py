@@ -20,7 +20,8 @@ hyperbolic Stewart theorem, cosh(eta') sinh D = cosh(eta_s) sinh(D - x)
 + cosh(eta_z) sinh x, written in sinh^2 form, gives its radius.  Each step
 costs the same in every dimension n; the terminal radial law is that of the
 walk of points in the ball.  A path that reaches the guard band
-||s|| >= 1 - BOUNDARY_TOL raises BoundaryError at that step.
+||s|| >= 1 - BOUNDARY_TOL, or whose radius is NaN, raises BoundaryError at
+that step.
 
 Randomness is counter-based.  Path j has the seed
 sigma_j = path_stream_seed(master_seed, j), and its draw i is the SplitMix64
@@ -44,12 +45,11 @@ from functools import cache
 
 import numpy as np
 
-from .geometry import BOUNDARY_TOL, require_int, sphere_area
+from .geometry import BOUNDARY_TOL, require_int
 from .gyro import BoundaryError
 # bench/tracing.py rebinds these two names in this module to count their
 # calls; the radial chain makes none
 from .gyro import mobius_add_raw, mobius_scalar_raw  # noqa: F401
-from .quadrature import gauss_legendre
 from .radial_density import (RadialProfile, _cdf_table, _invert_cdf, _sample_eta_many,
                              open_uniforms)
 
@@ -86,21 +86,6 @@ class WalkConfig:
             "scaling": self.scaling,
             "master_seed": int(self.master_seed),
         }
-
-
-@dataclass(frozen=True, eq=False)
-class WalkEnsemble:
-    terminal_etas: np.ndarray
-    config: WalkConfig
-
-    def __post_init__(self):
-        etas = np.asarray(self.terminal_etas, dtype=float)
-        if etas.shape != (self.config.paths,):
-            raise ValueError("ensemble length must equal the path count")
-        if not np.all(np.isfinite(etas)) or np.any(etas < 0.0):
-            raise ValueError("terminal radii must be finite and nonnegative")
-        etas.setflags(write=False)
-        object.__setattr__(self, "terminal_etas", etas)
 
 
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -189,6 +174,7 @@ def _run_chunk(cfg: WalkConfig, start: int, count: int) -> np.ndarray:
                 np.sqrt(h, out=h)
                 np.arcsinh(h, out=eta)
                 eta *= 2.0
+            # a NaN radius fails the comparison too
             if not float(np.max(eta)) < _ETA_GUARD:
                 bad = np.nonzero(~(eta < _ETA_GUARD))[0]
                 raise BoundaryError(f"paths {(start + bad).tolist()} reached the boundary "
@@ -232,8 +218,9 @@ def _stewart(eta_s, h_z, h_d, weight, work):
     term *= x
     term *= s_half
     num -= term
-    # D = 0 means z = s, and the step stays at s
-    h = np.divide(num, sinh_d, out=h_s, where=sinh_d > 0.0)
+    # D = 0 means z = s, and the step stays at s; a NaN D stays NaN, so the
+    # boundary guard stops the walk
+    h = np.divide(num, sinh_d, out=h_s, where=sinh_d != 0.0)
     # eta' = 2 arcsinh(sqrt(max(h, 0)))
     np.maximum(h, 0.0, out=h)
     np.sqrt(h, out=h)
@@ -241,37 +228,11 @@ def _stewart(eta_s, h_z, h_d, weight, work):
     h *= 2.0
 
 
-def run_walk(cfg: WalkConfig) -> WalkEnsemble:
-    """Simulate every path of the configuration; deterministic per (seed, index)."""
+def run_walk(cfg: WalkConfig) -> np.ndarray:
+    """Terminal radii of every path of the configuration, deterministic per
+    (seed, index)."""
     out = np.empty(cfg.paths)
     for start in range(0, cfg.paths, _CHUNK):
         count = min(_CHUNK, cfg.paths - start)
         out[start:start + count] = _run_chunk(cfg, start, count)
-    return WalkEnsemble(out, cfg)
-
-
-def empirical_radial_density(e: WalkEnsemble, bins) -> tuple[np.ndarray, np.ndarray]:
-    """Histogram density per unit Riemannian volume on the given bin edges.
-
-    Each bin divides its count by paths * Omega_{n-1} * int sinh^{n-1}, so the
-    result is directly comparable to exact radial densities.
-    """
-    edges = np.asarray(bins, dtype=float)
-    if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0.0):
-        raise ValueError("bins must be a strictly increasing grid of edges")
-    if e.terminal_etas.size < 1000:
-        raise ValueError("need at least 1e3 samples for a stable histogram")
-    n = e.config.profile.dim.n
-    counts, _ = np.histogram(e.terminal_etas, bins=edges)
-    x, w = gauss_legendre(16)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * np.diff(edges)
-    nodes = mid[:, None] + half[:, None] * x[None, :]
-    bin_measure = sphere_area(n) * half * (np.sinh(nodes) ** (n - 1) @ w)
-    density = counts / (e.terminal_etas.size * bin_measure)
-    return mid, density
-
-
-def mean_radius(e: WalkEnsemble) -> float:
-    """Mean terminal geodesic radius; vanishes for the LLN scaling as N grows."""
-    return float(np.mean(e.terminal_etas))
+    return out

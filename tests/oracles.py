@@ -1,0 +1,147 @@
+"""Oracles that only the tests need: the hypergeometric series of the
+spherical function, the brute-force space-side convolution of two radial
+densities, spline-interpolated table profiles and the histogram density of
+terminal radii.
+
+Each is an independent route to a quantity that the package computes
+another way, so a test can compare the two.
+"""
+
+import math
+
+import numpy as np
+from scipy.interpolate import CubicSpline
+
+from hyperwalk import RadialProfile, sphere_area
+from hyperwalk.geometry import as_dim
+from hyperwalk.quadrature import gauss_jacobi_sym, gauss_legendre, panel_nodes
+
+_SERIES_TOL = 1e-17  # the series stops at two terms below this, relative
+_SERIES_TERMS = 200  # and fails after this many
+
+
+class SeriesError(RuntimeError):
+    """phi_series failed to converge in _SERIES_TERMS terms."""
+
+
+def phi_series(lam, eta, n):
+    """Spherical function as the hypergeometric series with parameters
+    rho +- i*lambda and argument -sinh(eta/2)^2: the small-radius oracle
+    that tests compare phi_many against.
+
+    lam and eta broadcast against each other.  Each (lambda, eta) pair sums
+    its own terms and stops after two consecutive terms below
+    _SERIES_TOL * (1 + |partial sum|).
+
+    The lambda scaling is pinned by the eigenvalue -(lambda^2 + rho^2): the
+    eta^2 coefficient must be -(lambda^2 + rho^2)/(2n), which the Pochhammer
+    factors (rho+j)^2 + lambda^2 reproduce.  Raises SeriesError if
+    _SERIES_TERMS terms do not converge, as for sinh(eta/2) >= 1.
+    """
+    d = as_dim(n).n
+    rho = (d - 1) / 2.0
+    mser = d / 2.0 - 1.0
+    lams, etas = np.broadcast_arrays(np.abs(np.asarray(lam, dtype=float)),
+                                     np.asarray(eta, dtype=float))
+    shape = etas.shape
+    lams, etas = lams.reshape(-1), etas.reshape(-1)
+    neg_x = -np.sinh(etas / 2.0) ** 2
+    total = np.ones(etas.size)
+    term = np.ones(etas.size)
+    lam2 = lams * lams
+    runs = np.zeros(etas.size, dtype=int)
+    for q in range(1, _SERIES_TERMS + 1):
+        term = term * neg_x * ((rho + q - 1.0) ** 2 + lam2) / (q * (mser + q))
+        total += term
+        runs = (runs + 1) * (np.abs(term) <= _SERIES_TOL * (1.0 + np.abs(total)))
+        done = runs >= 2
+        if np.all(done):
+            return float(total[0]) if not shape else total.reshape(shape)
+        term[done] = 0.0  # a finished pair adds nothing more
+    bad = runs < 2
+    raise SeriesError(f"no convergence after {_SERIES_TERMS} terms "
+                      f"(lam={np.max(lams[bad])}, max eta={np.max(etas[bad])})")
+
+
+def spline_profile(etas, values, dim) -> RadialProfile:
+    """Profile of tabulated (eta, value) pairs under a not-a-knot cubic
+    spline, zero beyond the last eta and clipped at zero.  Higher order than
+    the package's pchip tables for smooth data such as heat kernels."""
+    etas = np.asarray(etas, dtype=float)
+    interp = CubicSpline(etas, np.asarray(values, dtype=float), extrapolate=False)
+    eta_max = float(etas[-1])
+
+    def shape(e):
+        out = interp(np.clip(np.asarray(e, dtype=float), 0.0, eta_max))
+        return np.maximum(np.nan_to_num(out, nan=0.0), 0.0)
+
+    return RadialProfile(shape, eta_max, dim, family="table",
+                         params={"points": int(etas.size)})
+
+
+def convolve_direct(f: RadialProfile, g: RadialProfile, etas):
+    """Brute-force convolution of two radial densities, evaluated at radii etas.
+
+    The translation identity for 1 - ||T_y(x)||^2 reduces the ball integral to
+    a 2-d quadrature over (radial coordinate of y, polar angle): eight
+    32-node Gauss-Legendre panels in y and a 128-node Gauss-Jacobi rule in
+    the angle.  This is the independent oracle for the product rule of the
+    transform.
+    """
+    if f.dim.n != g.dim.n:
+        raise ValueError("profiles must share the dimension")
+    d = f.dim.n
+    scalar = np.isscalar(etas) or np.asarray(etas).ndim == 0
+    etas = np.atleast_1d(np.asarray(etas, dtype=float))
+    alpha = (d - 3) / 2.0
+    area_angle = 2.0 * math.pi ** ((d - 1) / 2.0) / math.gamma((d - 1) / 2.0)
+
+    rx = np.tanh(etas / 2.0)
+    y_nodes, y_weights = panel_nodes(0.0, g.eta_max, 8, 32)
+    c_nodes, c_weights = gauss_jacobi_sym(128, alpha)
+    ry = np.tanh(y_nodes / 2.0)
+    gy = g.g(y_nodes) * np.sinh(y_nodes) ** (d - 1)
+
+    rx2 = (rx**2)[:, None, None]
+    rxv = rx[:, None, None]
+    ryv = ry[None, :, None]
+    cv = c_nodes[None, None, :]
+    denom = 1.0 - 2.0 * rxv * ryv * cv + rx2 * ryv**2
+    one_minus_t2 = (1.0 - rx2) * (1.0 - ryv**2) / denom
+    norm_t = np.sqrt(np.clip(1.0 - one_minus_t2, 0.0, None))
+    eta_t = 2.0 * np.arctanh(np.minimum(norm_t, 1.0 - 1e-16))
+    fvals = f.g(eta_t.ravel()).reshape(eta_t.shape)
+
+    inner = fvals @ c_weights
+    total = (inner * gy[None, :]) @ y_weights
+    out = area_angle * total
+    return float(out[0]) if scalar else out
+
+
+def convolution_profile(f: RadialProfile, g: RadialProfile, points=301) -> RadialProfile:
+    """Tabulate the direct convolution on its support and wrap it as a
+    spline profile."""
+    grid = np.linspace(0.0, f.eta_max + g.eta_max, points)
+    return spline_profile(grid, np.maximum(convolve_direct(f, g, grid), 0.0), f.dim.n)
+
+
+def empirical_radial_density(etas, n, bins) -> tuple[np.ndarray, np.ndarray]:
+    """Histogram density per unit Riemannian volume of the terminal radii
+    etas of a walk in dimension n, on the given bin edges.
+
+    Each bin divides its count by paths * Omega_{n-1} * int sinh^{n-1}, so the
+    result is directly comparable to exact radial densities.
+    """
+    edges = np.asarray(bins, dtype=float)
+    if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0.0):
+        raise ValueError("bins must be a strictly increasing grid of edges")
+    if etas.size < 1000:
+        raise ValueError("need at least 1e3 samples for a stable histogram")
+    counts, _ = np.histogram(etas, bins=edges)
+    x, w = gauss_legendre(16)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * np.diff(edges)
+    nodes = mid[:, None] + half[:, None] * x[None, :]
+    bin_measure = sphere_area(n) * half * (np.sinh(nodes) ** (n - 1) @ w)
+    density = counts / (etas.size * bin_measure)
+    return mid, density

@@ -11,15 +11,15 @@ import time
 import numpy as np
 import pytest
 
-from hyperwalk import (clt_check, convolution_profile, fh_inverse_grid, fh_transform,
-                       gyro_property_suite, hk, hk_fourier, limit_time, lln_check,
-                       llt_check, make_bump, phi_integral, phi_series, psi_clt,
-                       second_moment, scale_profile, sphere_area, variance_direct,
+from hyperwalk import (clt_check, fh_inverse_grid, fh_transform, gyro_property_suite, hk,
+                       hk_fourier, limit_time, lln_check, llt_check, make_bump, phi_many,
+                       psi_clt, second_moment, scale_profile, sphere_area, variance_direct,
                        variance_rate_check)
 from hyperwalk.cli import main as cli_main
 from hyperwalk.quadrature import cumulative_gl
 
 from conftest import bump_transform_envelope
+from oracles import convolution_profile, phi_series
 
 
 def report(num, name, ok, elapsed, detail=""):
@@ -46,7 +46,7 @@ def test_criterion_02_spherical_function_representations():
     for n in (2, 3, 4, 5):
         for lam in lams:
             worst_pair = max(worst_pair, float(np.max(np.abs(
-                phi_series(lam, etas, n) - phi_integral(lam, etas, n)))))
+                phi_series(lam, etas, n) - phi_many(lam, etas, n)))))
     worst_closed = 0.0
     for lam in lams:
         closed = np.where(etas > 0,
@@ -54,7 +54,7 @@ def test_criterion_02_spherical_function_representations():
                           if lam > 0 else etas / np.maximum(np.sinh(etas), 1e-300),
                           1.0)
         worst_closed = max(worst_closed, float(np.max(np.abs(
-            phi_integral(lam, etas, 3) - closed))))
+            phi_many(lam, etas, 3) - closed))))
     elapsed = time.perf_counter() - t0
     ok = worst_pair < 1e-10 and worst_closed < 1e-12 and elapsed < 30.0
     report(2, "spherical-representations", ok, elapsed,

@@ -136,6 +136,17 @@ def test_verify_lln_needs_two_N_and_two_paths(doc, tmp_path, capsys):
     assert "at least 2" in json.loads(err)["error"]
 
 
+def test_verify_llt_unknown_limit_is_a_configuration_error(tmp_path, capsys):
+    """A typo of "clt" used to run the unhalved negative control and fail
+    the verdict (exit 1); it is now rejected before any computation."""
+    cfg = tmp_path / "llt.json"
+    cfg.write_text(json.dumps({"density": {"family": "bump", "eta_max": 1.0, "dim": 3},
+                               "Ns": [16, 32, 64], "limit": "cltt"}))
+    code, out, err = run(capsys, "verify", "llt", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert "cltt" in json.loads(err)["error"]
+
+
 def test_verify_rejects_config_numbers_that_are_not_integers(tmp_path, capsys):
     """dim 3.7, N 100.9 or paths 10000.5 used to run as 3, 100 and 10000."""
     bump = {"family": "bump", "eta_max": 1.0, "dim": 3}
@@ -184,6 +195,21 @@ def test_bad_grid_spec(capsys):
     code, _, _ = run(capsys, "heat-kernel", "--dim", "3", "--t", "1.0",
                      "--eta", "5:0:0.1")
     assert code == 2
+
+
+@pytest.mark.parametrize("spec", ["0:inf:1", "0:1:inf", "nan:1:0.5"])
+@pytest.mark.parametrize("argv", [["heat-kernel", "--t", "1.0", "--eta"],
+                                  ["transform", "--density", "bump:1.0", "--lambda"]],
+                         ids=["heat-kernel", "transform"])
+def test_grid_bounds_that_are_not_finite_are_configuration_errors(argv, spec, tmp_path,
+                                                                   capsys):
+    """An infinite stop used to fail the computation (exit 1) on the grid's
+    length; every start, stop and step must be finite."""
+    out = tmp_path / "grid.csv"
+    code, stdout, err = run(capsys, *argv, spec, "--dim", "3", "--out", str(out))
+    assert code == 2 and stdout == ""
+    assert "grid" in json.loads(err)["error"]
+    assert not out.exists()
 
 
 def _csv_writer_reference(header, rows):

@@ -13,9 +13,6 @@ def test_dimension_rejects_bad_values():
         Dimension(1)
     with pytest.raises(ValueError):
         Dimension(0)
-    assert Dimension(2).rho == 0.5
-    assert Dimension(5).half_split == 2
-    assert Dimension(4).half_split == 2
     # a dimension that is not an integer is an error, not truncated
     for bad in (3.7, 3.0, "3", True):
         with pytest.raises(ValueError, match="integer"):

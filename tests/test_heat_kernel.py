@@ -10,8 +10,10 @@ import pytest
 from scipy.integrate import quad
 
 from hyperwalk import (fh_inverse_grid, fh_transform, heat_kernel, hk, hk_even, hk_fourier,
-                       hk_odd, make_table, psi_clt, sphere_area)
+                       hk_odd, psi_clt, sphere_area)
 from hyperwalk.quadrature import cumulative_gl
+
+from oracles import spline_profile
 
 
 def classical_h3(t, etas):
@@ -167,7 +169,7 @@ def test_positivity_and_even_monotone_decay():
     assert np.all(np.diff(even) < 0.0)
 
 
-@pytest.mark.parametrize("n,tol", [(2, 1e-7), (3, 1e-8), (5, 1e-8)])
+@pytest.mark.parametrize("n,tol", [(2, 1e-7), (3, 1e-8), (4, 1e-8), (5, 1e-8)])
 def test_fourier_pair(n, tol):
     etas = np.linspace(0.0, 5.0, 21)
     for t in (0.5, 1.0, 2.0):
@@ -181,7 +183,7 @@ def test_spectral_consistency_via_table_profile():
     for n, tol in ((3, 1e-8), (2, 1e-7)):
         cut = 2.0 * (n - 1) * t + 14.0 * math.sqrt(t)
         grid = np.linspace(0.0, cut, 1200)
-        prof = make_table(grid, hk(t, grid, n), n, interpolation="spline")
+        prof = spline_profile(grid, hk(t, grid, n), n)
         for lam in (0.0, 0.8, 2.0):
             assert fh_transform(prof, lam) == pytest.approx(
                 hk_fourier(t, lam, n), abs=tol)
@@ -222,8 +224,8 @@ def test_spatial_semigroup_n3():
     t, s = 0.6, 0.9
     cut = 4.0 * (t + s) + 14.0
     grid = np.linspace(0.0, cut, 1500)
-    prof_t = make_table(grid, hk(t, grid, 3), 3, interpolation="spline")
-    prof_s = make_table(grid, hk(s, grid, 3), 3, interpolation="spline")
+    prof_t = spline_profile(grid, hk(t, grid, 3), 3)
+    prof_s = spline_profile(grid, hk(s, grid, 3), 3)
     for lam in (0.3, 1.1, 2.4):
         product = fh_transform(prof_t, lam) * fh_transform(prof_s, lam)
         assert product == pytest.approx(hk_fourier(t + s, lam, 3), abs=1e-7)

@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from hyperwalk import (char2, convolution_profile, convolve_direct, fh_inverse_grid,
-                       fh_transform, inversion_constant, make_bump, phi,
-                       phi_integral, phi_many, phi_series, plancherel_density,
-                       scale_profile, second_moment, spectral, variance_direct,
-                       walk_density_grid, walk_transform)
+from hyperwalk import (fh_inverse_grid, fh_transform, inversion_constant, make_bump,
+                       phi_many, plancherel_density, scale_profile, second_moment,
+                       spectral, variance_direct, walk_density_grid, walk_transform)
 from hyperwalk.geometry import as_dim
 from hyperwalk.quadrature import integrate_adaptive
-from hyperwalk.spectral import SeriesError, TruncationError
+from hyperwalk.spectral import TruncationError
 
 from conftest import bump_transform_envelope
+from oracles import SeriesError, convolution_profile, convolve_direct, phi_series
 
 
 def closed3(lam, eta):
@@ -29,15 +28,14 @@ def closed3(lam, eta):
 def test_phi_at_origin_is_one():
     for n in (2, 3, 4, 5):
         for lam in (0.0, 1.0, 17.3):
-            assert phi_integral(lam, 0.0, n) == 1.0
+            assert phi_many(lam, 0.0, n) == 1.0
             assert phi_series(lam, 0.0, n) == 1.0
-            assert phi(lam, 0.0, n) == 1.0
 
 
 def test_phi_integral_matches_closed_form_n3():
     for lam in (0.0, 0.7, 3.0, 12.0):
         for eta in (0.1, 0.6, 1.7, 4.0):
-            assert phi_integral(lam, eta, 3) == pytest.approx(
+            assert phi_many(lam, eta, 3) == pytest.approx(
                 closed3(lam, eta), abs=1e-12)
 
 
@@ -55,7 +53,7 @@ def test_phi_representations_agree_small_radius():
     for n in (2, 3, 4, 5, 7, 9):
         for lam in np.linspace(0.0, 20.0, 9):
             a = phi_series(lam, etas, n)
-            b = phi_integral(lam, etas, n)
+            b = phi_many(lam, etas, n)
             assert float(np.max(np.abs(a - b))) < 1e-13
 
 
@@ -64,9 +62,12 @@ def test_phi_series_divergence_is_hard_error():
         phi_series(1.0, 5.0, 3)  # sinh(eta/2)^2 > 1: series diverges
 
 
-def test_phi_integral_doubled_nodes_oracle():
-    v1 = phi_integral(0.0, 1.0, 2, order=48)
-    v2 = phi_integral(0.0, 1.0, 2, order=96)
+def test_phi_integral_doubled_nodes_oracle(monkeypatch):
+    values = []
+    for q in (48, 96):
+        monkeypatch.setattr(spectral, "_gj_order", lambda lam, eta_max, q=q: np.full(lam.shape, q))
+        values.append(phi_many(0.0, 1.0, 2))
+    v1, v2 = values
     assert 0.0 < v1 < 1.0
     assert v1 == pytest.approx(v2, abs=1e-13)
 
@@ -83,7 +84,7 @@ def test_phi_domination_and_strict_bound():
     worst = 0.0
     for lam in (1.0, 4.0, 20.0):
         for eta in (2.5 / lam, 8.0 / lam, 3.0):
-            worst = max(worst, abs(phi(lam, eta, 3)))
+            worst = max(worst, abs(phi_many(lam, eta, 3)))
     assert worst < 1.0
 
 
@@ -126,7 +127,7 @@ def test_phi_legendre_reduction():
             lam = float(rng.uniform(0.1, 6.0))
             eta = float(rng.uniform(0.1, 2.5))
             assert phi_legendre_check(lam, eta, n) == pytest.approx(
-                phi(lam, eta, n), abs=1e-10)
+                phi_many(lam, eta, n), abs=1e-10)
     with pytest.raises(ValueError):
         phi_legendre_check(1.0, 1.0, 4)
 
@@ -253,17 +254,23 @@ def test_inverse_accepts_scalar_or_array_F(n):
 
 # -- characteristic function and variance ---------------------------------------
 
+def char2(p, lam):
+    """Characteristic function of the second kind: the transform normalized
+    to 1 at lambda = 0."""
+    return fh_transform(p, lam) / fh_transform(p, 0.0)
+
+
 def test_char2_normalization_and_bound(bump3):
     assert char2(bump3, 0.0) == 1.0
-    vals = np.array([char2(bump3, l) for l in np.linspace(0.0, 10.0, 21)])
+    vals = char2(bump3, np.linspace(0.0, 10.0, 21))
     assert float(np.max(np.abs(vals))) <= 1.0 + 1e-12
 
 
 def test_char2_odd_derivatives_vanish(bump3):
     for h in (1e-2, 5e-3, 2.5e-3):
-        d1 = (char2(bump3, h) - char2(bump3, -h)) / (2 * h)
-        d3 = (char2(bump3, 2 * h) - 2 * char2(bump3, h)
-              + 2 * char2(bump3, -h) - char2(bump3, -2 * h)) / (2 * h**3)
+        c2, c1, m1, m2 = char2(bump3, np.array([2 * h, h, -h, -2 * h]))
+        d1 = (c1 - m1) / (2 * h)
+        d3 = (c2 - 2 * c1 + 2 * m1 - m2) / (2 * h**3)
         assert abs(d1) < 1e-6
         assert abs(d3) < 1e-6
 

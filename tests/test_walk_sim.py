@@ -6,9 +6,8 @@ import pytest
 from scipy.special import betainc
 from scipy.stats import ks_2samp, kstest
 
-from hyperwalk import (BoundaryError, WalkConfig, cdf_eta, empirical_radial_density,
-                       limit_time, make_bump, mean_radius, psi_clt, run_walk,
-                       sphere_area, walk_sim)
+from hyperwalk import (BoundaryError, WalkConfig, cdf_eta, limit_time, make_bump, psi_clt,
+                       run_walk, sphere_area, walk_sim)
 from hyperwalk.cli import main
 from hyperwalk.diagnostics import _limit_radial_cdf
 from hyperwalk.gyro import mobius_add_raw, mobius_scalar_raw
@@ -16,6 +15,7 @@ from hyperwalk.radial_density import _sample_eta_many, open_uniforms
 from hyperwalk.walk_sim import _angle_q, _uniforms, path_stream_seed, splitmix64
 
 from conftest import ks_critical
+from oracles import empirical_radial_density
 
 
 def test_config_validation(bump3):
@@ -56,11 +56,11 @@ def test_draws_independent_of_chunk_and_block_size(mode, monkeypatch):
     """Draw i of path j depends on (master seed, j, i) alone, so the terminal
     radii are bitwise the same for any path chunk and any block of steps."""
     cfg = WalkConfig(make_bump(1.0, 5), 30, 100, mode, 77)
-    ref = run_walk(cfg).terminal_etas
+    ref = run_walk(cfg)
     for chunk, block in ((7, 50), (64, 1), (1, 3), (33, 10**6)):
         monkeypatch.setattr(walk_sim, "_CHUNK", chunk)
         monkeypatch.setattr(walk_sim, "_BLOCK", block)
-        assert np.array_equal(run_walk(cfg).terminal_etas, ref)
+        assert np.array_equal(run_walk(cfg), ref)
 
 
 def test_boundary_guard_stops_the_walk():
@@ -70,14 +70,24 @@ def test_boundary_guard_stops_the_walk():
         run_walk(WalkConfig(make_bump(40.0, 2), 1, 50, "clt", 1))
 
 
+@pytest.mark.parametrize("mode", ["clt", "sturm"])
+def test_nan_radius_stops_the_walk(mode, bump3, monkeypatch):
+    """A radius that is not a number fails the boundary guard's comparison,
+    so the walk raises instead of returning NaN (clt) or standing still at a
+    NaN Sturm distance (sturm)."""
+    monkeypatch.setattr(walk_sim, "_sample_eta_many", lambda p, u: np.full(np.shape(u), np.nan))
+    with pytest.raises(BoundaryError, match=r"reached the boundary guard at step 1"):
+        run_walk(WalkConfig(bump3, 4, 10, mode, 1))
+
+
 def test_single_step_law_matches_scaled_profile(bump3):
     """At N = 1 the clt walk contracts by 1 and the sturm walk takes the whole
     geodesic step 1 (x) ((-0) (+) z) from the origin: both terminal laws are
     the profile's own."""
     paths = 10**5
     for mode in ("clt", "sturm"):
-        ens = run_walk(WalkConfig(bump3, 1, paths, mode, 31))
-        stat = kstest(ens.terminal_etas, lambda e: cdf_eta(bump3, e)).statistic
+        etas = run_walk(WalkConfig(bump3, 1, paths, mode, 31))
+        stat = kstest(etas, lambda e: cdf_eta(bump3, e)).statistic
         # Kolmogorov critical value at alpha = 1e-3
         assert stat < ks_critical(1e-3, paths)
 
@@ -93,7 +103,7 @@ def test_zero_uniform_draw_is_mapped_inside(bump3, monkeypatch):
     # in the walk, the counter stream gives the radius draw of step 0 the
     # word splitmix64(seed of the path); make that word 0 for every path
     cfg = WalkConfig(bump3, 1, 3, "clt", 9)
-    ref = run_walk(cfg).terminal_etas
+    ref = run_walk(cfg)
     seeds = path_stream_seed(9, np.arange(3, dtype=np.uint64))
     mix = walk_sim.splitmix64
 
@@ -104,14 +114,13 @@ def test_zero_uniform_draw_is_mapped_inside(bump3, monkeypatch):
         return w
 
     monkeypatch.setattr(walk_sim, "splitmix64", zero_first_radius_word)
-    got = run_walk(cfg).terminal_etas
+    got = run_walk(cfg)
     assert np.all(got < 1e-3) and np.all(ref > 1e-3)
 
 
 def test_near_delta_profile_stays_near_origin():
     tiny = make_bump(0.01, 3)
-    ens = run_walk(WalkConfig(tiny, 32, 2000, "clt", 5))
-    assert float(np.max(ens.terminal_etas)) < 0.1
+    assert float(np.max(run_walk(WalkConfig(tiny, 32, 2000, "clt", 5)))) < 0.1
 
 
 def test_permutation_invariance_of_the_law(bump3):
@@ -146,9 +155,9 @@ def test_permutation_invariance_of_the_law(bump3):
 
 
 def test_all_terminal_points_inside_ball(bump3):
-    ens = run_walk(WalkConfig(bump3, 1000, 4000, "clt", 99))
-    assert np.all(np.isfinite(ens.terminal_etas))
-    assert float(np.max(np.tanh(ens.terminal_etas / 2.0))) < 1.0 - 1e-12
+    etas = run_walk(WalkConfig(bump3, 1000, 4000, "clt", 99))
+    assert np.all(np.isfinite(etas))
+    assert float(np.max(np.tanh(etas / 2.0))) < 1.0 - 1e-12
 
 
 def test_clt_scale_stabilizes_in_n(bump3):
@@ -171,24 +180,24 @@ def test_clt_scale_stabilizes_in_n(bump3):
     exact = quartiles[1] - quartiles[0]
     bound = 4.0 * math.sqrt(var)
     for N, seed in ((1000, 1), (10000, 2)):
-        q = np.percentile(run_walk(WalkConfig(bump3, N, paths, "clt", seed)).terminal_etas,
+        q = np.percentile(run_walk(WalkConfig(bump3, N, paths, "clt", seed)),
                           [25, 75])
         assert abs((q[1] - q[0]) - exact) < bound
 
 
 def test_sturm_walk_contracts_like_lln(bump3):
-    st = run_walk(WalkConfig(bump3, 500, 3000, "sturm", 12))
-    ln = run_walk(WalkConfig(bump3, 500, 3000, "lln", 12))
-    assert mean_radius(st) < 0.1
-    assert abs(mean_radius(st) - mean_radius(ln)) < 0.02
+    st = np.mean(run_walk(WalkConfig(bump3, 500, 3000, "sturm", 12)))
+    ln = np.mean(run_walk(WalkConfig(bump3, 500, 3000, "lln", 12)))
+    assert st < 0.1
+    assert abs(st - ln) < 0.02
 
 
 def test_empirical_density_requires_samples(bump3):
     small = run_walk(WalkConfig(bump3, 1, 100, "clt", 1))
     with pytest.raises(ValueError):
-        empirical_radial_density(small, np.linspace(0, 1, 11))
+        empirical_radial_density(small, 3, np.linspace(0, 1, 11))
     with pytest.raises(ValueError):
-        empirical_radial_density(run_walk(WalkConfig(bump3, 1, 2000, "clt", 1)),
+        empirical_radial_density(run_walk(WalkConfig(bump3, 1, 2000, "clt", 1)), 3,
                                  np.array([0.5]))
 
 
@@ -198,9 +207,9 @@ def test_empirical_density_against_exact_single_step(bump3):
     in n = 3.  (The density at the bin midpoint is not the bin average: on
     [0.90, 0.95] the two differ by 4.9 standard errors.)"""
     paths = 10**5
-    ens = run_walk(WalkConfig(bump3, 1, paths, "clt", 8))
+    etas = run_walk(WalkConfig(bump3, 1, paths, "clt", 8))
     edges = np.linspace(0.0, 1.0, 21)
-    _, emp = empirical_radial_density(ens, edges)
+    _, emp = empirical_radial_density(etas, 3, edges)
     probs = np.diff(cdf_eta(bump3, edges))
     meas = 4.0 * math.pi * np.diff(np.sinh(2.0 * edges) / 4.0 - edges / 2.0)
     exact = probs / meas
@@ -210,16 +219,14 @@ def test_empirical_density_against_exact_single_step(bump3):
 
 
 def test_mean_radius_trivia(bump3):
-    ens = run_walk(WalkConfig(make_bump(0.005, 3), 4, 1200, "lln", 3))
-    assert mean_radius(ens) < 0.01
+    assert np.mean(run_walk(WalkConfig(make_bump(0.005, 3), 4, 1200, "lln", 3))) < 0.01
 
 
 def test_lln_mean_radius_slope(bump3):
     Ns = [100, 400, 1600, 6400]
     means = []
     for i, N in enumerate(Ns):
-        ens = run_walk(WalkConfig(bump3, N, 2000, "lln", 100 + i))
-        means.append(mean_radius(ens))
+        means.append(np.mean(run_walk(WalkConfig(bump3, N, 2000, "lln", 100 + i))))
     assert all(b < a for a, b in zip(means, means[1:]))
     slope = np.polyfit(np.log(Ns), np.log(means), 1)[0]
     assert -0.65 < slope < -0.35
@@ -252,7 +259,7 @@ def test_radial_chain_matches_vector_oracle(mode, n):
     paths = 20000
     rng = np.random.default_rng(1000 + n)
     for N in (2, 16):
-        chain = run_walk(WalkConfig(p, N, paths, mode, 17 + n)).terminal_etas
+        chain = run_walk(WalkConfig(p, N, paths, mode, 17 + n))
         oracle = _vector_walk(p, N, paths, mode, rng)
         # two-sample Kolmogorov critical value at alpha = 1e-3
         assert ks_2samp(chain, oracle).statistic < ks_critical(1e-3, paths, paths)
@@ -298,7 +305,7 @@ def test_radial_chain_matches_points_walk_pathwise(mode, n):
     of cosines, the Stewart step and the step weights 1/k that a law test at
     its noise floor cannot make."""
     p, N, paths, seed = make_bump(1.0, n), 8, 50, 300 + n
-    chain = run_walk(WalkConfig(p, N, paths, mode, seed)).terminal_etas
+    chain = run_walk(WalkConfig(p, N, paths, mode, seed))
     points = _pathwise_points_walk(p, N, paths, mode, seed)
     assert float(np.max(np.abs(chain - points) / points)) < 1e-12
 
@@ -314,7 +321,7 @@ def test_angle_draws_invert_the_beta_law(n):
 
 
 # SHA-256 of run_walk(WalkConfig(make_bump(1.0, n), 40, 700, mode, 1000 + n))
-# .terminal_etas.tobytes(), and of the stdout of one `hyperwalk walk` call,
+# .tobytes(), and of the stdout of one `hyperwalk walk` call,
 # recorded with the binary-search inverter, blocks of 2^16 draws and freshly
 # allocated step temporaries.  They pin the draws and the steps' arithmetic
 # bit for bit.  numpy's elementwise sinh and arcsinh may round differently on
@@ -337,7 +344,7 @@ _PINNED_CSV = "e46ee48b9ff1b81ecd3da3f74f895dbc11f081555942d39d4b3adac94723e212"
 @pytest.mark.parametrize("mode", ["clt", "lln", "sturm"])
 def test_terminal_radii_pinned(mode, n):
     """Every path takes several blocks of steps at the default _BLOCK."""
-    etas = run_walk(WalkConfig(make_bump(1.0, n), 40, 700, mode, 1000 + n)).terminal_etas
+    etas = run_walk(WalkConfig(make_bump(1.0, n), 40, 700, mode, 1000 + n))
     assert hashlib.sha256(etas.tobytes()).hexdigest() == _PINNED[mode, n]
 
 
