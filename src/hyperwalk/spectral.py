@@ -1,14 +1,20 @@
 """Radial Fourier analysis on the ball: spherical functions, the Helgason
 transform and its inverse, the variance and the exact N-step walk densities.
 
-The spherical function is computed by an endpoint-regularized Gauss-Jacobi
-form of its radial integral: the substitution s = eta*v and the product
-formula cosh(eta) - cosh(eta*v) = 2 sinh(eta(1+v)/2) sinh(eta(1-v)/2) turn
-the endpoint singularity into the Jacobi weight (1-v^2)^{(n-3)/2}.
+The forward transform factors through the Abel transform of the profile
+(Koornwinder 1984; Helgason, Groups and Geometric Analysis, ch. IV),
+F(lambda) = 2 int cos(lambda s) A(s) ds with A(s) = 2^alpha k_n Omega_{n-1}
+int_s g(eta) sinh(eta) (cosh(eta) - cosh(s))^alpha d eta, alpha = (n-3)/2.
+A table of A (n = 2) or -A' (n >= 3) per profile and quadrature level makes
+each lambda one row of cosines or sines, and the variance a moment ratio.
 
-Transforms of radial profiles are therefore one-dimensional quadratures, and
-the inverse transform is an adaptive Gauss-Kronrod integral against the
-Plancherel density |c(lambda)|^{-2} of the Harish-Chandra c-function.
+The spherical function, which the inverse transform needs, is computed by an
+endpoint-regularized Gauss-Jacobi form of its radial integral: the
+substitution s = eta*v and the product formula cosh(eta) - cosh(eta*v) =
+2 sinh(eta(1+v)/2) sinh(eta(1-v)/2) turn the endpoint singularity into the
+Jacobi weight (1-v^2)^{(n-3)/2}.  The inverse transform is an adaptive
+Gauss-Kronrod integral against the Plancherel density |c(lambda)|^{-2} of the
+Harish-Chandra c-function.
 
 Array contract: `phi_many`, `fh_transform` and `plancherel_density` take a
 scalar or an array of lambda and evaluate every lambda in one call; each
@@ -19,19 +25,21 @@ may return a scalar, which is broadcast).
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import loggamma
 
 from .geometry import as_dim, sphere_area
-from .quadrature import (QuadratureError, gauss_jacobi_sym, gk_adaptive_vector,
-                         integrate_adaptive, panel_nodes)
-from .radial_density import RadialProfile, pdf_eta, scale_profile, sinch
+from .quadrature import (QuadratureError, gauss_jacobi_sym, gauss_legendre,
+                         gk_adaptive_vector, panel_nodes)
+from .radial_density import RadialProfile, scale_profile, sinch
 
 _ABS_TARGET = 1e-13
 _TAIL_THRESHOLD = 1e-14
 _LAMBDA_CAP = 1e4
-# elements of one (lambda, eta, Jacobi node) cosine block: 2 MiB of float64
+# elements of one block of (lambda, eta, Jacobi node) cosines, of (lambda, s)
+# transform kernels or of (s, u) Abel-transform nodes: 2 MiB of float64
 _COS_BLOCK = 1 << 18
 # truncation scan points whose envelope is evaluated in one call
 _SCAN_BLOCK = 16
@@ -50,28 +58,22 @@ def _gj_order(lam, eta_max: float):
     return np.minimum(-(-q // 8) * 8, 4096)
 
 
-def _gj_half(q: int, alpha: float):
-    """Positive half of the symmetric Jacobi rule; the radial integrands are
-    even in the node variable, so the folded rule halves the work."""
-    if q % 2:
-        q += 1
+@lru_cache(maxsize=32)
+def _radial_rows(radii: bytes, d: int, q: int):
+    """Positive half of the even Jacobi rule of order q (the integrand is even
+    in v), the scale k_n sinch^{2-n} and the weights times (sinch(a)
+    sinch(b))^alpha, a, b = eta (1 +- v)/2, at the float64 radii in bytes:
+    fixed for all the Kronrod panels of one inversion, so made once."""
+    ep = np.frombuffer(radii)
+    alpha = (d - 3) / 2.0
     v, w = gauss_jacobi_sym(q, alpha)
-    half = q // 2
-    return v[half:], w[half:]
-
-
-def _jacobi_factor(etas: np.ndarray, v: np.ndarray, alpha: float) -> np.ndarray:
-    """(sinch(a) sinch(b))^alpha at a, b = eta (1 +- v)/2, as (M, nodes): the
-    smooth part of the radial integrand left by the Jacobi weight."""
-    a = 0.5 * etas[:, None] * (1.0 + v[None, :])
-    b = 0.5 * etas[:, None] * (1.0 - v[None, :])
-    return (sinch(a) * sinch(b)) ** alpha
-
-
-def _lam_shape(lam, out: np.ndarray, eta_shape: tuple):
-    """Reshape (L, M) values to lam's shape followed by eta's shape."""
-    out = out.reshape(np.shape(lam) + eta_shape)
-    return float(out) if out.ndim == 0 else out
+    v, w = v[q // 2:], w[q // 2:]
+    a = 0.5 * ep[:, None] * (1.0 + v[None, :])
+    b = 0.5 * ep[:, None] * (1.0 - v[None, :])
+    rows = (v, _kn(d) * sinch(ep) ** (2 - d), (sinch(a) * sinch(b)) ** alpha * w)
+    for r in rows:
+        r.setflags(write=False)  # the cache hands the same arrays to every call
+    return rows
 
 
 def phi_many(lam, eta, n):
@@ -90,13 +92,10 @@ def phi_many(lam, eta, n):
     pos = np.nonzero(e > 0.0)[0]
     if pos.size and lams.size:
         ep = e[pos]
-        alpha = (d - 3) / 2.0
-        scale = _kn(d) * sinch(ep) ** (2 - d)
         orders = _gj_order(lams, float(np.max(ep)))
         for q in np.unique(orders):
             rows = np.nonzero(orders == q)[0]
-            v, w = _gj_half(int(q), alpha)
-            smooth_w = _jacobi_factor(ep, v, alpha) * w
+            v, scale, smooth_w = _radial_rows(ep.tobytes(), d, int(q))
             step = max(1, _COS_BLOCK // smooth_w.size)
             for i in range(0, rows.size, step):
                 r = rows[i:i + step]
@@ -104,7 +103,8 @@ def phi_many(lam, eta, n):
                 np.cos(c, out=c)
                 c *= smooth_w
                 out[r[:, None], pos] = scale * (2.0 * c.sum(axis=-1))
-    return _lam_shape(lam, out, etas.shape)
+    out = out.reshape(np.shape(lam) + etas.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 # -- Harish-Chandra c-function and Plancherel density -------------------------
@@ -152,48 +152,69 @@ def inversion_constant(n) -> float:
 
 # -- transforms ----------------------------------------------------------------
 
-def _measure_nodes(p: RadialProfile, level: int):
-    """Cached (nodes, pdf*weights) table of the radial measure at a dyadic
-    panel refinement level; shared by every transform of the profile."""
-    tables = p._cache.setdefault("measure_nodes", {})
+def _abel_inner(p: RadialProfile, s: np.ndarray, m: int, panels: int) -> np.ndarray:
+    """2 int_0^U g(eta) u^m du at each s, with u^2 = cosh(eta) - cosh(s) taken
+    as 2 sinh((eta+s)/2) sinh((eta-s)/2), free of cancellation, and eta
+    recovered as asinh of sqrt(sinh(s)^2 + u^2 (2 cosh(s) + u^2)).  The rule
+    is 32-node Gauss-Legendre in u on the images of `panels` equal panels of
+    [s, eta_max], so its nodes follow eta and not the far tail of u, in
+    blocks of at most _COS_BLOCK nodes."""
+    x, w = gauss_legendre(32)
+    frac = np.linspace(0.0, 1.0, panels + 1)
+    out = np.empty(s.size)
+    step = max(1, _COS_BLOCK // (32 * panels))
+    for i in range(0, s.size, step):
+        sb = s[i:i + step, None]
+        edges = sb + (p.eta_max - sb) * frac
+        ue = np.sqrt(2.0 * np.sinh(0.5 * (edges + sb)) * np.sinh(0.5 * (edges - sb)))
+        half = 0.5 * (ue[:, 1:] - ue[:, :-1])[:, :, None]
+        u = 0.5 * (ue[:, 1:] + ue[:, :-1])[:, :, None] + half * x
+        sb = sb[:, :, None]
+        eta = np.arcsinh(np.sqrt(np.sinh(sb) ** 2 + u * u * (2.0 * np.cosh(sb) + u * u)))
+        vals = p.g(eta) * u**m * (half * w)
+        out[i:i + step] = 2.0 * vals.reshape(len(vals), -1).sum(axis=1)
+    return out
+
+
+def _abel_table(p: RadialProfile, level: int):
+    """Cached (s, 2 w T(s)) on the 32-node Gauss-Legendre panels of a dyadic
+    level of [0, eta_max]: T is A for n = 2 and -A' for n >= 3, that is
+    c g(s) sinh(s) for n = 3 and c alpha sinh(s) times the Abel integral of
+    exponent alpha - 1 above, c = 2^alpha k_n Omega_{n-1}.  The inner rule
+    has 2^level panels, so the callers' level doubling certifies it too."""
+    tables = p._cache.setdefault("abel", {})
     entry = tables.get(level)
     if entry is None:
-        nodes, weights = panel_nodes(0.0, p.eta_max, 2**level, 32)
-        entry = (nodes, weights * pdf_eta(p, nodes))
-        tables[level] = entry
+        d = p.dim.n
+        alpha = (d - 3) / 2.0
+        c = 2.0**alpha * _kn(d) * sphere_area(d)
+        s, w = panel_nodes(0.0, p.eta_max, 2**level, 32)
+        if d == 2:
+            t = c * _abel_inner(p, s, 0, 2**level)
+        elif d == 3:
+            t = c * np.sinh(s) * p.g(s)
+        else:
+            t = c * alpha * np.sinh(s) * _abel_inner(p, s, d - 4, 2**level)
+        entry = tables[level] = (s, 2.0 * w * t)
     return entry
-
-
-def _phi_for_transform(lams: np.ndarray, etas: np.ndarray, d: int) -> np.ndarray:
-    # far-oscillatory fast path: for n=3 the spherical function is elementary
-    # and the generic Jacobi rule would cost O(lambda^2); the closed form
-    # agrees with it to machine precision and only serves lam*eta_max > 64,
-    # keeping the generic quadrature as the production route in the band
-    # where the closed form acts as an oracle.
-    far = np.zeros(lams.shape, dtype=bool)
-    if d == 3:
-        far = lams * float(np.max(etas, initial=0.0)) > 64.0
-    out = np.ones((lams.size, etas.size))
-    if np.any(far):
-        pos = etas > 0.0
-        lf = lams[far, None]
-        out[np.ix_(far, pos)] = np.sin(lf * etas[pos]) / (lf * np.sinh(etas[pos]))
-    if not np.all(far):
-        out[~far] = phi_many(lams[~far], etas, d)
-    return out
 
 
 def fh_transform(p: RadialProfile, lam):
     """Radial Helgason transform: integral of the spherical function against
     the radial measure of the profile, to ~1e-13 absolute.
 
+    For n = 2 it is the cosine sum of the Abel table; for n >= 3 it is taken
+    by parts, F = 2 int B(s) sin(lambda s)/lambda ds with B = -A', whose
+    rounding error falls like 1/lambda where the cosine sum's stays near
+    1e-16 and the Plancherel density's growth carries it into an inverse.
+
     Scalar or array lam.  Each lambda starts at its own panel level, stops
     when two consecutive levels agree and has a budget of 14 levels; only the
-    lambdas still open are evaluated at the next level.
+    lambdas still open are evaluated at the next level, one row of the Abel
+    table each, in blocks of at most _COS_BLOCK.
     """
     lams = np.abs(np.asarray(lam, dtype=float))
     flat = lams.reshape(-1)
-    d = p.dim.n
     start = np.array([int(l * p.eta_max / 34.0).bit_length() for l in flat], dtype=int)
     out = np.empty(flat.size)
     prev = np.full(flat.size, np.inf)
@@ -202,8 +223,13 @@ def fh_transform(p: RadialProfile, lam):
         sel = np.nonzero(pending & (start <= lv) & (lv < start + 14))[0]
         if sel.size == 0:
             continue
-        nodes, wpdf = _measure_nodes(p, lv)
-        cur = (_phi_for_transform(flat[sel], nodes, d) * wpdf).sum(axis=1)
+        s, wt = _abel_table(p, lv)
+        cur = np.empty(sel.size)
+        step = max(1, _COS_BLOCK // s.size)
+        for i in range(0, sel.size, step):
+            r = flat[sel[i:i + step], None]
+            k = s * np.sinc(r * s / np.pi) if p.dim.n > 2 else np.cos(r * s)
+            cur[i:i + step] = (k * wt).sum(axis=1)
         done = np.abs(cur - prev[sel]) <= np.maximum(_ABS_TARGET, 1e-13 * np.abs(cur))
         out[sel[done]] = cur[done]
         pending[sel[done]] = False
@@ -301,37 +327,19 @@ def fh_inverse_grid(F, etas, n, envelope=None, tail_tol=_TAIL_THRESHOLD):
 
 # -- variance and walk transforms ---------------------------------------------
 
-def _fhat0(p: RadialProfile) -> float:
-    val = p._cache.get("fhat0")
-    if val is None:
-        val = fh_transform(p, 0.0)
-        if not val > 0.0:
-            raise AssertionError("transform at 0 must be positive for a valid profile")
-        p._cache["fhat0"] = val
-    return val
-
-
-def variance_kernel(etas, n):
-    """Radial kernel whose integral against the law gives the raw second
-    spectral derivative at 0 (with opposite sign)."""
-    d = as_dim(n).n
-    etas = np.asarray(etas, dtype=float)
-    alpha = (d - 3) / 2.0
-    v, w = _gj_half(48, alpha)
-    j = 2.0 * ((_jacobi_factor(etas, v, alpha) * v[None, :] ** 2) @ w)
-    return _kn(d) * sinch(etas) ** (2 - d) * etas**2 * j
-
-
 def variance_direct(p: RadialProfile) -> float:
-    """Variance as the exact radial double integral (no finite differences)."""
-    d = p.dim.n
-
-    def integrand(etas):
-        return variance_kernel(etas, d) * pdf_eta(p, etas)
-
-    raw = integrate_adaptive(integrand, 0.0, p.eta_max, abs_tol=1e-15,
-                             rel_tol=1e-13, q=32)
-    return raw / _fhat0(p)
+    """Variance -F''(0)/F(0) as the exact ratio int s^2 A / int A (no finite
+    differences), for n >= 3 by parts as int s^3 B / (3 int s B), from the
+    Abel table; the levels double until two ratios agree to 1e-13 relative."""
+    k = 0 if p.dim.n == 2 else 1
+    prev = math.inf
+    for lv in range(14):
+        s, wt = _abel_table(p, lv)
+        cur = float(np.sum(wt * s ** (2 + k)) / ((1 + 2 * k) * np.sum(wt * s**k)))
+        if abs(cur - prev) <= 1e-13 * abs(cur):
+            return cur
+        prev = cur
+    raise QuadratureError("variance quadrature did not converge")
 
 
 def _scaled_for_walk(p: RadialProfile, N: int) -> RadialProfile:
@@ -351,16 +359,7 @@ def walk_transform(p: RadialProfile, N: int, lam):
     return fh_transform(_scaled_for_walk(p, int(N)), lam) ** int(N)
 
 
-def walk_density_grid(p: RadialProfile, N: int, etas, envelope=None,
-                      tail_tol=_TAIL_THRESHOLD) -> np.ndarray:
+def walk_density_grid(p: RadialProfile, N: int, etas) -> np.ndarray:
     """Exact density of the N-step walk in the geodesic radial coordinate,
-    by spectral inversion of the product transform.
-
-    For N = 1 the product decays only like the raw profile transform, whose
-    computed values bottom out at the quadrature noise floor; that case needs
-    an analytic envelope and/or a tail_tol matched to the accuracy target
-    (see fh_inverse_grid).
-    """
-    return fh_inverse_grid(lambda lam: walk_transform(p, N, lam), etas, p.dim.n,
-                           envelope=envelope, tail_tol=tail_tol)
-
+    by spectral inversion of the product transform."""
+    return fh_inverse_grid(lambda lam: walk_transform(p, N, lam), etas, p.dim.n)

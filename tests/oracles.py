@@ -1,4 +1,5 @@
 """Oracles that only the tests need: the hypergeometric series of the
+spherical function, the transform and variance by the Jacobi rule of the
 spherical function, the brute-force space-side convolution of two radial
 densities, spline-interpolated table profiles and the histogram density of
 terminal radii.
@@ -12,9 +13,12 @@ import math
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from hyperwalk import RadialProfile, sphere_area
+from hyperwalk import RadialProfile, phi_many, sphere_area
 from hyperwalk.geometry import as_dim
-from hyperwalk.quadrature import gauss_jacobi_sym, gauss_legendre, panel_nodes
+from hyperwalk.quadrature import (QuadratureError, gauss_jacobi_sym, gauss_legendre,
+                                  integrate_adaptive, panel_nodes)
+from hyperwalk.radial_density import pdf_eta, sinch
+from hyperwalk.spectral import _kn
 
 _SERIES_TOL = 1e-17  # the series stops at two terms below this, relative
 _SERIES_TERMS = 200  # and fails after this many
@@ -61,6 +65,57 @@ def phi_series(lam, eta, n):
     bad = runs < 2
     raise SeriesError(f"no convergence after {_SERIES_TERMS} terms "
                       f"(lam={np.max(lams[bad])}, max eta={np.max(etas[bad])})")
+
+
+def fh_transform_jacobi(p: RadialProfile, lam):
+    """Radial transform as the integral of phi_many against the radial
+    measure, on the 32-node Gauss-Legendre panels of [0, eta_max].
+
+    Each lambda starts at the panel level int(lambda eta_max / 34).bit_length()
+    and doubles the panels until two levels agree to 1e-13 (relative above 1),
+    within 14 levels.  The Jacobi rule of phi_many grows with lambda eta_max,
+    so this route costs O(lambda^2) per lambda where the Abel route of
+    fh_transform costs O(lambda).
+    """
+    lams = np.abs(np.asarray(lam, dtype=float))
+    flat = lams.reshape(-1)
+    start = np.array([int(l * p.eta_max / 34.0).bit_length() for l in flat], dtype=int)
+    out = np.empty(flat.size)
+    prev = np.full(flat.size, np.inf)
+    pending = np.ones(flat.size, dtype=bool)
+    for lv in range(int(start.max(initial=-14)) + 14):
+        sel = np.nonzero(pending & (start <= lv) & (lv < start + 14))[0]
+        if sel.size == 0:
+            continue
+        nodes, weights = panel_nodes(0.0, p.eta_max, 2**lv, 32)
+        cur = (phi_many(flat[sel], nodes, p.dim.n) * (weights * pdf_eta(p, nodes))).sum(axis=1)
+        done = np.abs(cur - prev[sel]) <= np.maximum(1e-13, 1e-13 * np.abs(cur))
+        out[sel[done]] = cur[done]
+        pending[sel[done]] = False
+        prev[sel] = cur
+    if np.any(pending):
+        raise QuadratureError(f"transform quadrature did not converge (lam={flat[pending][0]})")
+    return float(out[0]) if lams.ndim == 0 else out.reshape(lams.shape)
+
+
+def variance_jacobi(p: RadialProfile) -> float:
+    """Variance -F''(0)/F(0) as a radial integral of the second lambda
+    derivative of the spherical function at 0, by the positive half of a
+    48-node Jacobi rule, against the radial measure, over fh_transform_jacobi
+    at 0."""
+    d = p.dim.n
+    alpha = (d - 3) / 2.0
+    v, w = gauss_jacobi_sym(48, alpha)
+    v, w = v[24:], w[24:]
+
+    def integrand(etas):
+        a = 0.5 * etas[:, None] * (1.0 + v[None, :])
+        b = 0.5 * etas[:, None] * (1.0 - v[None, :])
+        j = 2.0 * (((sinch(a) * sinch(b)) ** alpha * v[None, :] ** 2) @ w)
+        return _kn(d) * sinch(etas) ** (2 - d) * etas**2 * j * pdf_eta(p, etas)
+
+    raw = integrate_adaptive(integrand, 0.0, p.eta_max, abs_tol=1e-15, rel_tol=1e-13, q=32)
+    return raw / fh_transform_jacobi(p, 0.0)
 
 
 def spline_profile(etas, values, dim) -> RadialProfile:

@@ -12,7 +12,8 @@ from hyperwalk.quadrature import integrate_adaptive
 from hyperwalk.spectral import TruncationError
 
 from conftest import bump_transform_envelope
-from oracles import SeriesError, convolution_profile, convolve_direct, phi_series
+from oracles import (SeriesError, convolution_profile, convolve_direct, fh_transform_jacobi,
+                     phi_series, variance_jacobi)
 
 
 def closed3(lam, eta):
@@ -176,6 +177,32 @@ def test_transform_closed_form_oracle_n3(bump3):
                                       * math.sinh(e) ** 2 * closed3(lam, e)),
                       0.0, 1.0, epsabs=1e-14, epsrel=1e-13)[0]
         assert fh_transform(bump3, lam) == pytest.approx(oracle, abs=1e-10)
+    # lambda eta_max > 64: quad takes the oscillation as its sine weight
+    for lam in (80.0, 150.0):
+        oracle = quad(lambda e: float(4 * math.pi / lam * bump3.g(np.array([e]))[0]
+                                      * math.sinh(e)),
+                      0.0, 1.0, weight="sin", wvar=lam, epsabs=1e-14, epsrel=1e-13)[0]
+        assert fh_transform(bump3, lam) == pytest.approx(oracle, abs=1e-10)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 9, 12])
+@pytest.mark.parametrize("eps", [1.0, 1.0 / 16.0])
+def test_transform_matches_jacobi_oracle(n, eps):
+    """The Abel-table transform against phi_many integrated over the radial
+    measure, for the unit bump and the bump scaled by 1/16, up to
+    lambda eta_max = 300 (unit) and 150 (scaled): start levels 0-4."""
+    prof = scale_profile(make_bump(1.0, n), eps)
+    lams = np.concatenate([np.linspace(0.0, 40.0, 81), [80.0, 150.0, 300.0]])
+    lams *= 1.0 if eps == 1.0 else 8.0
+    err = np.abs(fh_transform(prof, lams) - fh_transform_jacobi(prof, lams))
+    assert float(np.max(err)) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("eps", [1.0, 0.25])
+def test_variance_matches_jacobi_oracle(n, eps):
+    prof = scale_profile(make_bump(1.0, n), eps)
+    assert variance_direct(prof) == pytest.approx(variance_jacobi(prof), rel=1e-12, abs=0.0)
 
 
 def test_round_trip_identity_n3(bump3):
@@ -221,14 +248,15 @@ def test_lambda_arrays_match_scalar_calls(n, monkeypatch):
     _same(phi_series(lams[:4, None], etas[:20], n),
           [phi_series(lam, etas[:20], n) for lam in lams[:4]])
     _same(plancherel_density(lams, n), [plancherel_density(lam, n) for lam in lams])
-    # transform lambdas spanning start levels 0-3, including the n = 3
-    # closed-form path (lam * eta_max > 64), in a 2-d array with signs
+    # transform lambdas spanning start levels 0-3, in a 2-d array with signs
     prof = make_bump(1.0, n)
     grid = np.concatenate([-lams[:3], lams[3:]]).reshape(3, 9)
-    _same(fh_transform(prof, grid), [[fh_transform(prof, lam) for lam in row] for row in grid])
-    # cosine blocks of one lambda at a time
+    transform = fh_transform(prof, grid)
+    _same(transform, [[fh_transform(prof, lam) for lam in row] for row in grid])
+    # blocks of one lambda (and one radius of the Abel table) at a time
     monkeypatch.setattr(spectral, "_COS_BLOCK", 1)
     _same(phi_many(lams, etas, n), stacked)
+    _same(fh_transform(make_bump(1.0, n), grid), transform)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -323,8 +351,8 @@ def test_walk_characteristic_converges_to_gaussian(bump3):
 
 def test_walk_density_reproduces_profile_at_n1(bump3):
     grid = np.linspace(0.05, 0.95, 8)
-    vals = walk_density_grid(bump3, 1, grid,
-                             envelope=bump_transform_envelope(bump3), tail_tol=1e-9)
+    vals = fh_inverse_grid(lambda lam: walk_transform(bump3, 1, lam), grid, 3,
+                           envelope=bump_transform_envelope(bump3), tail_tol=1e-9)
     assert float(np.max(np.abs(vals - bump3.g(grid)))) < 1e-8
 
 
