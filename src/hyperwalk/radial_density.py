@@ -160,13 +160,17 @@ def _invert_cdf(table, u):
 
 
 class RadialProfile:
-    """A normalized radial density with compact support [0, eta_max]."""
+    """A normalized radial density with compact support [0, eta_max]; the
+    shape is smooth between its `knots` in (0, eta_max], where the transforms
+    put panel edges (eta_max is one if the density does not vanish smoothly
+    there)."""
 
-    def __init__(self, shape, eta_max, dim, family="custom", params=None):
+    def __init__(self, shape, eta_max, dim, family="custom", params=None, knots=()):
         if not 0.0 < eta_max < math.inf:
             raise ValueError(f"eta_max must be positive and finite, got {eta_max!r}")
         self.dim = as_dim(dim)
         self.eta_max = float(eta_max)
+        self.knots = tuple(sorted({float(k) for k in knots if 0.0 < k <= self.eta_max}))
         self.family = family
         self.params = dict(params or {})
         self._shape = shape
@@ -273,7 +277,7 @@ def make_table(etas, values, dim) -> RadialProfile:
         return np.maximum(np.nan_to_num(out, nan=0.0), 0.0)
 
     return RadialProfile(shape, eta_max, dim, family="table",
-                         params={"points": int(etas.size)})
+                         params={"points": int(etas.size)}, knots=etas[1:])
 
 
 def profile_from_config(cfg: dict) -> RadialProfile:
@@ -361,7 +365,8 @@ def scale_profile(p: RadialProfile, eps: float) -> RadialProfile:
 
     # the substitution eta -> eps*eta preserves the mass, so the computed
     # normaliser is 1 up to the quadrature's error
-    return RadialProfile(shape, eps * p.eta_max, p.dim, family=p.family, params=p.params)
+    return RadialProfile(shape, eps * p.eta_max, p.dim, family=p.family, params=p.params,
+                         knots=[eps * k for k in p.knots])
 
 
 def second_moment(p: RadialProfile) -> float:

@@ -7,6 +7,8 @@ F(lambda) = 2 int cos(lambda s) A(s) ds with A(s) = 2^alpha k_n Omega_{n-1}
 int_s g(eta) sinh(eta) (cosh(eta) - cosh(s))^alpha d eta, alpha = (n-3)/2.
 A table of A (n = 2) or -A' (n >= 3) per profile and quadrature level makes
 each lambda one row of cosines or sines, and the variance a moment ratio.
+The table's panels end at the profile's knots, and its inner integral has
+its own level doubling, so a table of S nodes costs O(S).
 
 The spherical function, which the inverse transform needs, is computed by an
 endpoint-regularized Gauss-Jacobi form of its radial integral: the
@@ -25,14 +27,12 @@ may return a scalar, which is broadcast).
 """
 
 import math
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import loggamma
 
 from .geometry import as_dim, sphere_area
-from .quadrature import (QuadratureError, gauss_jacobi_sym, gauss_legendre,
-                         gk_adaptive_vector, panel_nodes)
+from .quadrature import QuadratureError, gauss_jacobi_sym, gauss_legendre, gk_adaptive_vector
 from .radial_density import RadialProfile, scale_profile, sinch
 
 _ABS_TARGET = 1e-13
@@ -43,6 +43,9 @@ _LAMBDA_CAP = 1e4
 _COS_BLOCK = 1 << 18
 # truncation scan points whose envelope is evaluated in one call
 _SCAN_BLOCK = 16
+# Jacobi factors of phi_many kept between calls, with their total bytes cap
+_ROWS = {}
+_ROWS_BYTES = 1 << 24
 
 
 class TruncationError(RuntimeError):
@@ -58,22 +61,26 @@ def _gj_order(lam, eta_max: float):
     return np.minimum(-(-q // 8) * 8, 4096)
 
 
-@lru_cache(maxsize=32)
-def _radial_rows(radii: bytes, d: int, q: int):
+def _radial_rows(ep: np.ndarray, d: int, q: int):
     """Positive half of the even Jacobi rule of order q (the integrand is even
     in v), the scale k_n sinch^{2-n} and the weights times (sinch(a)
-    sinch(b))^alpha, a, b = eta (1 +- v)/2, at the float64 radii in bytes:
-    fixed for all the Kronrod panels of one inversion, so made once."""
-    ep = np.frombuffer(radii)
-    alpha = (d - 3) / 2.0
-    v, w = gauss_jacobi_sym(q, alpha)
-    v, w = v[q // 2:], w[q // 2:]
-    a = 0.5 * ep[:, None] * (1.0 + v[None, :])
-    b = 0.5 * ep[:, None] * (1.0 - v[None, :])
-    rows = (v, _kn(d) * sinch(ep) ** (2 - d), (sinch(a) * sinch(b)) ** alpha * w)
-    for r in rows:
-        r.setflags(write=False)  # the cache hands the same arrays to every call
-    return rows
+    sinch(b))^alpha, a, b = eta (1 +- v)/2, at the radii ep: fixed for all
+    the Kronrod panels of one inversion, so kept in _ROWS, which is emptied
+    before the weights it holds would pass _ROWS_BYTES."""
+    key = (ep.tobytes(), d, q)
+    if key not in _ROWS:
+        alpha = (d - 3) / 2.0
+        v, w = gauss_jacobi_sym(q, alpha)
+        v, w = v[q // 2:], w[q // 2:]
+        a = 0.5 * ep[:, None] * (1.0 + v[None, :])
+        b = 0.5 * ep[:, None] * (1.0 - v[None, :])
+        rows = (v, _kn(d) * sinch(ep) ** (2 - d), (sinch(a) * sinch(b)) ** alpha * w)
+        for r in rows:
+            r.setflags(write=False)  # the cache hands the same arrays to every call
+        if sum(r[2].nbytes for r in _ROWS.values()) + rows[2].nbytes > _ROWS_BYTES:
+            _ROWS.clear()
+        _ROWS[key] = rows
+    return _ROWS[key]
 
 
 def phi_many(lam, eta, n):
@@ -95,7 +102,7 @@ def phi_many(lam, eta, n):
         orders = _gj_order(lams, float(np.max(ep)))
         for q in np.unique(orders):
             rows = np.nonzero(orders == q)[0]
-            v, scale, smooth_w = _radial_rows(ep.tobytes(), d, int(q))
+            v, scale, smooth_w = _radial_rows(ep, d, int(q))
             step = max(1, _COS_BLOCK // smooth_w.size)
             for i in range(0, rows.size, step):
                 r = rows[i:i + step]
@@ -152,49 +159,90 @@ def inversion_constant(n) -> float:
 
 # -- transforms ----------------------------------------------------------------
 
-def _abel_inner(p: RadialProfile, s: np.ndarray, m: int, panels: int) -> np.ndarray:
-    """2 int_0^U g(eta) u^m du at each s, with u^2 = cosh(eta) - cosh(s) taken
-    as 2 sinh((eta+s)/2) sinh((eta-s)/2), free of cancellation, and eta
-    recovered as asinh of sqrt(sinh(s)^2 + u^2 (2 cosh(s) + u^2)).  The rule
-    is 32-node Gauss-Legendre in u on the images of `panels` equal panels of
-    [s, eta_max], so its nodes follow eta and not the far tail of u, in
-    blocks of at most _COS_BLOCK nodes."""
+def _edges(p: RadialProfile, level: int):
+    """Panel edges of a dyadic level, each interval between 0, the profile's
+    knots and eta_max cut into 2^level equal panels, and a flag per panel,
+    set on the first panel and on the last panel below each knot, where the
+    Abel table may be rough."""
+    ends = np.unique([0.0, *p.knots, p.eta_max])
+    cuts = ends[:-1, None] + np.diff(ends)[:, None] * (np.arange(2**level) / 2**level)
+    kinked = np.zeros(cuts.shape, dtype=bool)
+    kinked[:, -1] = np.isin(ends[1:], p.knots)
+    kinked[0, 0] = True
+    return np.append(cuts.ravel(), p.eta_max), kinked.ravel()
+
+
+def _abel_inner(p: RadialProfile, s: np.ndarray, m: int, level: int) -> np.ndarray:
+    """2 int_0^U g(eta) u^m du at each s, u^2 = cosh(eta) - cosh(s), in the
+    variable tau of u = sqrt(2) a sinh(tau), a = sinh(s/2), so that
+    sinh(eta/2) = a cosh(tau): the branch point of eta(u) at u = i sqrt(2) a,
+    which nears the path as s -> 0, moves to tau = i pi/2.  The rule is
+    32-node Gauss-Legendre in tau on the images of the panels of _edges(p,
+    level) cut at s (the panels below s have zero width), in blocks of at
+    most _COS_BLOCK nodes.  An edge e maps to asinh(sqrt(sinh((e+s)/2)
+    sinh((e-s)/2)) / a), free of cancellation."""
     x, w = gauss_legendre(32)
-    frac = np.linspace(0.0, 1.0, panels + 1)
+    grid = _edges(p, level)[0]
     out = np.empty(s.size)
-    step = max(1, _COS_BLOCK // (32 * panels))
+    step = max(1, _COS_BLOCK // (32 * (grid.size - 1)))
     for i in range(0, s.size, step):
         sb = s[i:i + step, None]
-        edges = sb + (p.eta_max - sb) * frac
-        ue = np.sqrt(2.0 * np.sinh(0.5 * (edges + sb)) * np.sinh(0.5 * (edges - sb)))
-        half = 0.5 * (ue[:, 1:] - ue[:, :-1])[:, :, None]
-        u = 0.5 * (ue[:, 1:] + ue[:, :-1])[:, :, None] + half * x
-        sb = sb[:, :, None]
-        eta = np.arcsinh(np.sqrt(np.sinh(sb) ** 2 + u * u * (2.0 * np.cosh(sb) + u * u)))
-        vals = p.g(eta) * u**m * (half * w)
+        a = np.sinh(0.5 * sb)
+        edges = np.maximum(grid, sb)
+        te = np.arcsinh(np.sqrt(np.sinh(0.5 * (edges + sb)) * np.sinh(0.5 * (edges - sb))) / a)
+        half = 0.5 * (te[:, 1:] - te[:, :-1])[:, :, None]
+        tau = 0.5 * (te[:, 1:] + te[:, :-1])[:, :, None] + half * x
+        ra = math.sqrt(2.0) * a[:, :, None]
+        vals = (p.g(2.0 * np.arcsinh(a[:, :, None] * np.cosh(tau)))
+                * (ra * np.sinh(tau)) ** m * ra * np.cosh(tau) * (half * w))
         out[i:i + step] = 2.0 * vals.reshape(len(vals), -1).sum(axis=1)
     return out
 
 
 def _abel_table(p: RadialProfile, level: int):
-    """Cached (s, 2 w T(s)) on the 32-node Gauss-Legendre panels of a dyadic
-    level of [0, eta_max]: T is A for n = 2 and -A' for n >= 3, that is
-    c g(s) sinh(s) for n = 3 and c alpha sinh(s) times the Abel integral of
-    exponent alpha - 1 above, c = 2^alpha k_n Omega_{n-1}.  The inner rule
-    has 2^level panels, so the callers' level doubling certifies it too."""
+    """Cached (s, 2 w T(s)) on the 32-node Gauss-Legendre panels of _edges(p,
+    level): T is A for n = 2 and -A' for n >= 3, that is c g(s) sinh(s) for
+    n = 3 and c alpha sinh(s) times the Abel integral of exponent alpha - 1
+    above, c = 2^alpha k_n Omega_{n-1}.  For even n, T has half-integer
+    powers of the distance to a knot below it, and terms like s^2 log(s)
+    at 0 unless g is even; on the kinked panels of _edges the map
+    t -> (3t - t^3)/2 of the panel onto itself tames them (the powers become
+    integer ones).  Elsewhere, as near the flat end of a bump, the map would
+    only cost accuracy.
+
+    The inner rule's level doubles from 0, whatever the outer level, until
+    the sum of 2 w |change of T| |kernel| falls to _ABS_TARGET (|kernel| <= 1
+    for the cosines of n = 2 and <= s for the sines of n >= 3), which bounds
+    the change of every transform value, and the finer table is kept.  So a
+    table of S nodes costs O(S) inner nodes.
+    """
     tables = p._cache.setdefault("abel", {})
     entry = tables.get(level)
     if entry is None:
         d = p.dim.n
         alpha = (d - 3) / 2.0
         c = 2.0**alpha * _kn(d) * sphere_area(d)
-        s, w = panel_nodes(0.0, p.eta_max, 2**level, 32)
-        if d == 2:
-            t = c * _abel_inner(p, s, 0, 2**level)
-        elif d == 3:
+        x, w = gauss_legendre(32)
+        e, kinked = _edges(p, level)
+        x, w = np.tile(x, (kinked.size, 1)), np.tile(w, (kinked.size, 1))
+        if d % 2 == 0:
+            xk = x[kinked]
+            x[kinked], w[kinked] = 0.5 * xk * (3.0 - xk * xk), 1.5 * w[kinked] * (1.0 - xk * xk)
+        mid, half = 0.5 * (e[:-1] + e[1:])[:, None], 0.5 * np.diff(e)[:, None]
+        s, w = (mid + half * x).ravel(), (half * w).ravel()
+        if d == 3:
             t = c * np.sinh(s) * p.g(s)
         else:
-            t = c * alpha * np.sinh(s) * _abel_inner(p, s, d - 4, 2**level)
+            m, scale = (0, c) if d == 2 else (d - 4, c * alpha * np.sinh(s))
+            bound = 2.0 * w * (1.0 if d == 2 else s)
+            prev = scale * _abel_inner(p, s, m, 0)
+            for inner in range(1, 14):
+                t = scale * _abel_inner(p, s, m, inner)
+                if np.sum(bound * np.abs(t - prev)) <= _ABS_TARGET:
+                    break
+                prev = t
+            else:
+                raise QuadratureError("Abel transform quadrature did not converge")
         entry = tables[level] = (s, 2.0 * w * t)
     return entry
 

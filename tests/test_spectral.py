@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from hyperwalk import (fh_inverse_grid, fh_transform, inversion_constant, make_bump,
-                       phi_many, plancherel_density, scale_profile, second_moment,
+                       make_table, phi_many, plancherel_density, scale_profile, second_moment,
                        spectral, variance_direct, walk_density_grid, walk_transform)
 from hyperwalk.geometry import as_dim
 from hyperwalk.quadrature import integrate_adaptive
@@ -203,6 +203,40 @@ def test_transform_matches_jacobi_oracle(n, eps):
 def test_variance_matches_jacobi_oracle(n, eps):
     prof = scale_profile(make_bump(1.0, n), eps)
     assert variance_direct(prof) == pytest.approx(variance_jacobi(prof), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_kinked_table_matches_jacobi_oracle(n):
+    """A pchip table with knots at multiples of 1/4, whose kinks the
+    oracle's dyadic panels also meet at their edges, and whose value jumps to
+    0 at eta_max: the Abel table's half-integer powers there (even n) and its
+    knot-aligned panels converge like those of the bump."""
+    prof = make_table([0.0, 0.25, 0.5, 0.75, 1.0], [1.0, 0.9, 0.6, 0.2, 0.05], n)
+    lams = np.concatenate([np.linspace(0.0, 40.0, 41), [80.0, 150.0]])
+    err = np.abs(fh_transform(prof, lams) - fh_transform_jacobi(prof, lams))
+    assert float(np.max(err)) <= 1e-13
+    assert variance_direct(prof) == pytest.approx(variance_jacobi(prof), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [2, 4, 5])
+def test_kinked_table_needs_two_levels(n, monkeypatch):
+    """Knots at tenths, which no dyadic panel edge meets: the transform at
+    lambda <= 20 and the variance stop at panel level 1, and the inner rule of
+    each Abel table at its level 1, so the tables cost O(S) for S nodes."""
+    etas = np.linspace(0.0, 1.0, 11)
+    prof = make_table(etas, np.cos(1.5 * etas) ** 2 * (1.0 - etas), n)
+    inner = []
+    abel_inner = spectral._abel_inner
+
+    def counted(p, s, m, level):
+        inner.append(level)
+        return abel_inner(p, s, m, level)
+
+    monkeypatch.setattr(spectral, "_abel_inner", counted)
+    fh_transform(prof, np.array([0.0, 1.0, 5.0, 20.0]))
+    variance_direct(prof)
+    assert sorted(prof._cache["abel"]) == [0, 1]
+    assert inner == [0, 1, 0, 1]
 
 
 def test_round_trip_identity_n3(bump3):
