@@ -8,10 +8,12 @@ echoing the resolved configuration so reruns are byte-identical.
 import argparse
 import contextlib
 import json
+import locale  # noqa: F401  argparse's messages load it at the first parser
 import math
 import sys
 
 import numpy as np
+import numpy.rec  # noqa: F401  numpy loads it lazily, at the first np.rec
 
 from . import __version__
 from .diagnostics import (_llt_eta_grid, clt_check, gyro_property_suite, lln_check,

@@ -1,6 +1,7 @@
 """Deterministic quadrature machinery shared by the analysis modules.
 
-All rules are fixed-node Gauss families with doubling-based error control, so
+All rules are fixed-node rules (Gauss families, and a midpoint rule for the
+Jacobi weights of even dimension) with doubling-based error control, so
 results are bit-reproducible for a given input; nothing here depends on
 runtime state.
 """
@@ -9,7 +10,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi
+from numpy.polynomial.legendre import leggauss
 
 # budgets of integrate_adaptive and gk_adaptive_vector
 _MAX_DOUBLINGS = 14
@@ -22,18 +23,56 @@ class QuadratureError(RuntimeError):
 
 @lru_cache(maxsize=512)
 def gauss_legendre(q: int):
-    x, w = np.polynomial.legendre.leggauss(q)
+    x, w = leggauss(q)
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
 
 
+def _legendre_newton(q: int):
+    """Gauss-Legendre rule of order q in O(q^2) operations: Newton steps on
+    the three-term recurrence of P_q from Tricomi's estimate of its zeros.
+    numpy's leggauss takes the eigenvalues of the companion matrix, O(q^3)."""
+    x = np.cos(np.pi * (np.arange(q, 0, -1) - 0.25) / (q + 0.5))
+    x *= 1.0 - (q - 1) / (8.0 * q**3)
+    dx = np.inf
+    for _ in range(12):
+        p0, p1 = np.ones(q), x
+        for j in range(2, q + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        dp = q * (p0 - x * p1) / ((1.0 - x) * (1.0 + x))  # P_q'(x)
+        # after a step below 1e-14 x is at rounding, and the weights take dp
+        # at x itself: near +-1 a step dx moves dp by about q^2 dx relative
+        if np.max(np.abs(dx)) < 1e-14:
+            break
+        dx = p1 / dp
+        x = x - dx
+    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
+    return 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
+
+
 @lru_cache(maxsize=512)
 def gauss_jacobi_sym(q: int, alpha: float):
-    """Nodes/weights for the symmetric weight (1-v)^alpha (1+v)^alpha on [-1, 1]."""
-    x, w = roots_jacobi(q, alpha, alpha)
-    x = np.asarray(x, dtype=float)
-    w = np.asarray(w, dtype=float)
+    """A q-node rule for the symmetric weight (1-v)^alpha (1+v)^alpha on
+    [-1, 1], alpha a whole or half integer >= -1/2 (alpha = (n-3)/2 in
+    dimension n); nodes ascending.
+
+    Whole alpha: Gauss-Legendre with the weight, a polynomial, as a factor
+    of the weights, exact to degree 2q - 1 - 2 alpha.  Half-integer alpha:
+    the midpoint rule in theta, v = cos(theta), where the weight is
+    sin(theta)^(2 alpha + 1): exact for trigonometric polynomials in theta
+    of degree below 2q, so as accurate as Gauss for integrands analytic in v
+    (it is Gauss-Chebyshev for alpha = -1/2).
+    """
+    if alpha < -0.5 or 2 * alpha != int(2 * alpha):
+        raise ValueError(f"alpha must be a whole or half integer >= -1/2, got {alpha!r}")
+    if alpha == int(alpha):
+        x, w = _legendre_newton(q)
+        w = w * ((1.0 - x) * (1.0 + x)) ** int(alpha)
+    else:
+        theta = np.pi * (np.arange(q, 0, -1) - 0.5) / q
+        x, w = np.cos(theta), np.sin(theta) ** int(2 * alpha + 1) * (np.pi / q)
+        x, w = 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w

@@ -14,7 +14,6 @@ import math
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
 from .geometry import as_dim, sphere_area
 from .quadrature import cumulative_gl, integrate_adaptive
@@ -32,13 +31,61 @@ def sinch(x):
     return out
 
 
+class CubicHermite:
+    """Piecewise cubic through the values y with the slopes d at the
+    increasing nodes x.  c[k, i] is the coefficient of (t - x[i])^(3 - k) in
+    cell i.  The coefficients are the standard Hermite formulas and a call
+    sums the powers of t - x[i] (not Horner), each in a fixed operation
+    order that the tests hold bitwise to a reference spline library.  A
+    point outside [x[0], x[-1]] takes its end cell's cubic."""
+
+    def __init__(self, x, y, d):
+        dx = np.diff(x)
+        slope = np.diff(y) / dx
+        t = (d[:-1] + d[1:] - 2 * slope) / dx
+        self.x = x
+        self.c = np.array([t / dx, (slope - d[:-1]) / dx - t, d[:-1], y[:-1]])
+
+    def __call__(self, pts):
+        pts = np.asarray(pts, dtype=float)
+        i = np.clip(np.searchsorted(self.x, pts, side="right") - 1, 0, self.x.size - 2)
+        s = pts - self.x[i]
+        c0, c1, c2, c3 = self.c[:, i]
+        return c3 + c2 * s + c1 * (s * s) + c0 * (s * s * s)
+
+
+def _pchip_end(h0, h1, m0, m1):
+    """pchip's one-sided three-point slope at an end node, with its two
+    shape fixes."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def pchip_slopes(x, y):
+    """Slopes of the monotone pchip interpolant (Fritsch-Carlson): at an
+    inner node, 0 where the adjacent secants differ in sign or one is 0,
+    else their weighted harmonic mean; at the ends, _pchip_end."""
+    h = np.diff(x)
+    m = np.diff(y) / h
+    w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # where flat is set
+        inner = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+    return np.concatenate([[_pchip_end(h[0], h[1], m[0], m[1])], inner,
+                           [_pchip_end(h[-1], h[-2], m[-1], m[-2])]])
+
+
 def _cdf_table(measure, upper):
     """Cubic Hermite table of the CDF of a density on [0, upper].
 
     The table has the exact density as its slopes on a uniform grid, and is
     doubled until the previous level's interpolant matches the new node
     values to _CDF_TOL: the criterion bounds the interpolant between nodes,
-    not only the nodes themselves.  Returns a CdfTable; its PPoly's c[3] row
+    not only the nodes themselves.  Returns a CdfTable; its cubic's c[3] row
     holds the left node values that the guide of _invert_cdf indexes.
     """
     npts = 257
@@ -56,7 +103,7 @@ def _cdf_table(measure, upper):
         secant = np.diff(vals) / np.diff(grid)
         slopes[:-1] = np.minimum(slopes[:-1], 3.0 * secant)
         slopes[1:] = np.minimum(slopes[1:], 3.0 * secant)
-        interp = CubicHermiteSpline(grid, vals, slopes, extrapolate=False)
+        interp = CubicHermite(grid, vals, slopes)
         if prev is not None and float(np.max(np.abs(prev(grid) - vals))) < _CDF_TOL:
             break
         prev = interp
@@ -65,8 +112,8 @@ def _cdf_table(measure, upper):
 
 
 class CdfTable:
-    """A cubic CDF table: the PPoly `interp`, its total mass `total`, and the
-    two arrays _invert_cdf reads, built at the first draw.
+    """A cubic CDF table: the CubicHermite `interp`, its total mass `total`,
+    and the two arrays _invert_cdf reads, built at the first draw.
 
     `cells` packs, per cell, the rows left node, width, lo, hi (the CDF at
     the two nodes), c0, c1, c2 (the cubic's coefficients) as one contiguous
@@ -268,13 +315,11 @@ def make_table(etas, values, dim) -> RadialProfile:
         raise ValueError("etas must start at 0 and increase strictly")
     if np.any(values < 0.0) or not np.all(np.isfinite(values)):
         raise ValueError("table values must be finite and nonnegative")
-    interp = PchipInterpolator(etas, values, extrapolate=False)
+    interp = CubicHermite(etas, values, pchip_slopes(etas, values))
     eta_max = float(etas[-1])
 
     def shape(e):
-        e = np.asarray(e, dtype=float)
-        out = interp(np.clip(e, 0.0, eta_max))
-        return np.maximum(np.nan_to_num(out, nan=0.0), 0.0)
+        return np.maximum(interp(np.clip(e, 0.0, eta_max)), 0.0)
 
     return RadialProfile(shape, eta_max, dim, family="table",
                          params={"points": int(etas.size)}, knots=etas[1:])

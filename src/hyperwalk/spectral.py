@@ -11,12 +11,15 @@ The table's panels end at the profile's knots, and its inner integral has
 its own level doubling, so a table of S nodes costs O(S).
 
 The spherical function, which the inverse transform needs, is computed by an
-endpoint-regularized Gauss-Jacobi form of its radial integral: the
+endpoint-regularized Jacobi-rule form of its radial integral: the
 substitution s = eta*v and the product formula cosh(eta) - cosh(eta*v) =
 2 sinh(eta(1+v)/2) sinh(eta(1-v)/2) turn the endpoint singularity into the
-Jacobi weight (1-v^2)^{(n-3)/2}.  The inverse transform is an adaptive
-Gauss-Kronrod integral against the Plancherel density |c(lambda)|^{-2} of the
-Harish-Chandra c-function.
+weight (1-v^2)^{(n-3)/2}, which quadrature.gauss_jacobi_sym integrates in
+closed form: Gauss-Legendre with the weight as a factor for odd n, where it
+is a polynomial, and the midpoint rule in v = cos(theta) for even n.  The
+inverse transform is an adaptive Gauss-Kronrod integral against the
+Plancherel density |c(lambda)|^{-2} of the Harish-Chandra c-function, an
+elementary function of lambda in every dimension.
 
 Array contract: `phi_many`, `fh_transform` and `plancherel_density` take a
 scalar or an array of lambda and evaluate every lambda in one call; each
@@ -29,7 +32,6 @@ may return a scalar, which is broadcast).
 import math
 
 import numpy as np
-from scipy.special import loggamma
 
 from .geometry import as_dim, sphere_area
 from .quadrature import QuadratureError, gauss_jacobi_sym, gauss_legendre, gk_adaptive_vector
@@ -84,7 +86,7 @@ def _radial_rows(ep: np.ndarray, d: int, q: int):
 
 
 def phi_many(lam, eta, n):
-    """Spherical function by Gauss-Jacobi quadrature of its radial integral.
+    """Spherical function by the Jacobi rule of its radial integral.
 
     Accepts scalar or array lam and eta; the result has lam's shape followed
     by eta's.  Each lambda takes the node count _gj_order(lambda, max eta),
@@ -100,7 +102,7 @@ def phi_many(lam, eta, n):
     if pos.size and lams.size:
         ep = e[pos]
         orders = _gj_order(lams, float(np.max(ep)))
-        for q in np.unique(orders):
+        for q in sorted(set(orders.tolist())):
             rows = np.nonzero(orders == q)[0]
             v, scale, smooth_w = _radial_rows(ep, d, int(q))
             step = max(1, _COS_BLOCK // smooth_w.size)
@@ -122,26 +124,33 @@ def plancherel_density(lam, n):
         c(lambda) = 2^{3-n-2i lam} Gamma(n/2) Gamma(2i lam)
                     / (Gamma((n-1+2i lam)/2) Gamma((1+2i lam)/2)),
 
-    assembled in log space.  The doubled spectral argument inside the Gamma
-    factors is pinned by the eigenvalue normalization of the spherical
-    functions: it reproduces the classical densities lambda*tanh(pi lambda)
-    (n=2), 16 lambda^2 (n=3) and lambda^2(lambda^2+1) up to constants (n=5),
-    and makes the inverse transform exactly undo the forward one.  Vanishes
-    like lambda^2 at the origin (the Gamma pole) and grows like
-    lambda^{n-1} at infinity.  Scalar or array lam.
+    in closed form: with |Gamma(i y)|^2 = pi/(y sinh(pi y)), |Gamma(1/2 + i
+    y)|^2 = pi/cosh(pi y) and the recurrence of Gamma, it is
+
+        odd n:  16 lam^2 prod_{j=1}^{(n-3)/2} 16 (j^2 + lam^2) / (j + 1/2)^2,
+        even n: pi lam tanh(pi lam) prod_{i=0}^{(n-4)/2} 16 ((i+1/2)^2 + lam^2) / (i+1)^2,
+
+    each factor holding its share of 2^{2(n-3)} 4 pi / Gamma(n/2)^2, so that
+    no partial product overflows before the density does.  The doubled
+    spectral argument inside the Gamma factors is pinned by the eigenvalue
+    normalization of the spherical functions: it reproduces the classical
+    densities lambda*tanh(pi lambda) (n=2), 16 lambda^2 (n=3) and
+    lambda^2(lambda^2+1) up to constants (n=5), and makes the inverse
+    transform exactly undo the forward one.  Vanishes like lambda^2 at the
+    origin (the Gamma pole) and grows like lambda^{n-1} at infinity.  Scalar
+    or array lam.
     """
     d = as_dim(n).n
     lam = np.abs(np.asarray(lam, dtype=float))
-    nonzero = lam > 0.0
-    s = np.where(nonzero, 2.0 * lam, 1.0)  # lambda = 0 is the pole, set below
-    log_abs_c2 = 2.0 * (
-        (3.0 - d) * math.log(2.0)
-        + math.lgamma(d / 2.0)
-        + loggamma(1j * s).real
-        - loggamma((d - 1) / 2.0 + 0.5j * s).real
-        - loggamma(0.5 + 0.5j * s).real
-    )
-    out = np.where(nonzero, np.exp(-log_abs_c2), 0.0)
+    lam2 = lam * lam
+    if d % 2:
+        out = 16.0 * lam2
+        factors = [(j * j, (j + 0.5) ** 2) for j in range(1, (d - 1) // 2)]
+    else:
+        out = math.pi * lam * np.tanh(math.pi * lam)
+        factors = [((i + 0.5) ** 2, (i + 1) ** 2) for i in range(d // 2 - 1)]
+    for shift, div in factors:
+        out = out * ((shift + lam2) * (16.0 / div))
     return float(out) if out.ndim == 0 else out
 
 
@@ -164,10 +173,13 @@ def _edges(p: RadialProfile, level: int):
     knots and eta_max cut into 2^level equal panels, and a flag per panel,
     set on the first panel and on the last panel below each knot, where the
     Abel table may be rough."""
-    ends = np.unique([0.0, *p.knots, p.eta_max])
+    ends = [0.0, *p.knots]  # the knots are sorted, distinct and in (0, eta_max]
+    if ends[-1] < p.eta_max:
+        ends.append(p.eta_max)
+    ends = np.array(ends)
     cuts = ends[:-1, None] + np.diff(ends)[:, None] * (np.arange(2**level) / 2**level)
     kinked = np.zeros(cuts.shape, dtype=bool)
-    kinked[:, -1] = np.isin(ends[1:], p.knots)
+    kinked[:len(p.knots), -1] = True
     kinked[0, 0] = True
     return np.append(cuts.ravel(), p.eta_max), kinked.ravel()
 
@@ -178,9 +190,10 @@ def _abel_inner(p: RadialProfile, s: np.ndarray, m: int, level: int) -> np.ndarr
     sinh(eta/2) = a cosh(tau): the branch point of eta(u) at u = i sqrt(2) a,
     which nears the path as s -> 0, moves to tau = i pi/2.  The rule is
     32-node Gauss-Legendre in tau on the images of the panels of _edges(p,
-    level) cut at s (the panels below s have zero width), in blocks of at
-    most _COS_BLOCK nodes.  An edge e maps to asinh(sqrt(sinh((e+s)/2)
-    sinh((e-s)/2)) / a), free of cancellation."""
+    level) cut at s, in blocks of at most _COS_BLOCK nodes.  An edge e maps
+    to asinh(sqrt(sinh((e+s)/2) sinh((e-s)/2)) / a), free of cancellation.
+    The panels below s have zero width: their nodes keep the zeros they add
+    without being evaluated, so each row is summed as a full row is."""
     x, w = gauss_legendre(32)
     grid = _edges(p, level)[0]
     out = np.empty(s.size)
@@ -190,11 +203,14 @@ def _abel_inner(p: RadialProfile, s: np.ndarray, m: int, level: int) -> np.ndarr
         a = np.sinh(0.5 * sb)
         edges = np.maximum(grid, sb)
         te = np.arcsinh(np.sqrt(np.sinh(0.5 * (edges + sb)) * np.sinh(0.5 * (edges - sb))) / a)
-        half = 0.5 * (te[:, 1:] - te[:, :-1])[:, :, None]
-        tau = 0.5 * (te[:, 1:] + te[:, :-1])[:, :, None] + half * x
-        ra = math.sqrt(2.0) * a[:, :, None]
-        vals = (p.g(2.0 * np.arcsinh(a[:, :, None] * np.cosh(tau)))
-                * (ra * np.sinh(tau)) ** m * ra * np.cosh(tau) * (half * w))
+        half = 0.5 * (te[:, 1:] - te[:, :-1])
+        row, col = np.nonzero(half > 0.0)
+        h = half[row, col, None]
+        tau = 0.5 * (te[row, col + 1] + te[row, col])[:, None] + h * x
+        ra = math.sqrt(2.0) * a[row]
+        vals = np.zeros(half.shape + (32,))
+        vals[row, col] = (p.g(2.0 * np.arcsinh(a[row] * np.cosh(tau)))
+                          * (ra * np.sinh(tau)) ** m * ra * np.cosh(tau) * (h * w))
         out[i:i + step] = 2.0 * vals.reshape(len(vals), -1).sum(axis=1)
     return out
 

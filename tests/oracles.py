@@ -5,18 +5,19 @@ densities, spline-interpolated table profiles and the histogram density of
 terminal radii.
 
 Each is an independent route to a quantity that the package computes
-another way, so a test can compare the two.
+another way, so a test can compare the two.  The Jacobi rules here are
+scipy's roots_jacobi, not the package's own.
 """
 
 import math
 
 import numpy as np
 from scipy.interpolate import CubicSpline
+from scipy.special import roots_jacobi
 
-from hyperwalk import RadialProfile, phi_many, sphere_area
+from hyperwalk import RadialProfile, sphere_area
 from hyperwalk.geometry import as_dim
-from hyperwalk.quadrature import (QuadratureError, gauss_jacobi_sym, gauss_legendre,
-                                  integrate_adaptive, panel_nodes)
+from hyperwalk.quadrature import QuadratureError, gauss_legendre, integrate_adaptive, panel_nodes
 from hyperwalk.radial_density import pdf_eta, sinch
 from hyperwalk.spectral import _kn
 
@@ -67,13 +68,29 @@ def phi_series(lam, eta, n):
                       f"(lam={np.max(lams[bad])}, max eta={np.max(etas[bad])})")
 
 
+def phi_jacobi(lam: float, etas: np.ndarray, n) -> np.ndarray:
+    """Spherical function at one lambda and the radii etas > 0, by the
+    Jacobi-rule form of its radial integral that phi_many also uses, but on
+    scipy's Gauss-Jacobi rule (the positive half of 32 + 0.6 lambda max(eta)
+    nodes), not on the package's."""
+    d = as_dim(n).n
+    alpha = (d - 3) / 2.0
+    q = 2 * (16 + int(0.3 * abs(lam) * float(np.max(etas))))
+    v, w = roots_jacobi(q, alpha, alpha)
+    v, w = v[q // 2:], w[q // 2:]
+    a = 0.5 * etas[:, None] * (1.0 + v)
+    b = 0.5 * etas[:, None] * (1.0 - v)
+    j = 2.0 * (((sinch(a) * sinch(b)) ** alpha * np.cos(lam * etas[:, None] * v)) @ w)
+    return _kn(d) * sinch(etas) ** (2 - d) * j
+
+
 def fh_transform_jacobi(p: RadialProfile, lam):
-    """Radial transform as the integral of phi_many against the radial
+    """Radial transform as the integral of phi_jacobi against the radial
     measure, on the 32-node Gauss-Legendre panels of [0, eta_max].
 
     Each lambda starts at the panel level int(lambda eta_max / 34).bit_length()
     and doubles the panels until two levels agree to 1e-13 (relative above 1),
-    within 14 levels.  The Jacobi rule of phi_many grows with lambda eta_max,
+    within 14 levels.  The Jacobi rule of phi_jacobi grows with lambda eta_max,
     so this route costs O(lambda^2) per lambda where the Abel route of
     fh_transform costs O(lambda).
     """
@@ -88,7 +105,8 @@ def fh_transform_jacobi(p: RadialProfile, lam):
         if sel.size == 0:
             continue
         nodes, weights = panel_nodes(0.0, p.eta_max, 2**lv, 32)
-        cur = (phi_many(flat[sel], nodes, p.dim.n) * (weights * pdf_eta(p, nodes))).sum(axis=1)
+        phis = np.array([phi_jacobi(lam, nodes, p.dim.n) for lam in flat[sel]])
+        cur = (phis * (weights * pdf_eta(p, nodes))).sum(axis=1)
         done = np.abs(cur - prev[sel]) <= np.maximum(1e-13, 1e-13 * np.abs(cur))
         out[sel[done]] = cur[done]
         pending[sel[done]] = False
@@ -105,7 +123,7 @@ def variance_jacobi(p: RadialProfile) -> float:
     at 0."""
     d = p.dim.n
     alpha = (d - 3) / 2.0
-    v, w = gauss_jacobi_sym(48, alpha)
+    v, w = roots_jacobi(48, alpha, alpha)
     v, w = v[24:], w[24:]
 
     def integrand(etas):
@@ -153,7 +171,7 @@ def convolve_direct(f: RadialProfile, g: RadialProfile, etas):
 
     rx = np.tanh(etas / 2.0)
     y_nodes, y_weights = panel_nodes(0.0, g.eta_max, 8, 32)
-    c_nodes, c_weights = gauss_jacobi_sym(128, alpha)
+    c_nodes, c_weights = roots_jacobi(128, alpha, alpha)
     ry = np.tanh(y_nodes / 2.0)
     gy = g.g(y_nodes) * np.sinh(y_nodes) ** (d - 1)
 

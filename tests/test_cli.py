@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hyperwalk import cli
 from hyperwalk.cli import main
 
 
@@ -233,8 +238,6 @@ def test_write_csv_matches_csv_writer(tmp_path, capsys):
     """The sliced writer gives csv.writer's bytes, to a file and to stdout,
     across several slices and for ints, zeros, tiny, huge and subnormal
     floats, and non-finite values."""
-    from hyperwalk import cli
-
     special = [0.0, -0.0, 1e-05, 5e-324, 2.2250738585072014e-308, 1e16, 1.5e300,
                0.1, 1.0 / 3.0, -2.5, float("inf"), float("-inf"), float("nan")]
     rng = np.random.default_rng(3)
@@ -251,3 +254,34 @@ def test_write_csv_matches_csv_writer(tmp_path, capsys):
     capsys.readouterr()
     cli._write_csv(None, header, rows)
     assert capsys.readouterr().out == want
+
+
+def test_commands_do_not_load_scipy(tmp_path):
+    """Every command runs on numpy alone: scipy is a test dependency only."""
+    bump3 = {"family": "bump", "eta_max": 1.0, "dim": 3}
+    configs = {"clt": {"density": bump3, "N": 100, "paths": 10000, "seed": 1},
+               "llt": {"density": bump3, "Ns": [4, 8, 16], "eta_points": 40},
+               "lln": {"density": bump3, "Ns": [10, 20], "paths": 200, "seed": 1},
+               "variance": {"density": bump3, "Ns": [4, 16, 64]}}
+    argvs = [["props", "--dim", "3", "--trials", "100"],
+             ["transform", "--dim", "2", "--density", "bump:1.0", "--lambda", "0:4:1"],
+             ["heat-kernel", "--dim", "4", "--t", "0.5", "--eta", "0:2:0.5"],
+             ["walk", "--dim", "5", "--density", "bump:1.0", "--N", "20", "--paths", "100",
+              "--seed", "1"]]
+    for check, cfg in configs.items():
+        path = tmp_path / f"{check}.json"
+        path.write_text(json.dumps(cfg))
+        argvs.append(["verify", check, "--config", str(path)])
+    for k, argv in enumerate(argvs):
+        argv += ["--out", str(tmp_path / f"out{k}")]
+    code = ("import sys\n"
+            "from hyperwalk.cli import main\n"
+            f"codes = [main(argv) for argv in {argvs!r}]\n"
+            "assert all(c in (0, 1) for c in codes), codes\n"  # 2 would be a usage error
+            "assert 'scipy' not in sys.modules, 'scipy was imported'\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 from scipy.stats import ks_2samp, kstest
 
 from hyperwalk import (cdf_eta, limit_time, make_bump, make_table, mean_eta,
                        pdf_eta, profile_from_config, scale_profile, second_moment,
                        sphere_area, walk_sim)
 from hyperwalk.gyro import mobius_scalar_raw
-from hyperwalk.radial_density import _invert_cdf, _sample_eta_many, open_uniforms
+from hyperwalk import radial_density
+from hyperwalk.radial_density import (CubicHermite, _invert_cdf, _sample_eta_many, open_uniforms,
+                                      pchip_slopes)
 
 from conftest import ks_critical
 
@@ -247,3 +250,58 @@ def test_guide_inversion_matches_binary_search_bitwise(name):
     # the draws' array shape does not matter
     block = u[:1000].reshape(10, 100)
     assert np.array_equal(_invert_cdf(table, block), got[:1000].reshape(10, 100))
+
+
+def _eleven_point_table(n):
+    etas = np.linspace(0.0, 1.0, 11)
+    return make_table(etas, np.cos(1.5 * etas) ** 2 * (1.0 - etas) + 0.05, n)
+
+
+def _assert_same_cubic(got, want, x):
+    """Coefficients and values bitwise equal, at 10^4 random points of [x[0],
+    x[-1]] and at every node."""
+    assert np.array_equal(got.x, want.x)
+    assert np.array_equal(got.c, want.c)
+    pts = np.random.default_rng(7).uniform(x[0], x[-1], 10**4)
+    pts = np.concatenate([pts, x, np.nextafter(x[1:], -np.inf)])
+    assert np.array_equal(got(pts), want(pts))
+
+
+@pytest.mark.parametrize("name", ["bump2", "bump3", "bump5", "table11"])
+def test_cdf_tables_match_cubic_hermite_spline_bitwise(name, monkeypatch):
+    """Every cubic the CDF doubling builds, the final table among them, is
+    bitwise scipy's CubicHermiteSpline on the same values and slopes, so the
+    draws and walk outputs did not move when the package dropped scipy."""
+    built = []
+
+    class Recording(CubicHermite):
+        def __init__(self, x, y, d):
+            super().__init__(x, y, d)
+            built.append((x, y, d, self))
+
+    monkeypatch.setattr(radial_density, "CubicHermite", Recording)
+    p = _eleven_point_table(3) if name == "table11" else make_bump(1.0, int(name[-1]))
+    table = p._cdf_interp()
+    assert table.interp is built[-1][3]
+    for x, y, d, got in built:
+        _assert_same_cubic(got, CubicHermiteSpline(x, y, d, extrapolate=False), x)
+
+
+def test_pchip_matches_pchip_interpolator_bitwise():
+    """The table profiles' pchip slopes and cubics are bitwise scipy's: on the
+    11-point table, on data with flat runs, sign changes and both end-slope
+    fixes, and on random data at uneven nodes."""
+    rng = np.random.default_rng(3)
+    even = np.linspace(0.0, 1.0, 11)
+    uneven = np.cumsum(rng.uniform(0.1, 1.0, 40))
+    shaped = np.array([0.0, 0.1, 0.6, 0.6, 3.0, 3.0, 2.0, 0.2, 1.0, 0.5, 0.6])
+    cases = [(even, np.cos(1.5 * even) ** 2 * (1.0 - even) + 0.05), (even, shaped),
+             (uneven, rng.uniform(0.0, 1.0, 40)), (uneven, np.exp(-uneven / 10.0))]
+    for x, y in cases:
+        want = PchipInterpolator(x, y, extrapolate=False)
+        _assert_same_cubic(CubicHermite(x, y, pchip_slopes(x, y)), want, x)
+    # the shaped data takes both end fixes: at the left end the three-point
+    # slope has the wrong sign and becomes 0, at the right end it is more
+    # than three times the end secant, whose sign differs from the next one
+    d = pchip_slopes(even, shaped)
+    assert d[0] == 0.0 and d[-1] == 3.0 * ((shaped[-1] - shaped[-2]) / (even[-1] - even[-2]))

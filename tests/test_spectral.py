@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import loggamma, roots_jacobi
 
 from hyperwalk import (fh_inverse_grid, fh_transform, inversion_constant, make_bump,
                        make_table, phi_many, plancherel_density, scale_profile, second_moment,
                        spectral, variance_direct, walk_density_grid, walk_transform)
 from hyperwalk.geometry import as_dim
-from hyperwalk.quadrature import integrate_adaptive
+from hyperwalk.quadrature import gauss_jacobi_sym, integrate_adaptive
 from hyperwalk.spectral import TruncationError
 
 from conftest import bump_transform_envelope
@@ -133,7 +134,94 @@ def test_phi_legendre_reduction():
         phi_legendre_check(1.0, 1.0, 4)
 
 
+def _roots_jacobi_sym(q, alpha):
+    return roots_jacobi(q, alpha, alpha)
+
+
+@pytest.mark.parametrize("n", range(2, 18))
+def test_phi_matches_roots_jacobi_route(n, monkeypatch):
+    """phi_many with the package's Jacobi rules agrees to 1e-13 with phi_many
+    on scipy's Gauss-Jacobi rules, for lambda <= 150 and eta <= 3."""
+    lams = np.concatenate([np.linspace(0.0, 20.0, 41), np.linspace(25.0, 150.0, 6)])
+    etas = np.linspace(0.0, 3.0, 31)
+    got = phi_many(lams, etas, n)
+    monkeypatch.setattr(spectral, "_ROWS", {})
+    monkeypatch.setattr(spectral, "gauss_jacobi_sym", _roots_jacobi_sym)
+    assert float(np.max(np.abs(got - phi_many(lams, etas, n)))) < 1e-13
+
+
+def _mp_legendre_node(q, x0):
+    """A zero of P_q and its Gauss-Legendre weight in 32-digit arithmetic,
+    by Newton steps on the three-term recurrence from x0."""
+    import mpmath
+
+    with mpmath.workdps(32):
+        def step(x):
+            p0, p1 = mpmath.mpf(1), x
+            for j in range(2, q + 1):
+                p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+            return p1, q * (p0 - x * p1) / (1 - x * x)
+
+        x = mpmath.mpf(float(x0))
+        for _ in range(3):
+            p, dp = step(x)
+            x -= p / dp
+        dp = step(x)[1]
+        return x, 2 / ((1 - x * x) * dp * dp)
+
+
+@pytest.mark.parametrize("q", [64, 512, 4096])
+@pytest.mark.parametrize("n", [3, 9])
+def test_odd_jacobi_rule_matches_mpmath(q, n):
+    """For odd n the weight (1-v^2)^alpha is a polynomial: the rule is
+    Gauss-Legendre with it as a factor of the weights.  Nodes agree with
+    32-digit ones to 1e-16.  Near +-1 a weight's relative error is about q^2
+    times its node's rounding error, so the weights are held to 1e-16 q^2
+    relative (scipy's roots_jacobi misses that from q = 512 on)."""
+    alpha = (n - 3) // 2
+    x, w = gauss_jacobi_sym(q, float(alpha))
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    assert np.all(np.diff(x) > 0.0)
+    for i in (q - 1, q - 2, q - 3, q - 1 - q // 8, q // 2, q // 2 + 1):
+        xi, wi = _mp_legendre_node(q, x[i])
+        wi *= (1 - xi * xi) ** alpha
+        assert abs(float(x[i] - xi)) <= 1e-16
+        assert abs(float((w[i] - wi) / wi)) <= 1e-16 * q * q
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 9, 12])
+def test_jacobi_rules_integrate_moments(n):
+    """The rules of even and odd n integrate v^(2k) (1-v^2)^alpha to
+    B(k + 1/2, alpha + 1) while the integrand is in their exact range."""
+    alpha = (n - 3) / 2.0
+    for q in (16, 48):
+        x, w = gauss_jacobi_sym(q, alpha)
+        for k in range(q - 2 - n // 2):
+            exact = math.exp(math.lgamma(k + 0.5) + math.lgamma(alpha + 1.0)
+                             - math.lgamma(k + alpha + 1.5))
+            assert float(np.dot(w, x ** (2 * k))) == pytest.approx(exact, rel=1e-13)
+    with pytest.raises(ValueError):
+        gauss_jacobi_sym(8, 0.25)
+
+
 # -- Plancherel density --------------------------------------------------------
+
+def _plancherel_loggamma(lam, n):
+    """|c(lambda)|^{-2} assembled in log space from the Gamma factors of c."""
+    s = 2.0 * lam
+    log_abs_c2 = 2.0 * ((3.0 - n) * math.log(2.0) + math.lgamma(n / 2.0)
+                        + loggamma(1j * s).real - loggamma((n - 1) / 2.0 + 0.5j * s).real
+                        - loggamma(0.5 + 0.5j * s).real)
+    return np.exp(-log_abs_c2)
+
+
+@pytest.mark.parametrize("n", range(2, 18))
+def test_plancherel_matches_loggamma_form(n):
+    lams = np.concatenate([np.geomspace(1e-6, 1.0, 25), np.linspace(1.0, 200.0, 400)])
+    got = plancherel_density(lams, n)
+    assert float(np.max(np.abs(got / _plancherel_loggamma(lams, n) - 1.0))) < 1e-12
+    assert plancherel_density(0.0, n) == 0.0
+
 
 def test_plancherel_zero_and_positivity():
     for n in (2, 3, 4, 5):
