@@ -145,32 +145,44 @@ GK_G_WEIGHTS = _gw
 del _gw, _i, _wv
 
 
-def _gk_panel(fvec, a: float, b: float):
-    """One Kronrod panel of a vector-valued integrand fvec(lams) -> (15, K)."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    vals = np.asarray(fvec(mid + half * GK_NODES), dtype=float)
-    k15 = half * (GK_K_WEIGHTS @ vals)
-    g7 = half * (GK_G_WEIGHTS @ vals)
-    err = float(np.max(np.abs(k15 - g7))) if k15.size else 0.0
-    return k15, err
+def _gk_panels(fvec, segs, batch):
+    """Kronrod sums and error estimates [err, lo, hi, (K,) value] of the
+    panels segs [(lo, hi), ...] of a vector integrand fvec(lams) -> (L, K),
+    calling fvec once per batch of panels with all their 15-node abscissae.
+    Each panel's sums take its own 15 rows, so they do not depend on the
+    batch."""
+    out = []
+    for i in range(0, len(segs), batch):
+        lo, hi = np.array(segs[i:i + batch]).T
+        half = 0.5 * (hi - lo)
+        mid = 0.5 * (lo + hi)
+        vals = np.asarray(fvec((mid[:, None] + half[:, None] * GK_NODES).ravel()), dtype=float)
+        for j in range(lo.size):
+            v = vals[15 * j:15 * j + 15]
+            k15 = half[j] * (GK_K_WEIGHTS @ v)
+            g7 = half[j] * (GK_G_WEIGHTS @ v)
+            err = float(np.max(np.abs(k15 - g7))) if k15.size else 0.0
+            out.append([err, lo[j], hi[j], k15])
+    return out
 
 
-def gk_adaptive_vector(fvec, edges, abs_tol: float = 1e-13):
+def gk_adaptive_vector(fvec, edges, abs_tol: float = 1e-13, batch=None):
     """Adaptive Gauss-Kronrod panels for a vector integrand; bisects worst panel.
 
     fvec maps an array of abscissae (L,) to values (L, K); `edges` is the
     initial panel subdivision; returns the (K,) integral.  The error criterion
-    is the max-norm over the K components.
+    is the max-norm over the K components.  fvec is called once per round of
+    panels, with the 15 abscissae of each panel in turn: all the initial
+    panels in one call and both halves of a bisected panel in one call, at
+    most `batch` panels per call (no limit when None).  A panel's sums do not
+    depend on the panels it shares a call with.
     """
     edges = np.asarray(edges, dtype=float)
     if edges[-1] <= edges[0]:
         probe = np.asarray(fvec(np.array([edges[0]])), dtype=float)
         return np.zeros(probe.shape[1])
-    panels = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        val, err = _gk_panel(fvec, lo, hi)
-        panels.append([err, lo, hi, val])
+    batch = batch or len(edges)
+    panels = _gk_panels(fvec, list(zip(edges[:-1], edges[1:])), batch)
     while True:
         total = sum(p[3] for p in panels)
         tol = max(abs_tol, 1e-14 * float(np.max(np.abs(total))))
@@ -180,9 +192,6 @@ def gk_adaptive_vector(fvec, edges, abs_tol: float = 1e-13):
         if len(panels) >= _MAX_PANELS:
             raise QuadratureError(
                 f"Kronrod refinement exceeded {_MAX_PANELS} panels (residual {sum(errs):.3e})")
-        worst = int(np.argmax(errs))
-        err, lo, hi, _ = panels.pop(worst)
+        _, lo, hi, _ = panels.pop(int(np.argmax(errs)))
         mid = 0.5 * (lo + hi)
-        for seg in ((lo, mid), (mid, hi)):
-            val, err = _gk_panel(fvec, *seg)
-            panels.append([err, seg[0], seg[1], val])
+        panels += _gk_panels(fvec, [(lo, mid), (mid, hi)], batch)

@@ -10,23 +10,30 @@ each lambda one row of cosines or sines, and the variance a moment ratio.
 The table's panels end at the profile's knots, and its inner integral has
 its own level doubling, so a table of S nodes costs O(S).
 
-The spherical function, which the inverse transform needs, is computed by an
-endpoint-regularized Jacobi-rule form of its radial integral: the
-substitution s = eta*v and the product formula cosh(eta) - cosh(eta*v) =
-2 sinh(eta(1+v)/2) sinh(eta(1-v)/2) turn the endpoint singularity into the
-weight (1-v^2)^{(n-3)/2}, which quadrature.gauss_jacobi_sym integrates in
-closed form: Gauss-Legendre with the weight as a factor for odd n, where it
-is a polynomial, and the midpoint rule in v = cos(theta) for even n.  The
-inverse transform is an adaptive Gauss-Kronrod integral against the
-Plancherel density |c(lambda)|^{-2} of the Harish-Chandra c-function, an
-elementary function of lambda in every dimension.
+The spherical function, which the inverse transform needs, is
+sin(lambda eta)/(lambda eta) * eta/sinh(eta) in closed form for n = 3.  For
+every other n it is computed by an endpoint-regularized Jacobi-rule form of
+its radial integral: the substitution s = eta*v and the product formula
+cosh(eta) - cosh(eta*v) = 2 sinh(eta(1+v)/2) sinh(eta(1-v)/2) turn the
+endpoint singularity into the weight (1-v^2)^{(n-3)/2}, which
+quadrature.gauss_jacobi_sym integrates in closed form: Gauss-Legendre with
+the weight as a factor for odd n, where it is a polynomial, and the midpoint
+rule in v = cos(theta) for even n.  The inverse transform is an adaptive
+Gauss-Kronrod integral against the Plancherel density |c(lambda)|^{-2} of
+the Harish-Chandra c-function, an elementary function of lambda in every
+dimension, with tail and panel tolerances relative to the integrand's peak
+where that peak is below 1.
 
 Array contract: `phi_many`, `fh_transform` and `plancherel_density` take a
 scalar or an array of lambda and evaluate every lambda in one call; each
 lambda gets exactly the value a scalar call would give it.
-`fh_inverse_grid` evaluates its spectral integrand one 15-node Kronrod panel
-at a time, so the F and envelope it is given receive 1-d lambda arrays (and
-may return a scalar, which is broadcast).
+`fh_inverse_grid` evaluates its spectral integrand once per round of
+15-node Kronrod panels (all the initial panels, then the two halves of each
+bisected panel), so the F it is given receives 1-d lambda arrays whose
+length is a multiple of 15 (and may return a scalar, which is broadcast);
+the envelope receives blocks of the truncation scan.  For an F that, like
+`fh_transform`, gives every lambda its scalar value, the result does not
+depend on how the panels are grouped.
 """
 
 import math
@@ -41,7 +48,8 @@ _ABS_TARGET = 1e-13
 _TAIL_THRESHOLD = 1e-14
 _LAMBDA_CAP = 1e4
 # elements of one block of (lambda, eta, Jacobi node) cosines, of (lambda, s)
-# transform kernels or of (s, u) Abel-transform nodes: 2 MiB of float64
+# transform kernels, of (s, u) Abel-transform nodes or of the (lambda, eta)
+# rows of one call of the inverse transform's integrand: 2 MiB of float64
 _COS_BLOCK = 1 << 18
 # truncation scan points whose envelope is evaluated in one call
 _SCAN_BLOCK = 16
@@ -86,12 +94,15 @@ def _radial_rows(ep: np.ndarray, d: int, q: int):
 
 
 def phi_many(lam, eta, n):
-    """Spherical function by the Jacobi rule of its radial integral.
+    """Spherical function: sin(lambda eta)/(lambda eta) * eta/sinh(eta) in
+    closed form for n = 3, by the Jacobi rule of its radial integral for
+    every other n.
 
     Accepts scalar or array lam and eta; the result has lam's shape followed
-    by eta's.  Each lambda takes the node count _gj_order(lambda, max eta),
-    and the lambdas sharing a node count are evaluated together in blocks of
-    at most _COS_BLOCK cosines.
+    by eta's, and a negative lambda gives the value at |lambda|.  For n != 3
+    each lambda takes the node count _gj_order(lambda, max eta), and the
+    lambdas sharing a node count are evaluated together in blocks of at most
+    _COS_BLOCK cosines.
     """
     d = as_dim(n).n
     lams = np.abs(np.asarray(lam, dtype=float)).reshape(-1)
@@ -99,7 +110,12 @@ def phi_many(lam, eta, n):
     e = etas.reshape(-1)
     out = np.ones((lams.size, e.size))
     pos = np.nonzero(e > 0.0)[0]
-    if pos.size and lams.size:
+    if d == 3 and pos.size and lams.size:
+        ep = e[pos]
+        x = lams[:, None] * ep
+        sinc = np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0.0)
+        out[:, pos] = sinc / sinch(ep)
+    elif pos.size and lams.size:
         ep = e[pos]
         orders = _gj_order(lams, float(np.max(ep)))
         for q in sorted(set(orders.tolist())):
@@ -303,21 +319,26 @@ def fh_transform(p: RadialProfile, lam):
     return float(out[0]) if lams.ndim == 0 else out.reshape(lams.shape)
 
 
-def find_truncation(envelope, n, tail_tol=_TAIL_THRESHOLD) -> float:
+def find_truncation(envelope, n, tail_tol=_TAIL_THRESHOLD):
     """Smallest grid point beyond which |F| |c|^{-2} stays below the tail
-    tolerance (three consecutive grid points); hard error past _LAMBDA_CAP.
+    tolerance (three consecutive grid points), and the peak of |F| |c|^{-2}
+    over the points judged up to there; hard error past _LAMBDA_CAP.
 
-    The scan grid is fine near the origin and coarsens proportionally at
-    large lambda, so super-polynomially decaying transforms are located in
-    O(100) envelope evaluations.  envelope receives the grid in 1-d blocks of
-    _SCAN_BLOCK points and returns an array of bounds (or a scalar); the
-    points are then judged in grid order, so a block may be evaluated a few
-    points past the answer.
+    The tolerance is tail_tol * min(1, running peak): relative to the
+    integrand where its peak is below 1, as for the heat kernel transform
+    e^{-(lambda^2 + rho^2) t} in high dimension, and tail_tol itself
+    elsewhere.  The scan grid is fine near the origin and coarsens
+    proportionally at large lambda, so super-polynomially decaying
+    transforms are located in O(100) envelope evaluations.  envelope
+    receives the grid in 1-d blocks of _SCAN_BLOCK points and returns an
+    array of bounds (or a scalar); the points are then judged in grid order,
+    so a block may be evaluated a few points past the answer.
     """
     d = as_dim(n).n
     lam = 0.25
     run = 0
     first = None
+    peak = 0.0
     prev_bound = math.inf
     growing = 0
     while lam <= _LAMBDA_CAP:
@@ -328,12 +349,13 @@ def find_truncation(envelope, n, tail_tol=_TAIL_THRESHOLD) -> float:
         lams = np.array(block)
         bounds = np.abs(envelope(lams)) * plancherel_density(lams, d)
         for at, bound in zip(block, bounds):
-            if bound < tail_tol:
+            peak = max(peak, float(bound))
+            if bound <= tail_tol * min(1.0, peak):
                 run += 1
                 if first is None:
                     first = at
                 if run >= 3:
-                    return first
+                    return first, peak
             else:
                 run = 0
                 first = None
@@ -352,15 +374,20 @@ def fh_inverse_grid(F, etas, n, envelope=None, tail_tol=_TAIL_THRESHOLD):
     """Inverse transform in dimension n on a grid of radii, sharing the
     lambda panels.
 
-    F is a callable lambda -> value.  It is called once per 15-node Kronrod
-    panel with a 1-d lambda array and returns the values at those lambdas,
-    or a scalar that holds for all of them.
+    F is a callable lambda -> value.  It is called once per round of the
+    adaptive Kronrod rule, with the 15 nodes of each panel of the round in
+    one 1-d lambda array (so its length is a multiple of 15), and returns
+    the values at those lambdas, or a scalar that holds for all of them.
+    A call holds at most _COS_BLOCK // (15 * len(etas)) panels (at least
+    one), which bounds its (lambda, eta) block of spherical functions.
     envelope is a decay certificate bounding |F| (defaults to |F| itself),
-    called with blocks of the truncation scan grid in the same way.
-    Transforms whose numerically computed values bottom out at the
-    quadrature noise floor need either an analytic envelope or a tail_tol
-    matched to the target accuracy, since the default integrand bound of
-    1e-14 is then never certified.
+    called with blocks of the truncation scan grid in the same way.  The
+    tail and the Kronrod tolerances are scaled by min(1, peak of
+    |envelope| |c|^{-2}) (see find_truncation), so an integrand far below 1
+    keeps its relative accuracy.  Transforms whose numerically computed
+    values bottom out at the quadrature noise floor need either an analytic
+    envelope or a tail_tol matched to the target accuracy, since the default
+    integrand bound of 1e-14 is then never certified.
     """
     d = as_dim(n).n
     etas = np.asarray(etas, dtype=float)
@@ -369,7 +396,7 @@ def fh_inverse_grid(F, etas, n, envelope=None, tail_tol=_TAIL_THRESHOLD):
         return np.broadcast_to(np.asarray(F(lams), dtype=float), lams.shape)
 
     env = envelope or (lambda lams: np.abs(func(lams)))
-    lam_max = find_truncation(env, d, tail_tol=tail_tol)
+    lam_max, peak = find_truncation(env, d, tail_tol=tail_tol)
     eta_top = float(np.max(etas)) if etas.size else 0.0
 
     def rows(lams):
@@ -385,7 +412,8 @@ def fh_inverse_grid(F, etas, n, envelope=None, tail_tol=_TAIL_THRESHOLD):
             step *= 1.35
         edges.append(min(edges[-1] + step, lam_max))
     integral = gk_adaptive_vector(rows, np.asarray(edges),
-                                  abs_tol=max(_ABS_TARGET, 0.1 * tail_tol))
+                                  abs_tol=max(_ABS_TARGET, 0.1 * tail_tol) * min(1.0, peak),
+                                  batch=max(1, _COS_BLOCK // (15 * max(1, etas.size))))
     return inversion_constant(d) * integral
 
 

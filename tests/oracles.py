@@ -1,8 +1,9 @@
 """Oracles that only the tests need: the hypergeometric series of the
 spherical function, the transform and variance by the Jacobi rule of the
-spherical function, the brute-force space-side convolution of two radial
-densities, spline-interpolated table profiles and the histogram density of
-terminal radii.
+spherical function, the adaptive Kronrod rule one panel per call, the
+brute-force space-side convolution of two radial densities,
+spline-interpolated table profiles and the histogram density of terminal
+radii.
 
 Each is an independent route to a quantity that the package computes
 another way, so a test can compare the two.  The Jacobi rules here are
@@ -17,7 +18,8 @@ from scipy.special import roots_jacobi
 
 from hyperwalk import RadialProfile, sphere_area
 from hyperwalk.geometry import as_dim
-from hyperwalk.quadrature import QuadratureError, gauss_legendre, integrate_adaptive, panel_nodes
+from hyperwalk.quadrature import (GK_G_WEIGHTS, GK_K_WEIGHTS, GK_NODES, QuadratureError,
+                                  gauss_legendre, integrate_adaptive, panel_nodes)
 from hyperwalk.radial_density import pdf_eta, sinch
 from hyperwalk.spectral import _kn
 
@@ -89,8 +91,10 @@ def fh_transform_jacobi(p: RadialProfile, lam):
     measure, on the 32-node Gauss-Legendre panels of [0, eta_max].
 
     Each lambda starts at the panel level int(lambda eta_max / 34).bit_length()
-    and doubles the panels until two levels agree to 1e-13 (relative above 1),
-    within 14 levels.  The Jacobi rule of phi_jacobi grows with lambda eta_max,
+    and doubles the panels until three consecutive levels agree to 1e-13
+    (relative above 1), within 14 levels: two levels can agree on a plateau,
+    as levels 0 and 1 do 1e-12 away from the value for the bump scaled by
+    1/16 at n = 2 and lambda = 154.4.  The Jacobi rule of phi_jacobi grows with lambda eta_max,
     so this route costs O(lambda^2) per lambda where the Abel route of
     fh_transform costs O(lambda).
     """
@@ -99,6 +103,7 @@ def fh_transform_jacobi(p: RadialProfile, lam):
     start = np.array([int(l * p.eta_max / 34.0).bit_length() for l in flat], dtype=int)
     out = np.empty(flat.size)
     prev = np.full(flat.size, np.inf)
+    agreed = np.zeros(flat.size, dtype=bool)  # the last two levels agreed
     pending = np.ones(flat.size, dtype=bool)
     for lv in range(int(start.max(initial=-14)) + 14):
         sel = np.nonzero(pending & (start <= lv) & (lv < start + 14))[0]
@@ -107,7 +112,9 @@ def fh_transform_jacobi(p: RadialProfile, lam):
         nodes, weights = panel_nodes(0.0, p.eta_max, 2**lv, 32)
         phis = np.array([phi_jacobi(lam, nodes, p.dim.n) for lam in flat[sel]])
         cur = (phis * (weights * pdf_eta(p, nodes))).sum(axis=1)
-        done = np.abs(cur - prev[sel]) <= np.maximum(1e-13, 1e-13 * np.abs(cur))
+        close = np.abs(cur - prev[sel]) <= np.maximum(1e-13, 1e-13 * np.abs(cur))
+        done = close & agreed[sel]
+        agreed[sel] = close
         out[sel[done]] = cur[done]
         pending[sel[done]] = False
         prev[sel] = cur
@@ -134,6 +141,28 @@ def variance_jacobi(p: RadialProfile) -> float:
 
     raw = integrate_adaptive(integrand, 0.0, p.eta_max, abs_tol=1e-15, rel_tol=1e-13, q=32)
     return raw / fh_transform_jacobi(p, 0.0)
+
+
+def gk_panel_by_panel(fvec, edges, abs_tol=1e-13, batch=None):
+    """The adaptive Kronrod rule of quadrature.gk_adaptive_vector with one
+    fvec call per panel: the initial panels in order, then the worst panel
+    bisected, its lower half evaluated and appended first.  batch is
+    ignored."""
+    def panel(lo, hi):
+        half, mid = 0.5 * (hi - lo), 0.5 * (lo + hi)
+        vals = np.asarray(fvec(mid + half * GK_NODES), dtype=float)
+        k15 = half * (GK_K_WEIGHTS @ vals)
+        return [float(np.max(np.abs(k15 - half * (GK_G_WEIGHTS @ vals)))), lo, hi, k15]
+
+    edges = np.asarray(edges, dtype=float)
+    panels = [panel(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+    while True:
+        total = sum(p[3] for p in panels)
+        errs = [p[0] for p in panels]
+        if sum(errs) <= max(abs_tol, 1e-14 * float(np.max(np.abs(total)))):
+            return total
+        _, lo, hi, _ = panels.pop(int(np.argmax(errs)))
+        panels += [panel(lo, 0.5 * (lo + hi)), panel(0.5 * (lo + hi), hi)]
 
 
 def spline_profile(etas, values, dim) -> RadialProfile:

@@ -5,16 +5,17 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import loggamma, roots_jacobi
 
-from hyperwalk import (fh_inverse_grid, fh_transform, inversion_constant, make_bump,
-                       make_table, phi_many, plancherel_density, scale_profile, second_moment,
-                       spectral, variance_direct, walk_density_grid, walk_transform)
+from hyperwalk import (fh_inverse_grid, fh_transform, hk, hk_fourier, inversion_constant,
+                       make_bump, make_table, phi_many, plancherel_density, scale_profile,
+                       second_moment, spectral, variance_direct, walk_density_grid,
+                       walk_transform)
 from hyperwalk.geometry import as_dim
 from hyperwalk.quadrature import gauss_jacobi_sym, integrate_adaptive
 from hyperwalk.spectral import TruncationError
 
 from conftest import bump_transform_envelope
 from oracles import (SeriesError, convolution_profile, convolve_direct, fh_transform_jacobi,
-                     phi_series, variance_jacobi)
+                     gk_panel_by_panel, phi_jacobi, phi_series, variance_jacobi)
 
 
 def closed3(lam, eta):
@@ -57,6 +58,35 @@ def test_phi_representations_agree_small_radius():
             a = phi_series(lam, etas, n)
             b = phi_many(lam, etas, n)
             assert float(np.max(np.abs(a - b))) < 1e-13
+
+
+def test_phi_closed_form_n3_matches_oracles():
+    """The closed form of phi_many at n = 3 against 30-digit values of
+    sin(lambda eta)/(lambda sinh eta), against the Jacobi-rule oracle on
+    scipy's rules (whose own error against the 30-digit values is 6e-15 up to
+    lambda = 50 and 2.5e-14 up to lambda = 150), and against the series for
+    eta <= 0.5 and lambda <= 15 (where the series is within 3e-15)."""
+    import mpmath
+
+    lams = np.concatenate([[0.0, 1e-9], np.linspace(0.5, 20.0, 40), np.linspace(25.0, 150.0, 6)])
+    etas = np.concatenate([[0.0, 1e-6, 1e-3], np.linspace(0.1, 3.0, 30)])
+    got = phi_many(lams, etas, 3)
+    assert got.shape == (lams.size, etas.size)
+    assert np.all(got[:, 0] == 1.0) and np.all(got[0] == phi_many(0.0, etas, 3))
+    np.testing.assert_array_equal(phi_many(-lams, etas, 3), got)
+    with mpmath.workdps(30):
+        exact = np.array([[1.0 if e == 0.0 else float(
+            mpmath.mpf(e) / mpmath.sinh(e) if lam == 0.0 else
+            mpmath.sin(mpmath.mpf(lam) * e) / (lam * mpmath.sinh(e)))
+            for e in etas] for lam in lams])
+    assert float(np.max(np.abs(got - exact))) < 1e-15
+    jacobi = np.array([[1.0] + list(phi_jacobi(lam, etas[1:], 3)) for lam in lams])
+    err = np.abs(got - jacobi)
+    assert float(np.max(err[lams <= 50.0])) < 1e-14
+    assert float(np.max(err)) < 5e-14
+    small, low = etas[etas <= 0.5], lams[lams <= 15.0]
+    series = phi_series(low[:, None], small, 3)
+    assert float(np.max(np.abs(phi_many(low, small, 3) - series))) < 1e-14
 
 
 def test_phi_series_divergence_is_hard_error():
@@ -141,10 +171,15 @@ def _roots_jacobi_sym(q, alpha):
 @pytest.mark.parametrize("n", range(2, 18))
 def test_phi_matches_roots_jacobi_route(n, monkeypatch):
     """phi_many with the package's Jacobi rules agrees to 1e-13 with phi_many
-    on scipy's Gauss-Jacobi rules, for lambda <= 150 and eta <= 3."""
+    on scipy's Gauss-Jacobi rules, for lambda <= 150 and eta <= 3.  At n = 3,
+    where phi_many is in closed form, the other side is oracles.phi_jacobi."""
     lams = np.concatenate([np.linspace(0.0, 20.0, 41), np.linspace(25.0, 150.0, 6)])
     etas = np.linspace(0.0, 3.0, 31)
     got = phi_many(lams, etas, n)
+    if n == 3:
+        ref = np.array([phi_jacobi(lam, etas, n) for lam in lams])
+        assert float(np.max(np.abs(got - ref))) < 1e-13
+        return
     monkeypatch.setattr(spectral, "_ROWS", {})
     monkeypatch.setattr(spectral, "gauss_jacobi_sym", _roots_jacobi_sym)
     assert float(np.max(np.abs(got - phi_many(lams, etas, n)))) < 1e-13
@@ -281,7 +316,9 @@ def test_transform_matches_jacobi_oracle(n, eps):
     lambda eta_max = 300 (unit) and 150 (scaled): start levels 0-4."""
     prof = scale_profile(make_bump(1.0, n), eps)
     lams = np.concatenate([np.linspace(0.0, 40.0, 81), [80.0, 150.0, 300.0]])
-    lams *= 1.0 if eps == 1.0 else 8.0
+    if eps != 1.0:
+        # 154.4: the oracle's levels 0 and 1 agree 1e-12 away from the value
+        lams = np.append(8.0 * lams, 154.4)
     err = np.abs(fh_transform(prof, lams) - fh_transform_jacobi(prof, lams))
     assert float(np.max(err)) <= 1e-13
 
@@ -383,8 +420,10 @@ def test_lambda_arrays_match_scalar_calls(n, monkeypatch):
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_inverse_accepts_scalar_or_array_F(n):
-    """F gets one 15-node Kronrod panel per call and the envelope one block of
-    the truncation scan; a scalar F value holds for the whole panel."""
+    """F gets the 15-node Kronrod panels of one round per call (a 1-d array of
+    a multiple of 15 lambdas, more than one panel in the first round) and the
+    envelope one block of the truncation scan; a scalar F value holds for
+    the whole call."""
     etas = np.array([0.0, 0.4, 1.1])
     panels, blocks = [], []
 
@@ -397,9 +436,57 @@ def test_inverse_accepts_scalar_or_array_F(n):
         return np.exp(-lam**2)
 
     scalar = fh_inverse_grid(F, etas, n, envelope=envelope)
-    assert set(panels) == {(15,)} and all(len(b) == 1 for b in blocks)
+    assert all(len(s) == 1 and s[0] % 15 == 0 for s in panels) and max(panels)[0] > 15
+    assert all(len(b) == 1 for b in blocks)
     array = fh_inverse_grid(lambda lam: np.ones(np.shape(lam)), etas, n, envelope=envelope)
     _same(scalar, array)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_inverse_batches_match_single_panels(n, monkeypatch):
+    """The exact walk density with all the panels of a round in one call is
+    bitwise the density with one panel per call, forced by _COS_BLOCK = 1
+    (which leaves every lambda's transform and spherical function as it is)
+    or by the panel-by-panel rule of oracles.gk_panel_by_panel, which also
+    pins the order in which panels are bisected and summed."""
+    etas = np.linspace(0.0, 3.0, 41)
+    sizes = []
+
+    def density():
+        prof = make_bump(1.0, n)
+
+        def F(lam):
+            sizes.append(np.size(lam))
+            return walk_transform(prof, 16, lam)
+
+        def envelope(lam):
+            return np.abs(walk_transform(prof, 16, lam))
+
+        return fh_inverse_grid(F, etas, n, envelope=envelope)
+
+    batched = density()
+    assert max(sizes) > 15
+    sizes.clear()
+    monkeypatch.setattr(spectral, "_COS_BLOCK", 1)
+    single = density()
+    assert set(sizes) == {15}
+    np.testing.assert_array_equal(batched, single)
+    monkeypatch.undo()
+    monkeypatch.setattr(spectral, "gk_adaptive_vector", gk_panel_by_panel)
+    np.testing.assert_array_equal(batched, density())
+
+
+@pytest.mark.parametrize("n", range(2, 18))
+def test_inverse_heat_kernel_relative_accuracy(n):
+    """Inverting the heat kernel's transform e^{-(lambda^2 + rho^2) t} gives
+    hk to 1e-10 relative in every dimension, though hk at eta = 1 falls to
+    1e-37 by n = 17: the tail and Kronrod tolerances follow the integrand's
+    peak.  A zero transform still inverts to 0."""
+    etas = np.array([0.5, 1.0, 2.0])
+    for t in (0.5, 1.1, 2.0):
+        inv = fh_inverse_grid(lambda lam: hk_fourier(t, lam, n), etas, n)
+        assert float(np.max(np.abs(inv / hk(t, etas, n) - 1.0))) < 1e-10
+    assert np.all(fh_inverse_grid(lambda lam: 0.0, etas, n) == 0.0)
 
 
 # -- characteristic function and variance ---------------------------------------
