@@ -15,7 +15,7 @@ import numpy as np
 
 from .geometry import as_dim, require_int, sphere_area
 from .gyro import mobius_add_raw, mobius_scalar_raw
-from .heat_kernel import hk, psi_clt
+from .heat_kernel import hk, psi_clt, require_validated_dim
 from .quadrature import cumulative_gl
 from .radial_density import RadialProfile, limit_time, mean_eta, scale_profile
 from .spectral import variance_direct, walk_density_grid
@@ -84,10 +84,12 @@ def clt_check(p: RadialProfile, N: int, paths: int, seed: int,
               t_scale: float = 1.0, threshold: float = None) -> Verdict:
     """KS distance between the terminal radial law of the CLT walk and the
     radial CDF of the limit density at t = limit_time (times t_scale; values
-    other than 1 are deliberate corruptions for negative controls)."""
+    other than 1 are deliberate corruptions for negative controls).  A
+    dimension where the heat kernel is not validated is a ValueError before
+    any walk runs."""
     if N < 100 or paths < 10**4:
         raise ValueError("clt_check needs N >= 100 and paths >= 1e4")
-    n = p.dim.n
+    n = require_validated_dim(p.dim)
     t = t_scale * limit_time(p)
     etas = run_walk(WalkConfig(p, N, paths, "clt", seed))
     eta_hi = max(float(etas.max()) * 1.05, 6.0 * math.sqrt(max(t, 1e-12)))
@@ -132,12 +134,13 @@ def llt_check(p: RadialProfile, Ns, eta_grid=None, limit: str = "clt") -> Verdic
     wrong scaling must plateau and is the negative control.  Any other limit
     than "clt" and "unhalved" is a ValueError.  The verdict passes when the
     errors do not grow and the fitted slope lies inside the rate window
-    (-1.3, -0.8) of a correct walk, which it records.
+    (-1.3, -0.8) of a correct walk, which it records.  A dimension where the
+    heat kernel is not validated is a ValueError before any transform runs.
     """
     if limit not in ("clt", "unhalved"):
         raise ValueError(f'limit must be "clt" or "unhalved", got {limit!r}')
     Ns = _ladder(Ns, 3, "a slope fit")
-    n = p.dim.n
+    n = require_validated_dim(p.dim)
     t = limit_time(p)
     eta_grid = _llt_eta_grid(p, 200) if eta_grid is None else np.asarray(eta_grid, dtype=float)
     target = psi_clt(t, eta_grid, n) if limit == "clt" else hk(t, eta_grid, n)

@@ -32,6 +32,7 @@ from .quadrature import gauss_legendre
 # it, for m <= 8 and tau = 2t from 0.05 to 1000.  The cap keeps the switch
 # well inside the series' radius of convergence, pi.
 _SMALL_ETA = 0.125  # the switch for m = 1
+_MAX_DIM = 17  # n = 2m + 1 or 2m with m <= 8, the validated orders
 _SERIES_ORDER = 16  # the series terms for m = 1
 _SWITCH_CAP = 1.0
 _EVEN_DOUBLINGS = 6  # panel doublings of the even-n descent integral
@@ -221,10 +222,21 @@ def hk_even(t: float, eta, m: int):
     return float(out[0]) if scalar else out
 
 
+def require_validated_dim(n) -> int:
+    """n as an int; a ValueError for n above 17, where the space-side kernel
+    is not validated: past m = 8 its direct branch loses digits with m (6.4e-9
+    relative at m = 12)."""
+    d = as_dim(n).n
+    if d > _MAX_DIM:
+        raise ValueError(f"the heat kernel is validated for dimensions 2 to {_MAX_DIM}, "
+                         f"got {d}")
+    return d
+
+
 def hk(t: float, eta, n):
     """Heat kernel of d/dt = Laplacian: hk_odd for n = 2m+1, hk_even for
-    n = 2m, m = n // 2 in both cases."""
-    d = as_dim(n).n
+    n = 2m, m = n // 2 in both cases; n is at most 17 (require_validated_dim)."""
+    d = require_validated_dim(n)
     return (hk_odd if d % 2 else hk_even)(t, eta, d // 2)
 
 

@@ -201,7 +201,10 @@ def _invert_cdf(table, u):
         np.maximum(df, 1e-300, out=df)
         f /= df
         s -= f
-        np.clip(s, 0.0, width, out=s)
+        # the clamp to [0, width]; NaN passes through both, and a -0.0 adds
+        # to `left` as 0.0 does
+        np.maximum(s, 0.0, out=s)
+        np.minimum(s, width, out=s)
     s += left
     return s.reshape(shape)
 
@@ -252,8 +255,11 @@ class RadialProfile:
     def _cdf_interp(self) -> CdfTable:
         table = self._cache.get("cdf")
         if table is None:
-            table = self._cache["cdf"] = _cdf_table(lambda etas: pdf_eta(self, etas),
-                                                    self.eta_max)
+            # g is 0 from eta_max on, but the last node's slope must be the
+            # density's left limit there, which a table profile's is not
+            below = math.nextafter(self.eta_max, 0.0)
+            table = self._cache["cdf"] = _cdf_table(
+                lambda etas: pdf_eta(self, np.minimum(etas, below)), self.eta_max)
         return table
 
     def _cdf_eval(self, etas):

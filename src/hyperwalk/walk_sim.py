@@ -36,7 +36,19 @@ Paths run in chunks of _CHUNK, and a chunk makes its draws one block of
 steps at a time, at most _BLOCK = 2^13 draws of each kind per block, so the
 memory a walk needs does not grow with N.  At 64 KiB an array of a block
 stays in cache and below malloc's mmap threshold, so making it faults in no
-fresh pages; the steps reuse their temporaries in place.
+fresh pages.  splitmix64 and _uniforms build a block's stream words in place,
+on one counter array and one scratch copy.
+
+A step is a few dozen numpy calls on one chunk's paths, so on narrow chunks
+(the Sturm ladders' hundreds of paths) much of its cost is per call.  Each
+step therefore writes into rows made once per chunk and stacks its sinh
+calls: one over the rows eta and (eta - eta_z)/2 at its start, and in the
+Sturm tail one over five rows.  The chain carries the half radius eta/2, the
+output of arcsinh, so a step doubles it once, for sinh(eta), and halves
+nothing; the boundary guard compares it with half the guard radius.  Each
+of these values is the one the plain formulas give, bit for bit: scaling by
+a power of two commutes with rounding, and the sums and products keep their
+operation order.
 """
 
 import math
@@ -56,7 +68,7 @@ from .radial_density import (RadialProfile, _cdf_table, _invert_cdf, _sample_eta
 _CHUNK = 4096
 _BLOCK = 2**13  # draws of each kind per block of steps, as one (steps, paths) array
 _MODES = ("clt", "lln", "sturm")
-_ETA_GUARD = 2.0 * math.atanh(1.0 - BOUNDARY_TOL)  # radius of ||s|| = 1 - BOUNDARY_TOL
+_HALF_GUARD = math.atanh(1.0 - BOUNDARY_TOL)  # half the radius of ||s|| = 1 - BOUNDARY_TOL
 
 
 @dataclass(frozen=True)
@@ -96,12 +108,18 @@ def splitmix64(x):
 
     Output i of the SplitMix64 stream seeded with s is splitmix64(s + i*gamma),
     mod 2^64.  Takes a Python int (returns an int) or a uint64 array (returns
-    a uint64 array).
+    a uint64 array).  The shift-xor-multiply rounds run in place on the new
+    array x + gamma, with one shifted copy as scratch; x is not modified.
     """
-    w = np.array(x, dtype=np.uint64, ndmin=1) + np.uint64(_GOLDEN)
-    w = (w ^ (w >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    w = (w ^ (w >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    w ^= w >> np.uint64(31)
+    w = np.atleast_1d(np.asarray(x, dtype=np.uint64)) + np.uint64(_GOLDEN)
+    t = w >> np.uint64(30)
+    w ^= t
+    w *= np.uint64(0xBF58476D1CE4E5B9)
+    np.right_shift(w, np.uint64(27), out=t)
+    w ^= t
+    w *= np.uint64(0x94D049BB133111EB)
+    np.right_shift(w, np.uint64(31), out=t)
+    w ^= t
     return w if isinstance(x, np.ndarray) else int(w[0])
 
 
@@ -115,10 +133,13 @@ def path_stream_seed(master_seed: int, path_index):
 
 def _uniforms(seeds: np.ndarray, first: int, count: int) -> np.ndarray:
     """Draws first, ..., first + count - 1 of every stream, as (count, paths)
-    uniforms in (0, 1)."""
+    uniforms in (0, 1): the top 53 bits of each word, times 2^-53."""
     i = np.arange(first, first + count, dtype=np.uint64)[:, None]
-    u = (splitmix64(seeds[None, :] + i * np.uint64(_GOLDEN)) >> np.uint64(11)).astype(float)
-    u *= 2.0**-53
+    i *= np.uint64(_GOLDEN)
+    w = splitmix64(seeds[None, :] + i)
+    w >>= np.uint64(11)
+    # the words are below 2^53, so the conversion to float is exact
+    u = np.multiply(w, 2.0**-53)
     return open_uniforms(u, out=u)
 
 
@@ -146,86 +167,95 @@ def _run_chunk(cfg: WalkConfig, start: int, count: int) -> np.ndarray:
     sturm = cfg.scaling == "sturm"
     eps = {"clt": 1.0 / math.sqrt(N), "lln": 1.0 / N, "sturm": 1.0}[cfg.scaling]
     seeds = path_stream_seed(cfg.master_seed, np.arange(start, start + count, dtype=np.uint64))
-    eta = np.zeros(count)
-    # the step's temporaries, reused by every step: h and rows of `work`
-    h = np.empty(count)
-    work = np.empty((5 if sturm else 1, count))
+    # the step's rows, as views made once: eta, then the step's h, and the
+    # carried half radius half = eta/2.  One sinh maps the first two rows in
+    # place; in the Sturm mode it maps half too, for _stewart to square
+    rows = np.zeros((3, count))
+    eta, h, half = rows
+    sinh_rows = rows if sturm else rows[:2]
+    work = _stewart_rows(count) if sturm else None
     steps = max(1, _BLOCK // count)
     for k0 in range(0, N, steps):
         block = min(steps, N - k0)
         eta_z = eps * _sample_eta_many(cfg.profile, _uniforms(seeds, k0, block))
         sq = np.sinh(eta_z) * _angle_q(n, _uniforms(seeds, N + k0, block))
+        half_z = np.multiply(eta_z, 0.5, out=eta_z)
         if sturm:
-            h_z = np.sinh(0.5 * eta_z) ** 2
+            h_z = np.sinh(half_z) ** 2
         for k in range(block):
-            # h = sinh^2(d/2) = sinh^2((eta - eta_z)/2) + sinh(eta) sq, with d
+            # h = sinh^2(d/2) = sinh^2(half - half_z) + sinh(eta) sq, with d
             # the distance between -s (Sturm: s) and z
-            np.subtract(eta, eta_z[k], out=h)
-            h *= 0.5
-            np.sinh(h, out=h)
+            np.multiply(half, 2.0, out=eta)
+            np.subtract(half, half_z[k], out=h)
+            np.sinh(sinh_rows, out=sinh_rows)
             np.square(h, out=h)
-            np.sinh(eta, out=work[0])
-            work[0] *= sq[k]
-            h += work[0]
+            eta *= sq[k]
+            h += eta
+            np.sqrt(h, out=h)
             if sturm:
-                _stewart(eta, h_z[k], h, 1.0 / (k0 + k + 1), work)
+                _stewart(h, half, h_z[k], 1.0 / (k0 + k + 1), work)
             else:
-                # eta = 2 arcsinh(sqrt(h))
-                np.sqrt(h, out=h)
-                np.arcsinh(h, out=eta)
-                eta *= 2.0
+                # half = arcsinh(sqrt(h))
+                np.arcsinh(h, out=half)
             # a NaN radius fails the comparison too
-            if not float(np.max(eta)) < _ETA_GUARD:
-                bad = np.nonzero(~(eta < _ETA_GUARD))[0]
+            if not half.max() < _HALF_GUARD:
+                bad = np.nonzero(~(half < _HALF_GUARD))[0]
                 raise BoundaryError(f"paths {(start + bad).tolist()} reached the boundary "
                                     f"guard at step {k0 + k + 1}")
-    return eta
+    return 2.0 * half
 
 
-def _stewart(eta_s, h_z, h_d, weight, work):
-    """Radius of the point at distance x = weight * D from s on the geodesic
-    from s to z, given eta_s = |s|, h_z = sinh^2(|z|/2) and h_d = sinh^2(D/2),
-    D = d(s, z).  The radius is written into eta_s; h_d and the five rows of
-    `work`, arrays of eta_s's shape, are overwritten.
+def _stewart_rows(count: int):
+    """The six work rows of _stewart for count paths, with the views of them
+    that it passes as out=, made once per chunk."""
+    rows = np.empty((6, count))
+    return rows[:3], rows[3:], rows[1:], tuple(rows)
+
+
+def _stewart(s_half, sinh_half_s, h_z, weight, work):
+    """Sturm tail of a step: the half radius of the point at distance
+    x = weight * D from s on the geodesic from s to z.  On entry
+    s_half = sinh(D/2), D = d(s, z), and sinh_half_s = sinh(eta_s/2), with
+    eta_s = |s|; h_z = sinh^2(|z|/2).  The new half radius eta'/2 is written
+    into sinh_half_s; s_half and the rows of `work` (_stewart_rows) are
+    overwritten.
 
     Stewart's cosh(eta') sinh D = cosh(eta_s) sinh(D - x) + cosh(eta_z) sinh x,
     with cosh = 1 + 2 sinh^2(./2) and sinh(D - x) + sinh x - sinh D
     = -4 sinh((D - x)/2) sinh(x/2) sinh(D/2), reads
     sinh^2(eta'/2) sinh D = h_s sinh(D - x) + h_z sinh x
     - 2 sinh((D - x)/2) sinh(x/2) sinh(D/2), with no arccosh near 1.
+
+    The five sinh arguments come from delta = arcsinh(sinh(D/2)) = D/2 as
+    x/2 = weight delta and (D - x)/2 = delta - x/2, and one doubling of the
+    rows (delta, x/2, (D - x)/2) gives D, x and D - x.  Scaling by a power of
+    two commutes with rounding, so each is bitwise the value computed from D
+    itself, and one sinh maps all five rows in place.
     """
-    s_half = np.sqrt(h_d, out=h_d)
-    d, x, y, num, term = work
-    np.arcsinh(s_half, out=d)
-    d *= 2.0
-    np.multiply(d, weight, out=x)
-    np.subtract(d, x, out=y)
-    sinh_d = np.sinh(d, out=d)
-    h_s = np.multiply(eta_s, 0.5, out=eta_s)
-    np.sinh(h_s, out=h_s)
-    np.square(h_s, out=h_s)
-    # num = h_s sinh(y) + h_z sinh(x) - 2 sinh(y/2) sinh(x/2) s_half
-    np.sinh(y, out=num)
+    halves, doubles, args, (delta, half_x, half_y, d, x, y) = work
+    np.arcsinh(s_half, out=delta)
+    np.multiply(delta, weight, out=half_x)
+    np.subtract(delta, half_x, out=half_y)
+    np.multiply(halves, 2.0, out=doubles)
+    # from here on, each row of `args` holds the sinh of its argument
+    np.sinh(args, out=args)
+    h_s = np.square(sinh_half_s, out=sinh_half_s)
+    # num = h_s sinh(D - x) + h_z sinh(x) - 2 sinh((D - x)/2) sinh(x/2) sinh(D/2)
+    num = y
     num *= h_s
-    np.sinh(x, out=term)
-    term *= h_z
-    num += term
-    y *= 0.5
-    np.sinh(y, out=term)
-    term *= 2.0
-    x *= 0.5
-    np.sinh(x, out=x)
-    term *= x
+    x *= h_z
+    num += x
+    term = np.multiply(half_y, 2.0, out=half_y)
+    term *= half_x
     term *= s_half
     num -= term
     # D = 0 means z = s, and the step stays at s; a NaN D stays NaN, so the
     # boundary guard stops the walk
-    h = np.divide(num, sinh_d, out=h_s, where=sinh_d != 0.0)
-    # eta' = 2 arcsinh(sqrt(max(h, 0)))
+    h = np.divide(num, d, out=h_s, where=d != 0.0)
+    # half' = arcsinh(sqrt(max(h, 0)))
     np.maximum(h, 0.0, out=h)
     np.sqrt(h, out=h)
     np.arcsinh(h, out=h)
-    h *= 2.0
 
 
 def run_walk(cfg: WalkConfig) -> np.ndarray:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hyperwalk import cli
+from hyperwalk import cli, diagnostics
 from hyperwalk.cli import main
 
 
@@ -194,6 +194,41 @@ def test_non_finite_bump_support_is_a_configuration_error(argv, tmp_path, capsys
     code, out, err = run(capsys, *argv, *([str(cfg)] if argv[0] == "verify" else ["--dim", "3"]))
     assert code == 2 and out == ""
     assert "eta_max" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("check", ["heat-kernel", "clt", "llt"])
+def test_dimensions_past_the_validated_heat_kernel_exit_2(check, tmp_path, capsys, monkeypatch):
+    """The heat kernel is validated up to n = 17: heat-kernel, verify clt and
+    verify llt at n = 18 are configuration errors, raised before any walk or
+    transform runs."""
+    def never(*args):
+        raise AssertionError("a walk or transform ran for a rejected dimension")
+
+    monkeypatch.setattr(diagnostics, "run_walk", never)
+    monkeypatch.setattr(diagnostics, "walk_density_grid", never)
+    if check == "heat-kernel":
+        argv = ["heat-kernel", "--dim", "18", "--t", "1.0", "--eta", "0:1:0.5",
+                "--out", str(tmp_path / "hk.csv")]
+    else:
+        doc = {"density": {"family": "bump", "eta_max": 1.0, "dim": 18}}
+        doc.update({"N": 100, "paths": 10000, "seed": 1} if check == "clt"
+                   else {"Ns": [16, 32, 64]})
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        argv = ["verify", check, "--config", str(cfg)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "dimensions 2 to 17" in json.loads(err)["error"]
+
+
+def test_walk_and_transform_keep_every_dimension(tmp_path, capsys):
+    """Neither command uses the space-side heat kernel, so n = 18 runs."""
+    code, out, _ = run(capsys, "walk", "--dim", "18", "--density", "bump:1.0", "--N", "4",
+                       "--paths", "10", "--seed", "7")
+    assert code == 0 and len(out.splitlines()) == 11
+    code, out, _ = run(capsys, "transform", "--dim", "18", "--density", "bump:1.0",
+                       "--lambda", "0:1:0.5")
+    assert code == 0 and len(out.splitlines()) == 4
 
 
 def test_bad_grid_spec(capsys):

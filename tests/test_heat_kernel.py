@@ -201,6 +201,19 @@ def test_psi_clt_definition_and_display():
     assert np.allclose(psi_clt(t, etas, 3), display, rtol=1e-13)
 
 
+def test_kernels_reject_dimensions_past_the_validated_orders():
+    """The space-side kernel is validated for m <= 8, n <= 17; from n = 18
+    hk and psi_clt raise instead of returning a value off by up to 6.4e-9
+    relative, and the message names the validated range."""
+    etas = np.array([0.5, 1.0])
+    for n in (16, 17):
+        assert np.all(np.isfinite(hk(1.1, etas, n))) and np.all(psi_clt(1.1, etas, n) > 0.0)
+    for n in (18, 19, 25):
+        for kernel in (hk, psi_clt):
+            with pytest.raises(ValueError, match="dimensions 2 to 17"):
+                kernel(1.1, etas, n)
+
+
 def test_psi_mass_conservation():
     for n in (2, 3, 5):
         for t in (0.25, 1.0):

@@ -10,6 +10,7 @@ from hyperwalk import (cdf_eta, limit_time, make_bump, make_table, mean_eta,
                        pdf_eta, profile_from_config, scale_profile, second_moment,
                        sphere_area, walk_sim)
 from hyperwalk.gyro import mobius_scalar_raw
+from hyperwalk.quadrature import integrate_adaptive
 from hyperwalk import radial_density
 from hyperwalk.radial_density import (CubicHermite, _invert_cdf, _sample_eta_many, open_uniforms,
                                       pchip_slopes)
@@ -255,6 +256,34 @@ def test_guide_inversion_matches_binary_search_bitwise(name):
 def _eleven_point_table(n):
     etas = np.linspace(0.0, 1.0, 11)
     return make_table(etas, np.cos(1.5 * etas) ** 2 * (1.0 - etas) + 0.05, n)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_table_profile_cdf_converges_at_its_edge(n, monkeypatch):
+    """A table profile ends at a nonzero density (1.22 just below eta_max for
+    the 11-point table at n = 3), so the CDF table's last slope must be the
+    density's left limit, not g(eta_max) = 0.  With the zero slope the
+    doubling stopped at its cap with levels 9e-6 apart, and the table was
+    5.5e-6 off the quadrature CDF just below eta_max."""
+    p = _eleven_point_table(n)
+    built = []
+
+    class Recording(CubicHermite):
+        def __init__(self, x, y, d):
+            super().__init__(x, y, d)
+            built.append(self)
+
+    monkeypatch.setattr(radial_density, "CubicHermite", Recording)
+    p._cdf_interp()
+    # the doubling stopped on its criterion, below the cap of 8 levels
+    assert len(built) < 8
+    last, prev = built[-1], built[-2]
+    assert float(np.max(np.abs(prev(last.x[:-1]) - last.c[3]))) < radial_density._CDF_TOL
+    for gap in (1e-5, 2e-5, 3e-5):
+        eta = p.eta_max - gap
+        exact = integrate_adaptive(lambda e: pdf_eta(p, e), 0.0, eta,
+                                   abs_tol=1e-15, rel_tol=1e-15)
+        assert abs(cdf_eta(p, eta) - exact) < 1e-12
 
 
 def _assert_same_cubic(got, want, x):
