@@ -255,8 +255,8 @@ class RadialProfile:
     def _cdf_interp(self) -> CdfTable:
         table = self._cache.get("cdf")
         if table is None:
-            # g is 0 from eta_max on, but the last node's slope must be the
-            # density's left limit there, which a table profile's is not
+            # g is 0 from eta_max on, so the last node takes its slope from
+            # just below: the density's left limit, not 0 where a table ends
             below = math.nextafter(self.eta_max, 0.0)
             table = self._cache["cdf"] = _cdf_table(
                 lambda etas: pdf_eta(self, np.minimum(etas, below)), self.eta_max)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstwobign
 
-from hyperwalk import make_bump
+from hyperwalk import make_bump, make_table
 from hyperwalk.spectral import fh_transform
 
 
@@ -40,3 +40,10 @@ def ks_critical(alpha, m, k=None):
     """
     c = float(kstwobign.isf(alpha))
     return c / math.sqrt(m) if k is None else c * math.sqrt((m + k) / (m * k))
+
+
+def eleven_point_table(n):
+    """An 11-point pchip table profile on [0, 1] that ends at a nonzero
+    density."""
+    etas = np.linspace(0.0, 1.0, 11)
+    return make_table(etas, np.cos(1.5 * etas) ** 2 * (1.0 - etas) + 0.05, n)

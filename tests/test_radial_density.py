@@ -15,7 +15,7 @@ from hyperwalk import radial_density
 from hyperwalk.radial_density import (CubicHermite, _invert_cdf, _sample_eta_many, open_uniforms,
                                       pchip_slopes)
 
-from conftest import ks_critical
+from conftest import eleven_point_table, ks_critical
 
 
 def test_make_bump_rejects_bad_support():
@@ -253,11 +253,6 @@ def test_guide_inversion_matches_binary_search_bitwise(name):
     assert np.array_equal(_invert_cdf(table, block), got[:1000].reshape(10, 100))
 
 
-def _eleven_point_table(n):
-    etas = np.linspace(0.0, 1.0, 11)
-    return make_table(etas, np.cos(1.5 * etas) ** 2 * (1.0 - etas) + 0.05, n)
-
-
 @pytest.mark.parametrize("n", [2, 3])
 def test_table_profile_cdf_converges_at_its_edge(n, monkeypatch):
     """A table profile ends at a nonzero density (1.22 just below eta_max for
@@ -265,7 +260,7 @@ def test_table_profile_cdf_converges_at_its_edge(n, monkeypatch):
     density's left limit, not g(eta_max) = 0.  With the zero slope the
     doubling stopped at its cap with levels 9e-6 apart, and the table was
     5.5e-6 off the quadrature CDF just below eta_max."""
-    p = _eleven_point_table(n)
+    p = eleven_point_table(n)
     built = []
 
     class Recording(CubicHermite):
@@ -309,7 +304,7 @@ def test_cdf_tables_match_cubic_hermite_spline_bitwise(name, monkeypatch):
             built.append((x, y, d, self))
 
     monkeypatch.setattr(radial_density, "CubicHermite", Recording)
-    p = _eleven_point_table(3) if name == "table11" else make_bump(1.0, int(name[-1]))
+    p = eleven_point_table(3) if name == "table11" else make_bump(1.0, int(name[-1]))
     table = p._cdf_interp()
     assert table.interp is built[-1][3]
     for x, y, d, got in built:

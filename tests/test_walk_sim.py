@@ -7,8 +7,8 @@ from scipy.interpolate import CubicSpline
 from scipy.special import betainc
 from scipy.stats import ks_2samp, kstest
 
-from hyperwalk import (BoundaryError, WalkConfig, cdf_eta, limit_time, make_bump, make_table,
-                       psi_clt, run_walk, sphere_area, walk_density_grid, walk_sim)
+from hyperwalk import (BoundaryError, WalkConfig, cdf_eta, limit_time, make_bump, psi_clt,
+                       run_walk, sphere_area, walk_density_grid, walk_sim)
 from hyperwalk.cli import main
 from hyperwalk.diagnostics import _limit_radial_cdf
 from hyperwalk.gyro import mobius_add_raw, mobius_scalar_raw
@@ -16,7 +16,7 @@ from hyperwalk.quadrature import cumulative_gl
 from hyperwalk.radial_density import _sample_eta_many, open_uniforms
 from hyperwalk.walk_sim import _angle_q, _uniforms, path_stream_seed, splitmix64
 
-from conftest import ks_critical
+from conftest import eleven_point_table, ks_critical
 from oracles import empirical_radial_density
 
 
@@ -312,23 +312,18 @@ def test_radial_chain_matches_points_walk_pathwise(mode, n):
     assert float(np.max(np.abs(chain - points) / points)) < 1e-12
 
 
-def _eleven_point_table(n):
-    etas = np.linspace(0.0, 1.0, 11)
-    return make_table(etas, np.cos(1.5 * etas) ** 2 * (1.0 - etas) + 0.05, n)
-
-
 @pytest.mark.parametrize("profile,N", [
     (lambda: make_bump(1.0, 3), 4), (lambda: make_bump(1.0, 3), 16),
     (lambda: make_bump(1.0, 2), 16), (lambda: make_bump(1.0, 5), 8),
-    (lambda: _eleven_point_table(3), 16)],
+    (lambda: eleven_point_table(3), 16)],
     ids=["bump-n3-N4", "bump-n3-N16", "bump-n2-N16", "bump-n5-N8", "table11-n3-N16"])
 def test_clt_walk_matches_exact_finite_N_law(profile, N):
     """The terminal law of the N-step clt walk against the exact N-step law
     of the spectral route, walk_density_grid: a finite-N oracle with no bias
-    term, so the threshold is the Kolmogorov critical value alone.  The
-    density is exact on the support [0, sqrt(N) eta_max]; its radial CDF is
-    the integral of a cubic spline through it.  A 1% radius error, uniform q
-    at n = 5 and a contraction of N^-0.45 each fail this test."""
+    term, so the threshold is the Kolmogorov critical value alone.  The law
+    is supported on [0, sqrt(N) eta_max], and its radial CDF is the integral
+    of a cubic spline through the density there.  A 1% radius error and a
+    contraction of N^-0.45 fail every case, uniform q at n = 5 the n = 5 one."""
     p, paths = profile(), 400000
     n = p.dim.n
     grid = np.linspace(0.0, math.sqrt(N) * p.eta_max, 401)
