@@ -82,10 +82,11 @@ def pchip_slopes(x, y):
 def _cdf_table(measure, upper):
     """Cubic Hermite table of the CDF of a density on [0, upper].
 
-    The table has the exact density as its slopes on a uniform grid, and is
-    doubled until the previous level's interpolant matches the new node
-    values to _CDF_TOL: the criterion bounds the interpolant between nodes,
-    not only the nodes themselves.  Returns a CdfTable; its cubic's c[3] row
+    The table has the exact density as its slopes on a uniform grid, the
+    last one its left limit at upper, and is doubled until the previous
+    level's interpolant matches the new node values to _CDF_TOL: the
+    criterion bounds the interpolant between nodes, not only the nodes
+    themselves.  Returns a CdfTable; its cubic's c[3] row
     holds the left node values that the guide of _invert_cdf indexes.
     """
     npts = 257
@@ -100,6 +101,8 @@ def _cdf_table(measure, upper):
         # far from linear across a cell, such as a cell where it vanishes
         # like x^k with k >= 3 (the first radial cell for n >= 4)
         slopes = measure(grid)
+        # a density cut off at upper, such as a table profile's, is 0 there
+        slopes[-1] = measure(np.array([math.nextafter(upper, 0.0)]))[0]
         secant = np.diff(vals) / np.diff(grid)
         slopes[:-1] = np.minimum(slopes[:-1], 3.0 * secant)
         slopes[1:] = np.minimum(slopes[1:], 3.0 * secant)
@@ -255,11 +258,8 @@ class RadialProfile:
     def _cdf_interp(self) -> CdfTable:
         table = self._cache.get("cdf")
         if table is None:
-            # g is 0 from eta_max on, so the last node takes its slope from
-            # just below: the density's left limit, not 0 where a table ends
-            below = math.nextafter(self.eta_max, 0.0)
-            table = self._cache["cdf"] = _cdf_table(
-                lambda etas: pdf_eta(self, np.minimum(etas, below)), self.eta_max)
+            table = self._cache["cdf"] = _cdf_table(lambda etas: pdf_eta(self, etas),
+                                                    self.eta_max)
         return table
 
     def _cdf_eval(self, etas):

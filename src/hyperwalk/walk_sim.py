@@ -40,15 +40,11 @@ fresh pages.  splitmix64 and _uniforms build a block's stream words in place,
 on one counter array and one scratch copy.
 
 A step is a few dozen numpy calls on one chunk's paths, so on narrow chunks
-(the Sturm ladders' hundreds of paths) much of its cost is per call.  Each
-step therefore writes into rows made once per chunk and stacks its sinh
-calls: one over the rows eta and (eta - eta_z)/2 at its start, and in the
-Sturm tail one over five rows.  The chain carries the half radius eta/2, the
-output of arcsinh, so a step doubles it once, for sinh(eta), and halves
-nothing; the boundary guard compares it with half the guard radius.  Each
-of these values is the one the plain formulas give, bit for bit: scaling by
-a power of two commutes with rounding, and the sums and products keep their
-operation order.
+(the Sturm ladders' hundreds of paths) much of its cost is per call.  The
+steps write into rows made once per chunk, stack their sinh calls (one at a
+step's start, one more in the Sturm tail) and carry the half radius eta/2,
+the output of arcsinh.  Every value stays bitwise that of the plain
+formulas, since scaling by a power of two commutes with rounding (_stewart).
 """
 
 import math

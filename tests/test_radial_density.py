@@ -281,6 +281,23 @@ def test_table_profile_cdf_converges_at_its_edge(n, monkeypatch):
         assert abs(cdf_eta(p, eta) - exact) < 1e-12
 
 
+@pytest.mark.parametrize("kind,n", [("angle", 4), ("angle", 5), ("angle", 7), ("angle", 12),
+                                    ("angle", 17), ("bump", 2), ("bump", 3), ("bump", 5)])
+def test_edge_slope_moves_no_table_whose_density_vanishes_there(kind, n, monkeypatch):
+    """The last node's slope is the density's left limit at the table's end.
+    Where the density vanishes there, as the angle density sin^(n-2) theta
+    does at pi and the bump does at eta_max, the table keeps every bit of
+    the cubic that the slope at the end itself gives."""
+    def table():
+        if kind == "angle":
+            return radial_density._cdf_table(lambda th: np.sin(th) ** (n - 2), math.pi)
+        return make_bump(1.0, n)._cdf_interp()
+
+    left = table()
+    monkeypatch.setattr(radial_density.math, "nextafter", lambda x, toward: x)
+    assert np.array_equal(left.interp.c, table().interp.c)
+
+
 def _assert_same_cubic(got, want, x):
     """Coefficients and values bitwise equal, at 10^4 random points of [x[0],
     x[-1]] and at every node."""
