@@ -12,7 +12,9 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-# budgets of integrate_adaptive and gk_adaptive_vector
+# budgets of integrate_adaptive and of gk_adaptive_vector, which nothing in
+# the package calls: it is the tests' oracle of the inverse transform's
+# trapezoid levels, and the benchmark's tracer rebinds it by name
 _MAX_DOUBLINGS = 14
 _MAX_PANELS = 400
 

@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .geometry import as_dim, sphere_area
-from .quadrature import cumulative_gl, integrate_adaptive
+from .quadrature import QuadratureError, cumulative_gl, integrate_adaptive
 
 _CDF_TOL = 1e-12
 _NEWTON_STEPS = 4
@@ -79,20 +79,36 @@ def pchip_slopes(x, y):
                            [_pchip_end(h[-1], h[-2], m[-1], m[-2])]])
 
 
-def _cdf_table(measure, upper):
-    """Cubic Hermite table of the CDF of a density on [0, upper].
+def knot_grid(knots, upper: float, level: int) -> np.ndarray:
+    """Ascending nodes 0, the knots and upper, each interval between them
+    cut into 2^level equal panels; the knots are sorted, distinct and in (0,
+    upper].  Without knots this is bitwise linspace(0, upper, 2^level + 1)."""
+    ends = [0.0, *knots]
+    if ends[-1] < upper:
+        ends.append(upper)
+    ends = np.array(ends)
+    cuts = ends[:-1, None] + np.diff(ends)[:, None] * (np.arange(2**level) / 2**level)
+    return np.append(cuts.ravel(), upper)
 
-    The table has the exact density as its slopes on a uniform grid, the
-    last one its left limit at upper, and is doubled until the previous
-    level's interpolant matches the new node values to _CDF_TOL: the
-    criterion bounds the interpolant between nodes, not only the nodes
-    themselves.  Returns a CdfTable; its cubic's c[3] row
-    holds the left node values that the guide of _invert_cdf indexes.
+
+def _cdf_table(measure, upper, knots=()):
+    """Cubic Hermite table of the CDF of a density on [0, upper], smooth
+    between its knots.
+
+    The table has the exact density as its slopes on the knot_grid of the
+    first level with at least 256 cells, the last slope its left limit at
+    upper, and is doubled until the previous level's interpolant matches
+    the new node values to _CDF_TOL: the criterion bounds the interpolant
+    between nodes, not only the nodes themselves.  Eight levels without
+    that agreement are a QuadratureError.  Returns a CdfTable; its cubic's
+    c[3] row holds the left node values that the guide of _invert_cdf
+    indexes.
     """
-    npts = 257
+    intervals = knot_grid(knots, upper, 0).size - 1
+    first = (255 // intervals).bit_length()  # the least level with 256 cells or more
     prev = None
-    for _ in range(8):
-        grid = np.linspace(0.0, upper, npts)
+    for level in range(first, first + 8):
+        grid = knot_grid(knots, upper, level)
         vals = cumulative_gl(measure, grid, q=16)
         vals = np.minimum.accumulate(np.minimum(vals, vals[-1])[::-1])[::-1]
         vals = np.maximum.accumulate(vals)
@@ -108,10 +124,10 @@ def _cdf_table(measure, upper):
         slopes[1:] = np.minimum(slopes[1:], 3.0 * secant)
         interp = CubicHermite(grid, vals, slopes)
         if prev is not None and float(np.max(np.abs(prev(grid) - vals))) < _CDF_TOL:
-            break
+            return CdfTable(interp, float(vals[-1]))
         prev = interp
-        npts = 2 * npts - 1
-    return CdfTable(interp, float(vals[-1]))
+    raise QuadratureError(f"CDF table did not reach {_CDF_TOL} in 8 levels "
+                          f"({grid.size} nodes)")
 
 
 class CdfTable:
@@ -259,7 +275,7 @@ class RadialProfile:
         table = self._cache.get("cdf")
         if table is None:
             table = self._cache["cdf"] = _cdf_table(lambda etas: pdf_eta(self, etas),
-                                                    self.eta_max)
+                                                    self.eta_max, self.knots)
         return table
 
     def _cdf_eval(self, etas):

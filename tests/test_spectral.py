@@ -6,16 +6,17 @@ from scipy.integrate import quad
 from scipy.special import loggamma, roots_jacobi
 
 from hyperwalk import (fh_inverse_grid, fh_transform, hk, hk_fourier, inversion_constant,
-                       make_bump, make_table, phi_many, plancherel_density, scale_profile,
+                       llt_check, make_bump, make_table, phi_many, plancherel_density, scale_profile,
                        second_moment, spectral, variance_direct, walk_density_grid,
                        walk_transform)
+from hyperwalk.diagnostics import _llt_eta_grid
 from hyperwalk.geometry import as_dim
-from hyperwalk.quadrature import gauss_jacobi_sym, integrate_adaptive
+from hyperwalk.quadrature import QuadratureError, gauss_jacobi_sym, integrate_adaptive
 from hyperwalk.spectral import TruncationError
 
-from conftest import bump_transform_envelope
-from oracles import (SeriesError, convolution_profile, convolve_direct, fh_transform_jacobi,
-                     gk_panel_by_panel, phi_jacobi, phi_series, variance_jacobi)
+from conftest import bump_transform_envelope, eleven_point_table
+from oracles import (SeriesError, convolution_profile, convolve_direct, fh_inverse_kronrod,
+                     fh_transform_jacobi, phi_jacobi, phi_series, variance_jacobi)
 
 
 def closed3(lam, eta):
@@ -419,61 +420,102 @@ def test_lambda_arrays_match_scalar_calls(n, monkeypatch):
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
-def test_inverse_accepts_scalar_or_array_F(n):
-    """F gets the 15-node Kronrod panels of one round per call (a 1-d array of
-    a multiple of 15 lambdas, more than one panel in the first round) and the
-    envelope one block of the truncation scan; a scalar F value holds for
-    the whole call."""
-    etas = np.array([0.0, 0.4, 1.1])
-    panels, blocks = [], []
+def test_inverse_accepts_scalar_or_array_F(n, monkeypatch):
+    """F gets 1-d lambda arrays and the envelope 1-d blocks of the truncation
+    scan; a scalar F value holds for the whole call, here one lambda per
+    call.  A grid of only eta = 0 inverts the heat kernel's transform."""
+    t, etas = 0.7, np.array([0.0, 0.4, 1.1])
+    shapes, blocks = [], []
 
     def F(lam):
-        panels.append(np.shape(lam))
-        return 1.0
+        shapes.append(np.shape(lam))
+        return float(hk_fourier(t, lam[0], n))
 
     def envelope(lam):
         blocks.append(np.shape(lam))
-        return np.exp(-lam**2)
+        return np.abs(hk_fourier(t, lam, n))
 
+    array = fh_inverse_grid(lambda lam: hk_fourier(t, lam, n), etas, n, envelope=envelope)
+    monkeypatch.setattr(spectral, "_COS_BLOCK", 1)
     scalar = fh_inverse_grid(F, etas, n, envelope=envelope)
-    assert all(len(s) == 1 and s[0] % 15 == 0 for s in panels) and max(panels)[0] > 15
-    assert all(len(b) == 1 for b in blocks)
-    array = fh_inverse_grid(lambda lam: np.ones(np.shape(lam)), etas, n, envelope=envelope)
-    _same(scalar, array)
+    assert set(shapes) == {(1,)} and all(len(b) == 1 for b in blocks)
+    np.testing.assert_array_equal(scalar, array)
+    origin = fh_inverse_grid(lambda lam: hk_fourier(t, lam, n), np.array([0.0]), n)
+    assert origin[0] == pytest.approx(hk(t, 0.0, n), rel=1e-10, abs=0.0)
+    assert fh_inverse_grid(lambda lam: 0.0, np.array([0.0]), n)[0] == 0.0
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
-def test_inverse_batches_match_single_panels(n, monkeypatch):
-    """The exact walk density with all the panels of a round in one call is
-    bitwise the density with one panel per call, forced by _COS_BLOCK = 1
-    (which leaves every lambda's transform and spherical function as it is)
-    or by the panel-by-panel rule of oracles.gk_panel_by_panel, which also
-    pins the order in which panels are bisected and summed."""
+def test_inverse_is_bitwise_independent_of_lambda_blocks(n, monkeypatch):
+    """The exact walk density with every new node of a level in one F call
+    is bitwise the density with one lambda per call, forced by _COS_BLOCK =
+    1, which leaves every lambda's transform and spherical function as it
+    is: the rows are summed in node order whatever the blocks."""
     etas = np.linspace(0.0, 3.0, 41)
+    prof = make_bump(1.0, n)
     sizes = []
 
     def density():
-        prof = make_bump(1.0, n)
-
         def F(lam):
             sizes.append(np.size(lam))
             return walk_transform(prof, 16, lam)
 
-        def envelope(lam):
-            return np.abs(walk_transform(prof, 16, lam))
-
-        return fh_inverse_grid(F, etas, n, envelope=envelope)
+        return fh_inverse_grid(F, etas, n, envelope=lambda lam: np.abs(F(lam)))
 
     batched = density()
-    assert max(sizes) > 15
+    assert max(sizes) > 16
     sizes.clear()
     monkeypatch.setattr(spectral, "_COS_BLOCK", 1)
     single = density()
-    assert set(sizes) == {15}
+    assert 1 in sizes and max(sizes) <= spectral._SCAN_BLOCK
     np.testing.assert_array_equal(batched, single)
-    monkeypatch.undo()
-    monkeypatch.setattr(spectral, "gk_adaptive_vector", gk_panel_by_panel)
-    np.testing.assert_array_equal(batched, density())
+
+
+@pytest.mark.parametrize("kind,n", [("bump", 2), ("bump", 3), ("bump", 5), ("bump", 7),
+                                    ("table", 2), ("table", 3)])
+def test_walk_density_matches_kronrod_route(kind, n):
+    """The trapezoid levels agree with the adaptive Kronrod rule of the
+    oracle within 5e-14 on the llt grid of 200 radii, at N = 16 and 256:
+    bumps at odd and even n, and the 11-point table, whose even-n transform
+    has kinked Abel panels."""
+    prof = make_bump(1.0, n) if kind == "bump" else eleven_point_table(n)
+    grid = _llt_eta_grid(prof, 200)
+    for N in (16, 256):
+        exact = walk_density_grid(prof, N, grid)
+        oracle = fh_inverse_kronrod(lambda lam: walk_transform(prof, N, lam), grid, n)
+        assert float(np.max(np.abs(exact - oracle))) < 5e-14
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_inverse_of_a_cut_off_integrand_is_hard_error(n):
+    """F = 1 with an envelope that lies about its decay: the integrand is cut
+    off at the truncation point, where it is far from 0, so no two trapezoid
+    levels agree and the inverse raises instead of returning the cut-off
+    integral."""
+    with pytest.raises(QuadratureError):
+        fh_inverse_grid(lambda lam: 1.0, np.array([0.0, 0.4, 1.1]), n,
+                        envelope=lambda lam: np.exp(-lam**2))
+
+
+def test_llt_n3_inversions_take_few_lambda_nodes(monkeypatch):
+    """llt_check on the unit bump in n = 3 over N = 16...256, the benchmark's
+    llt-n3 configuration: each inversion evaluates at most 64 lambda nodes
+    (the adaptive Kronrod rule took 525 to 570)."""
+    nodes = []
+    inverse, phi = spectral.fh_inverse_grid, spectral.phi_many
+
+    def counted_inverse(*args, **kwargs):
+        nodes.append(0)
+        return inverse(*args, **kwargs)
+
+    def counted_phi(lam, eta, n):
+        nodes[-1] += np.size(lam)
+        return phi(lam, eta, n)
+
+    monkeypatch.setattr(spectral, "fh_inverse_grid", counted_inverse)
+    monkeypatch.setattr(spectral, "phi_many", counted_phi)
+    assert llt_check(make_bump(1.0, 3), [16, 32, 64, 128, 256]).passed
+    assert len(nodes) == 5 and 0 < max(nodes) <= 64
 
 
 @pytest.mark.parametrize("n", range(2, 18))
