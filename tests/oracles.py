@@ -16,9 +16,8 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.special import roots_jacobi
 
-from hyperwalk import RadialProfile, sphere_area
+from hyperwalk import RadialProfile, spectral, sphere_area
 from hyperwalk.geometry import as_dim
-from hyperwalk import spectral
 from hyperwalk.quadrature import (QuadratureError, gauss_legendre, gk_adaptive_vector,
                                   integrate_adaptive, panel_nodes)
 from hyperwalk.radial_density import pdf_eta, sinch
@@ -144,37 +143,30 @@ def variance_jacobi(p: RadialProfile) -> float:
     return raw / fh_transform_jacobi(p, 0.0)
 
 
-def fh_inverse_kronrod(F, etas, n, envelope=None, tail_tol=spectral._TAIL_THRESHOLD):
+def fh_inverse_kronrod(F, etas, n):
     """The inverse transform by adaptive Gauss-Kronrod panels in lambda, a
     rule independent of fh_inverse_grid's trapezoid levels with the same
     truncation and tolerance: uniform panels of width min(4, 8 / max(1,
     eta_top)) over the bulk, growing by 1.35 into the tail, refined by
-    quadrature.gk_adaptive_vector."""
+    quadrature.gk_adaptive_vector.  F returns an array for an array of
+    lambda."""
     d = as_dim(n).n
     etas = np.asarray(etas, dtype=float)
-
-    def func(lams):
-        return np.broadcast_to(np.asarray(F(lams), dtype=float), lams.shape)
-
-    env = envelope or (lambda lams: np.abs(func(lams)))
-    lam_max, peak = spectral.find_truncation(env, d, tail_tol=tail_tol)
-    eta_top = float(np.max(etas)) if etas.size else 0.0
+    lam_max, peak = spectral.find_truncation(lambda lams: np.abs(F(lams)), d)
 
     def rows(lams):
-        return ((func(lams) * spectral.plancherel_density(lams, d))[:, None]
-                * spectral.phi_many(lams, etas, d))
+        return (F(lams) * spectral.plancherel_density(lams, d))[:, None] * spectral.phi_many(
+            lams, etas, d)
 
-    width = min(4.0, 8.0 / max(1.0, eta_top))
+    width = min(4.0, 8.0 / max(1.0, float(np.max(etas))))
     edges = [0.0]
     step = width
     while edges[-1] < lam_max:
         if edges[-1] > 8.0 * width:
             step *= 1.35
         edges.append(min(edges[-1] + step, lam_max))
-    integral = gk_adaptive_vector(
-        rows, np.asarray(edges),
-        abs_tol=max(spectral._ABS_TARGET, 0.1 * tail_tol) * min(1.0, peak),
-        batch=max(1, spectral._COS_BLOCK // (15 * max(1, etas.size))))
+    integral = gk_adaptive_vector(rows, np.asarray(edges),
+                                  abs_tol=spectral._ABS_TARGET * min(1.0, peak))
     return spectral.inversion_constant(d) * integral
 
 
