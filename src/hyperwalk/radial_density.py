@@ -140,7 +140,7 @@ class CdfTable:
     the bucket index of the inversion: bucket b of M (a power of two at least
     8 times the cell count) holds the uniforms in [b/M, (b+1)/M), and
     guide[b] is the cell of the bucket's lower edge, or -1 when the bucket
-    spans more than two cells.
+    spans more than two cells or starts in the first cell.
     """
 
     def __init__(self, interp, total):
@@ -161,12 +161,13 @@ class CdfTable:
 def _guide(lo, total):
     """Guide of the node values lo (see CdfTable).  A uniform u in bucket b
     has u*total between edges[b] and edges[b + 1], the products rounded as
-    _invert_cdf rounds them, so its cell lies between theirs."""
+    _invert_cdf rounds them, so its cell lies between theirs.  Every draw in
+    the first cell takes the guide's -1, which gives it its own start."""
     m = 1 << (8 * lo.size - 1).bit_length()
     edges = np.arange(m + 1) / m * total
     cell = np.searchsorted(lo, edges) - 1  # the cell _invert_cdf gives u*total
     guide = np.maximum(cell[:-1], 0)
-    guide[cell[1:] - guide > 1] = -1
+    guide[(cell[1:] - guide > 1) | (guide == 0)] = -1
     return guide
 
 
@@ -175,13 +176,17 @@ def _invert_cdf(table, u):
 
     A draw's cell is the last whose left node value lies below u*total.  The
     guide gives it with one compare against the cell's right node value;
-    draws in the few buckets that span more than two cells (the guide's -1)
-    take a binary search instead.  The root then starts at the secant guess
-    and takes _NEWTON_STEPS (four) Newton steps on that cell's cubic, each
-    clamped to the cell, so a draw never leaves its bracket.  Where the
-    density is close to linear across a cell this inverts the table to
-    rounding.  In a cell where the density vanishes like x^k with k >= 2, the
-    steps can stop short by a few percent of that cell's mass.
+    draws in the few buckets that span more than two cells or start in the
+    first cell (the guide's -1) take a binary search instead.  The root then
+    starts at the secant guess and takes _NEWTON_STEPS (four) Newton steps
+    on that cell's cubic, each clamped to the cell, so a draw never leaves
+    its bracket.  Where the density is close to linear across a cell this
+    inverts the table to rounding.  In the first cell, where the density
+    vanishes like eta^{n-1}, n >= 2, the secant guess of a small u lies far
+    below the root (the steps from it stopped at 743 times the root for the
+    n = 2 bump at u = 1e-15), so those draws start at the smaller root of
+    the cubic's s^2 and s^3 terms (its slope at 0 is 0), which is close to
+    the root and above it where neither term is negative.
     """
     shape = np.shape(u)
     u = np.reshape(u, -1)
@@ -200,6 +205,11 @@ def _invert_cdf(table, u):
     s *= width
     hi -= lo
     s /= hi
+    first = wide[i[wide] == 0]
+    if first.size:
+        a3, a2 = (max(a, 0.0) for a in table.interp.c[:2, 0])  # the cubic is 0 at 0
+        with np.errstate(divide="ignore"):  # a zero coefficient's root is inf
+            s[first] = np.minimum(np.cbrt(uu[first] / a3), np.sqrt(uu[first] / a2))
     r = np.subtract(lo, uu, out=lo)
     c0x3 = np.multiply(c0, 3.0, out=hi)
     c1x2 = np.multiply(c1, 2.0, out=uu)
@@ -399,10 +409,11 @@ def _sample_eta_many(p: RadialProfile, u: np.ndarray) -> np.ndarray:
 
     The inversion is _invert_cdf's: a guide-table lookup of each draw's
     cell, then four clamped Newton steps on its cubic.  In the first cell,
-    where the density vanishes like eta^{n-1}, the Newton steps can stop
-    short by a few percent of that cell's mass (for the unit bump in n = 3
-    the cell holds 5e-11 and the residual in u stays below 2e-12).  The
-    table's own error is what the 1e-12 doubling criterion of _cdf_table
+    where the density vanishes like eta^{n-1}, the steps start at the
+    smaller root of the cubic's s^2 and s^3 terms, so even a draw far below
+    that cell's mass (1.4e-7 for the unit bump in n = 2) is the cubic's root
+    to rounding.
+    The table's own error is what the 1e-12 doubling criterion of _cdf_table
     bounds: successive interpolants agree to 1e-12 at the finer nodes.
     """
     u = np.asarray(u, dtype=float)

@@ -23,21 +23,24 @@ against the Plancherel density |c(lambda)|^{-2} of the Harish-Chandra
 c-function, an elementary function of lambda in every dimension, by nested
 trapezoid levels in lambda up to a certified truncation point, with tail
 and level tolerances relative to the integrand's peak where that peak is
-below 1.  The N-step walk law is supported on [0, S], so at odd n its
-integrand is the Fourier transform of a function supported on |x| <= S +
-eta, and a step below 2 pi / (S + eta) is exact but for rounding (Poisson
-summation); at even n the poles of tanh(pi lambda) at +-i/2 add an error
-that falls like e^{-pi/step}.
+below 1.  The first level is the truncation scan: its nodes are judged in
+order until the tail is certified, so every F value it computes up to the
+truncation point is a node of the sum.  The N-step walk law is supported
+on [0, S], so at odd n its integrand is the Fourier transform of a
+function supported on |x| <= S + eta, and a step below 2 pi / (S + eta) is
+exact but for rounding (Poisson summation); at even n the poles of
+tanh(pi lambda) at +-i/2 add an error that falls like e^{-pi/step}.
 
 Array contract: `phi_many`, `fh_transform` and `plancherel_density` take a
 scalar or an array of lambda and evaluate every lambda in one call; each
 lambda gets exactly the value a scalar call would give it.
-`fh_inverse_grid` evaluates its spectral integrand on the new nodes of each
-trapezoid level, so the F it is given receives 1-d lambda arrays of at most
-_COS_BLOCK // len(etas) lambdas (and may return a scalar, which is
-broadcast); the envelope receives blocks of the truncation scan.  For an F
-that, like `fh_transform`, gives every lambda its scalar value, the result
-does not depend on how the nodes are blocked.
+`fh_inverse_grid` evaluates its spectral integrand on the nodes of the
+first trapezoid level, in node order, and then on the new nodes of each
+later level, so the F it is given, and the envelope, receive 1-d lambda
+arrays of at most _COS_BLOCK // len(etas) lambdas (and may return a
+scalar, which is broadcast).  For an F that, like `fh_transform`, gives
+every lambda its scalar value, the result does not depend on how the
+nodes are blocked.
 """
 
 import math
@@ -60,8 +63,6 @@ _LEVELS = 12
 # transform kernels, of (s, u) Abel-transform nodes or of the (lambda, eta)
 # rows of one call of the inverse transform's integrand: 2 MiB of float64
 _COS_BLOCK = 1 << 18
-# truncation scan points whose envelope is evaluated in one call
-_SCAN_BLOCK = 16
 # Jacobi factors of phi_many kept between calls, with their total bytes cap
 _ROWS = {}
 _ROWS_BYTES = 1 << 24
@@ -284,20 +285,60 @@ def _abel_table(p: RadialProfile, level: int):
     return entry
 
 
-def fh_transform(p: RadialProfile, lam):
+# 1/(2k+1)!, k = 1...9: the Taylor series of sinc - 1 in x^2 to rounding at |x| = 1
+_SINC_TAYLOR = [1.0 / math.factorial(2 * k + 1) for k in range(1, 10)]
+
+
+def _sinc_deficit(x, sign=-1.0):
+    """1 - sin(x)/x (sign -1) or sinh(x)/x - 1 (sign 1) at x >= 0, without
+    cancellation: the Taylor series in x^2 below x = 1, the difference above."""
+    out = np.sinh(x) if sign > 0.0 else np.sin(x)
+    np.divide(out, x, out=out, where=x != 0.0)
+    out -= 1.0
+    small = x < 1.0
+    u = x[small]
+    u *= sign * u
+    series = np.zeros_like(u)
+    for c in reversed(_SINC_TAYLOR):
+        series += c
+        series *= u
+    out[small] = series
+    out *= sign
+    return out
+
+
+def _deficit_base(p: RadialProfile, level: int) -> float:
+    """The lambda-free half of the deficit (see fh_transform) over the Abel
+    table of the level, cached."""
+    bases = p._cache.setdefault("deficit_base", {})
+    if level not in bases:
+        s, wt = _abel_table(p, level)
+        rho = 0.5 * (p.dim.n - 1)
+        k = 2.0 * np.sinh(0.5 * rho * s) ** 2 if p.dim.n == 2 else s * _sinc_deficit(rho * s, 1.0)
+        bases[level] = float(np.sum(wt * k))
+    return bases[level]
+
+
+def fh_transform(p: RadialProfile, lam, deficit: bool = False):
     """Radial Helgason transform: integral of the spherical function against
-    the radial measure of the profile, to ~1e-13 absolute.
+    the radial measure of the profile, to ~1e-13 absolute; with deficit set,
+    the deficit 1 - F instead.
 
     For n = 2 it is the cosine sum of the Abel table; for n >= 3 it is taken
     by parts, F = 2 int B(s) sin(lambda s)/lambda ds with B = -A', whose
     rounding error falls like 1/lambda where the cosine sum's stays near
     1e-16 and the Plancherel density's growth carries it into an inverse.
+    The deficit is int (phi_{i rho} - phi_lambda) dmu, as phi_{i rho} = 1,
+    rho = (n-1)/2, so its kernel cosh(rho s) - cos(lambda s) (n = 2), or
+    sinh(rho s)/rho - sin(lambda s)/lambda (n >= 3), splits into a lambda-free
+    and a lambda term, both >= 0 and computed without cancellation.
 
     Scalar or array lam.  Each lambda starts at its own panel level, stops
     when two consecutive levels agree and has a budget of 14 levels; only the
     lambdas still open are evaluated at the next level, one row of the Abel
     table each, in blocks of at most _COS_BLOCK.
     """
+    d = p.dim.n
     lams = np.abs(np.asarray(lam, dtype=float))
     flat = lams.reshape(-1)
     start = np.array([int(l * p.eta_max / 34.0).bit_length() for l in flat], dtype=int)
@@ -307,14 +348,20 @@ def fh_transform(p: RadialProfile, lam):
     for lv in range(int(start.max(initial=-14)) + 14):
         sel = np.nonzero(pending & (start <= lv) & (lv < start + 14))[0]
         if sel.size == 0:
+            if not pending.any():
+                break
             continue
         s, wt = _abel_table(p, lv)
+        base = _deficit_base(p, lv) if deficit else 0.0
         cur = np.empty(sel.size)
         step = max(1, _COS_BLOCK // s.size)
         for i in range(0, sel.size, step):
             r = flat[sel[i:i + step], None]
-            k = s * np.sinc(r * s / np.pi) if p.dim.n > 2 else np.cos(r * s)
-            cur[i:i + step] = (k * wt).sum(axis=1)
+            if d == 2:
+                k = 2.0 * np.sin(0.5 * r * s) ** 2 if deficit else np.cos(r * s)
+            else:
+                k = s * (_sinc_deficit(r * s) if deficit else np.sinc(r * s / np.pi))
+            cur[i:i + step] = base + (k * wt).sum(axis=1)
         done = np.abs(cur - prev[sel]) <= np.maximum(_ABS_TARGET, 1e-13 * np.abs(cur))
         out[sel[done]] = cur[done]
         pending[sel[done]] = False
@@ -324,46 +371,36 @@ def fh_transform(p: RadialProfile, lam):
     return float(out[0]) if lams.ndim == 0 else out.reshape(lams.shape)
 
 
-def find_truncation(envelope, n, tail_tol=_TAIL_THRESHOLD):
-    """Smallest grid point beyond which |F| |c|^{-2} stays below the tail
-    tolerance (three consecutive grid points), and the peak of |F| |c|^{-2}
-    over the points judged up to there; hard error past _LAMBDA_CAP.
-
-    The tolerance is tail_tol * min(1, running peak): relative to the
-    integrand where its peak is below 1, as for the heat kernel transform
-    e^{-(lambda^2 + rho^2) t} in high dimension, and tail_tol itself
-    elsewhere.  The scan grid is fine near the origin and coarsens
-    proportionally at large lambda, so super-polynomially decaying
-    transforms are located in O(100) envelope evaluations.  envelope
-    receives the grid in 1-d blocks of _SCAN_BLOCK points and returns an
-    array of bounds (or a scalar); the points are then judged in grid order,
-    so a block may be evaluated a few points past the answer.
-    """
-    d = as_dim(n).n
-    lam = 0.25
-    run = 0
-    first = None
+def _level0(F, envelope, d, step, block, tail_tol):
+    """Level 0 of the inverse transform, which is also its truncation scan:
+    the bounds |envelope| |c|^{-2} at the nodes k step, k = 1, 2, ..., are
+    judged in node order until three consecutive ones lie below tail_tol *
+    min(1, running peak), a tolerance relative to the integrand where its
+    peak is below 1 (the heat kernel transform in high dimension).  Returns
+    the count K of nodes up to the first of those three, the peak, and F at
+    those K nodes (None when an envelope is given).  Each call of F, or of
+    the envelope, takes as many nodes as all calls before, from 32 up to
+    block; hard error past _LAMBDA_CAP, or when the bounds stop decaying."""
+    vals = []
+    k = run = growing = 0
     peak = 0.0
     prev_bound = math.inf
-    growing = 0
-    while lam <= _LAMBDA_CAP:
-        block = []
-        while lam <= _LAMBDA_CAP and len(block) < _SCAN_BLOCK:
-            block.append(lam)
-            lam += max(0.25, lam / 16.0)
-        lams = np.array(block)
-        bounds = np.abs(envelope(lams)) * plancherel_density(lams, d)
-        for at, bound in zip(block, bounds):
-            peak = max(peak, float(bound))
+    last = int(_LAMBDA_CAP / step)
+    while k < last:
+        lams = np.arange(k + 1, min(k + min(block, max(32, k)), last) + 1) * step
+        if envelope is None:
+            vals.append(F(lams))
+        bounds = np.abs(vals[-1] if envelope is None else envelope(lams))
+        bounds *= plancherel_density(lams, d)
+        for at, bound in zip(lams.tolist(), bounds.tolist()):
+            k += 1
+            peak = max(peak, bound)
             if bound <= tail_tol * min(1.0, peak):
                 run += 1
-                if first is None:
-                    first = at
                 if run >= 3:
-                    return first, peak
+                    return k - 2, peak, np.concatenate(vals)[:k - 2] if vals else None
             else:
                 run = 0
-                first = None
                 # a numerically computed transform bottoms out at its quadrature
                 # noise floor and the bound then grows like lambda^{n-1} forever
                 growing = growing + 1 if bound >= prev_bound and at > 50.0 else 0
@@ -379,30 +416,30 @@ def fh_inverse_grid(F, etas, n, envelope=None, tail_tol=_TAIL_THRESHOLD):
     """Inverse transform in dimension n on a 1-d grid of radii, sharing the
     lambda nodes.
 
-    The lambda integral over [0, lam_max] (see find_truncation) is taken by
-    nested trapezoid levels: the first step divides lam_max and is at most
-    pi / max(eta_top, 1), eta_top the largest radius, and each level halves
-    the step and evaluates only the new midpoints.  The integrand is even in
-    lambda and vanishes at 0, so a level's sum is its step times the sum
-    over its nodes in (0, lam_max].  Two consecutive levels must agree to
-    max(max(_ABS_TARGET, 0.1 tail_tol) min(1, peak), 1e-14 max |result|),
-    the peak of |envelope| |c|^{-2}, so an integrand far below 1 keeps its
-    relative accuracy; _LEVELS halvings without that agreement are a
-    QuadratureError.
+    The lambda integral over [0, lam_max] is taken by nested trapezoid
+    levels.  Level 0 has the step pi / max(eta_top, 1), eta_top the largest
+    radius, and is the truncation scan (_level0), so lam_max is one of its
+    nodes and every F value it computes up to there is a node of the sum.
+    Each later level halves the step and evaluates only the new midpoints.
+    The integrand is even in lambda and vanishes at 0, so a level's sum is
+    its step times the sum over its nodes in (0, lam_max].  Two consecutive
+    levels must agree to max(max(_ABS_TARGET, 0.1 tail_tol) min(1, peak),
+    1e-14 max |result|), the peak of |envelope| |c|^{-2}, so an integrand far
+    below 1 keeps its relative accuracy; _LEVELS halvings without that
+    agreement are a QuadratureError.
 
-    F is a callable lambda -> value.  It is called with a 1-d array of the
-    new nodes of a level, at most _COS_BLOCK // len(etas) of them (at least
-    one), which bounds the call's (lambda, eta) block of spherical
-    functions, and returns the values at those lambdas, or a scalar that
-    holds for all of them.  Each node's row is added to the running sum in
-    node order, so for an F that, like fh_transform, gives every lambda its
-    scalar value, the result does not depend on the blocks.  envelope is a
-    decay certificate bounding |F| (defaults to |F| itself), called with
-    blocks of the truncation scan grid in the same way.  Transforms whose
-    numerically computed values bottom out at the quadrature noise floor
-    need either an analytic envelope or a tail_tol matched to the target
-    accuracy, since the default integrand bound of 1e-14 is then never
-    certified.
+    F is a callable lambda -> value.  It is called with 1-d arrays of nodes
+    in node order, at most _COS_BLOCK // len(etas) of them (at least one),
+    which bounds the call's (lambda, eta) block of spherical functions, and
+    returns the values at those lambdas, or a scalar that holds for all of
+    them.  Each node's row is added to the running sum in node order, so for
+    an F that, like fh_transform, gives every lambda its scalar value, the
+    result does not depend on the blocks.  envelope is a decay certificate
+    bounding |F| (defaults to |F| itself), called like F with the level-0
+    nodes of the scan.  Transforms whose numerically computed values bottom
+    out at the quadrature noise floor need either an analytic envelope or a
+    tail_tol matched to the target accuracy, since the default integrand
+    bound of 1e-14 is then never certified.
     """
     d = as_dim(n).n
     etas = np.asarray(etas, dtype=float)
@@ -410,20 +447,18 @@ def fh_inverse_grid(F, etas, n, envelope=None, tail_tol=_TAIL_THRESHOLD):
     def func(lams):
         return np.broadcast_to(np.asarray(F(lams), dtype=float), lams.shape)
 
-    env = envelope or (lambda lams: np.abs(func(lams)))
-    lam_max, peak = find_truncation(env, d, tail_tol=tail_tol)
-    eta_top = float(np.max(etas)) if etas.size else 0.0
-    abs_tol = max(_ABS_TARGET, 0.1 * tail_tol) * min(1.0, peak)
     block = max(1, _COS_BLOCK // max(1, etas.size))
-    nodes = math.ceil(lam_max * max(eta_top, 1.0) / math.pi)
-    step = lam_max / nodes
+    step = math.pi / max(float(np.max(etas, initial=0.0)), 1.0)
+    nodes, peak, vals = _level0(func, envelope, d, step, block, tail_tol)
+    abs_tol = max(_ABS_TARGET, 0.1 * tail_tol) * min(1.0, peak)
     total = np.zeros(etas.size)  # the integrand summed over every node so far
     prev = None
     for level in range(_LEVELS + 1):
         ks = np.arange(1, nodes + 1) if level == 0 else np.arange(1, nodes, 2)
         for i in range(0, ks.size, block):
             lams = ks[i:i + block] * step
-            rows = (func(lams) * plancherel_density(lams, d))[:, None] * phi_many(lams, etas, d)
+            f = vals[i:i + block] if level == 0 and vals is not None else func(lams)
+            rows = (f * plancherel_density(lams, d))[:, None] * phi_many(lams, etas, d)
             for row in rows:
                 total += row
         cur = step * total
@@ -434,7 +469,7 @@ def fh_inverse_grid(F, etas, n, envelope=None, tail_tol=_TAIL_THRESHOLD):
         nodes *= 2
         step *= 0.5
     raise QuadratureError(f"inverse transform did not converge in {_LEVELS} trapezoid levels "
-                          f"(lam_max={lam_max})")
+                          f"(lam_max={nodes * step})")
 
 
 # -- variance and walk transforms ---------------------------------------------
@@ -464,11 +499,19 @@ def _scaled_for_walk(p: RadialProfile, N: int) -> RadialProfile:
 
 
 def walk_transform(p: RadialProfile, N: int, lam):
-    """Exact transform of the N-step normalized sum: the one-step transform of
-    the contracted law raised to the N-th power."""
+    """Exact transform of the N-step normalized sum: the one-step transform F
+    of the contracted law raised to the N-th power.  For N > 1 that is
+    exp(N log1p(-delta)) of the deficit delta = 1 - F (see fh_transform), so
+    that the rounding of F is not raised N-fold, or where F <= 0 the plain
+    power of 1 - delta."""
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N!r}")
-    return fh_transform(_scaled_for_walk(p, int(N)), lam) ** int(N)
+    N = int(N)
+    if N == 1:
+        return fh_transform(p, lam)
+    delta = fh_transform(_scaled_for_walk(p, N), lam, deficit=True)
+    with np.errstate(divide="ignore", invalid="ignore"):  # log1p where delta >= 1, unused
+        return np.where(delta < 1.0, np.exp(N * np.log1p(-delta)), (1.0 - delta) ** N)[()]
 
 
 def walk_density_grid(p: RadialProfile, N: int, etas) -> np.ndarray:

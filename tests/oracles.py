@@ -143,16 +143,39 @@ def variance_jacobi(p: RadialProfile) -> float:
     return raw / fh_transform_jacobi(p, 0.0)
 
 
+def find_truncation(envelope, d, tail_tol=spectral._TAIL_THRESHOLD):
+    """Smallest point of the grid lambda = 0.25, 0.5, ..., stepping by
+    max(0.25, lambda / 16), beyond which |envelope| |c|^{-2} stays below
+    tail_tol * min(1, running peak) (three consecutive points), and the peak
+    over the points judged up to there: the inverse transform's tail rule
+    on a grid of its own, fine near the origin and coarsening proportionally
+    at large lambda, so that super-polynomially decaying transforms are
+    located in O(100) envelope evaluations."""
+    lam, run, first, peak = 0.25, 0, None, 0.0
+    while lam <= spectral._LAMBDA_CAP:
+        bound = abs(float(envelope(np.array([lam]))[0])) * spectral.plancherel_density(lam, d)
+        peak = max(peak, bound)
+        if bound <= tail_tol * min(1.0, peak):
+            run += 1
+            first = lam if first is None else first
+            if run >= 3:
+                return first, peak
+        else:
+            run, first = 0, None
+        lam += max(0.25, lam / 16.0)
+    raise spectral.TruncationError(f"no admissible truncation below {spectral._LAMBDA_CAP}")
+
+
 def fh_inverse_kronrod(F, etas, n):
     """The inverse transform by adaptive Gauss-Kronrod panels in lambda, a
     rule independent of fh_inverse_grid's trapezoid levels with the same
-    truncation and tolerance: uniform panels of width min(4, 8 / max(1,
-    eta_top)) over the bulk, growing by 1.35 into the tail, refined by
-    quadrature.gk_adaptive_vector.  F returns an array for an array of
-    lambda."""
+    tolerance, truncated by find_truncation's own scan: uniform panels of
+    width min(4, 8 / max(1, eta_top)) over the bulk, growing by 1.35 into
+    the tail, refined by quadrature.gk_adaptive_vector.  F returns an array
+    for an array of lambda."""
     d = as_dim(n).n
     etas = np.asarray(etas, dtype=float)
-    lam_max, peak = spectral.find_truncation(lambda lams: np.abs(F(lams)), d)
+    lam_max, peak = find_truncation(lambda lams: np.abs(F(lams)), d)
 
     def rows(lams):
         return (F(lams) * spectral.plancherel_density(lams, d))[:, None] * spectral.phi_many(

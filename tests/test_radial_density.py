@@ -180,8 +180,9 @@ def test_normalization_invariant_after_scaling(bump2):
 
 def _invert_cdf_searchsorted(table, u):
     """The binary-search inverter that the guide replaced, kept as the oracle
-    of _invert_cdf: the same cell, the same secant start and the same four
-    clamped Newton steps, written as plain formulas."""
+    of _invert_cdf: the same cell, the same start (the secant guess, or in
+    the first cell the smaller root of the cubic's s^2 and s^3 terms) and
+    the same four clamped Newton steps, written as plain formulas."""
     x, c, total = table.interp.x, table.interp.c, table.total
     uu = u * total
     i = np.searchsorted(c[3], uu) - 1  # c[3] holds the left node values
@@ -190,6 +191,10 @@ def _invert_cdf_searchsorted(table, u):
     hi = np.append(c[3, 1:], total)[i]
     c0, c1, c2, r = c[0, i], c[1, i], c[2, i], lo - uu
     s = width * (uu - lo) / (hi - lo)
+    first = i == 0
+    with np.errstate(divide="ignore"):
+        s[first] = np.minimum(np.cbrt(uu[first] / max(c[0, 0], 0.0)),
+                              np.sqrt(uu[first] / max(c[1, 0], 0.0)))
     for _ in range(4):
         f = ((c0 * s + c1) * s + c2) * s + r
         df = (3.0 * c0 * s + 2.0 * c1) * s + c2
@@ -251,6 +256,28 @@ def test_guide_inversion_matches_binary_search_bitwise(name):
     # the draws' array shape does not matter
     block = u[:1000].reshape(10, 100)
     assert np.array_equal(_invert_cdf(table, block), got[:1000].reshape(10, 100))
+
+
+@pytest.mark.parametrize("name", ["bump2", "bump3", "bump5", "table2"])
+def test_first_cell_draws_are_roots_of_the_cubic(name):
+    """In the first cell the density vanishes like eta^{n-1}, and a draw u far
+    below that cell's mass m (1.4e-7 for the n = 2 bump, 1.3e-19 for n = 5)
+    lies far above the secant guess.  For u from 1e-15 m up to m (which
+    holds u from 1e-15 up to m) the draw is the root of the cell's cubic to
+    1e-12 relative, against bisection; the secant start was up to 1 629
+    times the root at u = 1e-15."""
+    p = eleven_point_table(2) if name == "table2" else make_bump(1.0, int(name[-1]))
+    table = p._cdf_interp()
+    c, width, total = table.interp.c[:, 0], table.interp.x[1], table.total
+    assert c[3] == 0.0 and c[2] == 0.0  # the cubic of cell 0 starts at 0 with slope 0
+    uu = table.interp.c[3, 1] * np.geomspace(1e-15, 1.0, 301)
+    a, b = np.zeros_like(uu), np.full_like(uu, width)
+    for _ in range(200):
+        mid = 0.5 * (a + b)
+        up = ((c[0] * mid + c[1]) * mid + c[2]) * mid + c[3] >= uu
+        b, a = np.where(up, mid, b), np.where(up, a, mid)
+    got = _invert_cdf(table, uu / total)
+    assert float(np.max(np.abs(got / b - 1.0))) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -467,7 +467,7 @@ def test_inverse_is_bitwise_independent_of_lambda_blocks(n, monkeypatch):
     sizes.clear()
     monkeypatch.setattr(spectral, "_COS_BLOCK", 1)
     single = density()
-    assert 1 in sizes and max(sizes) <= spectral._SCAN_BLOCK
+    assert 1 in sizes and max(sizes) <= max(1, spectral._COS_BLOCK // etas.size)
     np.testing.assert_array_equal(batched, single)
 
 
@@ -516,6 +516,27 @@ def test_llt_n3_inversions_take_few_lambda_nodes(monkeypatch):
     monkeypatch.setattr(spectral, "phi_many", counted_phi)
     assert llt_check(make_bump(1.0, 3), [16, 32, 64, 128, 256]).passed
     assert len(nodes) == 5 and 0 < max(nodes) <= 64
+
+
+def test_llt_n3_transform_evaluates_each_lambda_once(monkeypatch):
+    """The level-0 nodes of each inversion are its truncation scan, so in
+    llt_check on the llt-n3 configuration no (profile, lambda) pair reaches
+    fh_transform twice, and the check takes at most 360 lambda values in at
+    most 16 calls (a separate scan took 532 values in 29 calls)."""
+    calls, seen = [], set()
+    transform = spectral.fh_transform
+
+    def counted(p, lam, **kwargs):
+        lams = np.atleast_1d(lam).tolist()
+        calls.append(len(lams))
+        for lv in lams:
+            assert (id(p), lv) not in seen
+            seen.add((id(p), lv))
+        return transform(p, lam, **kwargs)
+
+    monkeypatch.setattr(spectral, "fh_transform", counted)
+    assert llt_check(make_bump(1.0, 3), [16, 32, 64, 128, 256]).passed
+    assert 0 < len(calls) <= 16 and sum(calls) <= 360
 
 
 @pytest.mark.parametrize("n", range(2, 18))
@@ -586,6 +607,81 @@ def test_walk_transform_basics(bump3):
         assert 0.0 < v0 <= 1.0
     with pytest.raises(ValueError):
         walk_transform(bump3, 0, 1.0)
+
+
+def _walk_power_long_double(p, lams, N):
+    """(1 - delta)^N in long double, delta = int (phi_{i rho} - phi_lambda)
+    dmu summed over the float64 Abel table that fh_transform's level rule
+    picks, with the kernels cosh(rho s) - cos(lambda s) (n = 2) and
+    sinh(rho s)/rho - sin(lambda s)/lambda (n >= 3)."""
+    ld = np.longdouble
+    rho = ld(0.5 * (p.dim.n - 1))
+    out = []
+    for lam in lams:
+        start = int(lam * p.eta_max / 34.0).bit_length()
+        prev = None
+        for lv in range(start, start + 14):
+            s, wt = (a.astype(ld) for a in spectral._abel_table(p, lv))
+            if p.dim.n == 2:
+                k = np.cosh(rho * s) - np.cos(ld(lam) * s)
+            else:
+                k = np.sinh(rho * s) / rho - (np.sin(ld(lam) * s) / ld(lam) if lam else s)
+            cur = np.sum(k * wt)
+            if prev is not None and abs(cur - prev) <= max(ld(1e-13), ld(1e-13) * abs(cur)):
+                break
+            prev = cur
+        out.append((1 - cur) ** N)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("n", [2, 3, 7])
+def test_walk_transform_power_is_not_rounded_n_fold(n):
+    """F^N at N = 256 from the deficit 1 - F agrees with the same Abel table
+    summed in long double to 1e-14 relative wherever F^N > 1e-12; raising
+    the float64 F to the 256th power was up to 1.7e-13 off.  At N = 3,
+    where F < 0 past its first zero, the plain power of 1 - delta is F^3,
+    sign and all."""
+    if np.finfo(np.longdouble).eps > 1e-18:
+        pytest.skip("long double is no wider than float64 here")
+    prof = make_bump(1.0, n)
+    lams = np.linspace(0.0, 40.0, 161)
+    ref = _walk_power_long_double(spectral._scaled_for_walk(prof, 256), lams, 256)
+    keep = ref > 1e-12
+    got = walk_transform(prof, 256, lams)
+    assert float(np.max(np.abs(got[keep] / ref[keep] - 1.0))) < 1e-14
+    lams = np.linspace(0.0, 30.0, 121)
+    F = fh_transform(spectral._scaled_for_walk(prof, 3), lams)
+    neg = F < 0.0
+    assert np.any(neg)
+    cubed = walk_transform(prof, 3, lams[neg])
+    assert np.all(cubed < 0.0) and float(np.max(np.abs(cubed - F[neg] ** 3))) < 1e-16
+
+
+def test_walk_transform_power_matches_40_digit_transform():
+    """F^N of the unit bump at n = 3, N = 256, against the transform of the
+    contracted law as a 40-digit mpmath integral (the closed-form spherical
+    function against the bump's radial measure), raised to the 256th power:
+    within 5e-14 relative, where the float64 F raised to that power was
+    0.9-1.3e-13 off."""
+    import mpmath
+
+    prof, N = make_bump(1.0, 3), 256
+    lams = [0.0, 1.0, 3.0, 6.0, 10.0, 16.0]
+    with mpmath.workdps(40):
+        eps = 1 / mpmath.sqrt(N)
+
+        def weight(e):
+            return mpmath.exp(-1 / (1 - e * e)) * mpmath.sinh(e) ** 2 if e < 1 else 0
+
+        def phi(lam, e):  # phi_lambda(eps * e) at n = 3
+            x = eps * e
+            return (mpmath.sin(lam * x) / (lam * x) if lam else 1) * x / mpmath.sinh(x) if e else 1
+
+        mass = mpmath.quad(weight, [0, 0.5, 1])
+        exact = [float((mpmath.quad(lambda e: weight(e) * phi(lam, e), [0, 0.5, 1]) / mass) ** N)
+                 for lam in lams]
+    got = walk_transform(prof, N, np.array(lams))
+    assert float(np.max(np.abs(got / np.array(exact) - 1.0))) < 5e-14
 
 
 def test_walk_characteristic_converges_to_gaussian(bump3):
