@@ -10,7 +10,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 # budgets of integrate_adaptive and of gk_adaptive_vector, which nothing in
 # the package calls: it is the tests' oracle of the inverse transform's
@@ -25,16 +24,11 @@ class QuadratureError(RuntimeError):
 
 @lru_cache(maxsize=512)
 def gauss_legendre(q: int):
-    x, w = leggauss(q)
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
-
-
-def _legendre_newton(q: int):
-    """Gauss-Legendre rule of order q in O(q^2) operations: Newton steps on
-    the three-term recurrence of P_q from Tricomi's estimate of its zeros.
-    numpy's leggauss takes the eigenvalues of the companion matrix, O(q^3)."""
+    """Gauss-Legendre rule of order q on [-1, 1], nodes ascending, as
+    read-only arrays: Newton steps on the three-term recurrence of P_q from
+    Tricomi's estimate of its zeros, O(q^2) operations.  numpy's leggauss
+    takes the eigenvalues of the companion matrix, O(q^3), and its 32-node
+    weights are up to 5.8e-14 off, against 40-digit values."""
     x = np.cos(np.pi * (np.arange(q, 0, -1) - 0.25) / (q + 0.5))
     x *= 1.0 - (q - 1) / (8.0 * q**3)
     dx = np.inf
@@ -50,7 +44,10 @@ def _legendre_newton(q: int):
         dx = p1 / dp
         x = x - dx
     w = 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
-    return 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
+    x, w = 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 @lru_cache(maxsize=512)
@@ -69,7 +66,7 @@ def gauss_jacobi_sym(q: int, alpha: float):
     if alpha < -0.5 or 2 * alpha != int(2 * alpha):
         raise ValueError(f"alpha must be a whole or half integer >= -1/2, got {alpha!r}")
     if alpha == int(alpha):
-        x, w = _legendre_newton(q)
+        x, w = gauss_legendre(q)
         w = w * ((1.0 - x) * (1.0 + x)) ** int(alpha)
     else:
         theta = np.pi * (np.arange(q, 0, -1) - 0.5) / q

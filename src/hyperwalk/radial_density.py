@@ -19,7 +19,7 @@ from .geometry import as_dim, sphere_area
 from .quadrature import QuadratureError, cumulative_gl, integrate_adaptive
 
 _CDF_TOL = 1e-12
-_NEWTON_STEPS = 4
+_MAX_STEPS = 100  # Newton steps of a draw in a flagged cell
 
 
 def sinch(x):
@@ -100,9 +100,8 @@ def _cdf_table(measure, upper, knots=()):
     upper, and is doubled until the previous level's interpolant matches
     the new node values to _CDF_TOL: the criterion bounds the interpolant
     between nodes, not only the nodes themselves.  Eight levels without
-    that agreement are a QuadratureError.  Returns a CdfTable; its cubic's
-    c[3] row holds the left node values that the guide of _invert_cdf
-    indexes.
+    that agreement are a QuadratureError.  Returns a CdfTable with the
+    final cubic and its slopes.
     """
     intervals = knot_grid(knots, upper, 0).size - 1
     first = (255 // intervals).bit_length()  # the least level with 256 cells or more
@@ -124,7 +123,7 @@ def _cdf_table(measure, upper, knots=()):
         slopes[1:] = np.minimum(slopes[1:], 3.0 * secant)
         interp = CubicHermite(grid, vals, slopes)
         if prev is not None and float(np.max(np.abs(prev(grid) - vals))) < _CDF_TOL:
-            return CdfTable(interp, float(vals[-1]))
+            return CdfTable(interp, float(vals[-1]), slopes)
         prev = interp
     raise QuadratureError(f"CDF table did not reach {_CDF_TOL} in 8 levels "
                           f"({grid.size} nodes)")
@@ -132,61 +131,161 @@ def _cdf_table(measure, upper, knots=()):
 
 class CdfTable:
     """A cubic CDF table: the CubicHermite `interp`, its total mass `total`,
-    and the two arrays _invert_cdf reads, built at the first draw.
+    the density `slopes` at its nodes, and the three arrays _invert_cdf
+    reads, built at the first draw.
 
-    `cells` packs, per cell, the rows left node, width, lo, hi (the CDF at
-    the two nodes), c0, c1, c2 (the cubic's coefficients) as one contiguous
-    (7, cells) array, so that one gather fetches a draw's cell.  `guide` is
-    the bucket index of the inversion: bucket b of M (a power of two at least
-    8 times the cell count) holds the uniforms in [b/M, (b+1)/M), and
-    guide[b] is the cell of the bucket's lower edge, or -1 when the bucket
-    spans more than two cells or starts in the first cell.
+    `cells` packs, per cell, the rows left node, width, lo, c0, c1, c2, a1,
+    a2, a3, hi as one contiguous (10, cells) array, so that one gather
+    fetches a draw's cell.  lo and hi are the CDF at the two nodes and c0,
+    c1, c2 the cubic's coefficients.  a1, a2, a3 are those of the inverse
+    cubic s(t) = ((a3 t + a2) t + a1) t, t = u*total - lo: it runs from 0 to
+    the width as t runs from 0 to hi - lo, with the slope 1/pdf at each node
+    cut to three times an adjacent inverse secant, as the table cuts its own
+    slopes, so it is monotone and finite where the density vanishes.
+
+    `flagged` marks the cells where one Newton step from that start may
+    miss the root (_one_step_misses), and the first cell.  `guide` is the
+    bucket index of the inversion: bucket b of M (a power of two at least 8
+    times the cell count) holds the uniforms in [b/M, (b+1)/M), and guide[b]
+    is the cell of the bucket's lower edge, or -1 when the bucket spans more
+    than two cells or meets a flagged one.
     """
 
-    def __init__(self, interp, total):
+    def __init__(self, interp, total, slopes):
         self.interp = interp
         self.total = total
+        self.slopes = slopes
 
     @cached_property
     def cells(self):
         x, c = self.interp.x, self.interp.c
-        return np.array([x[:-1], np.diff(x), c[3], np.append(c[3, 1:], self.total),
-                         c[0], c[1], c[2]])
+        y = np.append(c[3], self.total)
+        # a cell of zero mass has an infinite inverse secant and a NaN
+        # inverse cubic; no draw lands in it
+        with np.errstate(divide="ignore", invalid="ignore"):
+            secant = 3.0 * np.diff(x) / np.diff(y)
+            inv = 1.0 / self.slopes
+            inv[:-1] = np.minimum(inv[:-1], secant)
+            inv[1:] = np.minimum(inv[1:], secant)
+            a = CubicHermite(y, x, inv).c
+        return np.array([x[:-1], np.diff(x), c[3], c[0], c[1], c[2], a[2], a[1], a[0], y[1:]])
+
+    @cached_property
+    def flagged(self):
+        return _one_step_misses(self.cells)
 
     @cached_property
     def guide(self):
-        return _guide(self.interp.c[3], self.total)
+        return _guide(self.cells[2], self.total, self.flagged)
 
 
-def _guide(lo, total):
+def _one_step_misses(cells):
+    """Flags of the cells where one Newton step from the inverse cubic's
+    start may miss the root of the cell's cubic by more than half an ulp of
+    the draw, and of the first cell.
+
+    The step from s misses by about its quadratic term |F''| d^2 / (2 F'),
+    d = f/F' the step itself, which rounding does not blur as it blurs the
+    step's result.  That term is taken at the starts of four points of the
+    cell, t = (hi - lo)(2k + 1)/8; a cell of zero mass gives NaN and is
+    flagged.  On the bump tables (n = 2, 3, 5), the angle tables (n = 4, 5,
+    7) and the 11-point tables (n = 2, 3) this flags runs of cells at the
+    two ends (2.2e-4 of the mass for the n = 2 bump, 1.0e-3 for the 11-point
+    table at n = 2), and outside them one step is within 2.3e-16 relative of
+    the root at 64 points of every cell.
+    """
+    left, width, lo, c0, c1, c2, a1, a2, a3, hi = cells[:, :, None]
+    t = (hi - lo) * (np.arange(1, 8, 2) / 8.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = ((a3 * t + a2) * t + a1) * t
+        df = (3.0 * c0 * s + 2.0 * c1) * s + c2
+        d = (((c0 * s + c1) * s + c2) * s - t) / df
+        miss = np.abs(3.0 * c0 * s + c1) * d * d / df
+        flagged = ~np.all(miss <= 2.0**-53 * (left + s), axis=1)
+    flagged[0] = True
+    return flagged
+
+
+def _guide(lo, total, flagged):
     """Guide of the node values lo (see CdfTable).  A uniform u in bucket b
     has u*total between edges[b] and edges[b + 1], the products rounded as
     _invert_cdf rounds them, so its cell lies between theirs.  Every draw in
-    the first cell takes the guide's -1, which gives it its own start."""
+    a flagged cell takes the guide's -1."""
     m = 1 << (8 * lo.size - 1).bit_length()
     edges = np.arange(m + 1) / m * total
-    cell = np.searchsorted(lo, edges) - 1  # the cell _invert_cdf gives u*total
-    guide = np.maximum(cell[:-1], 0)
-    guide[(cell[1:] - guide > 1) | (guide == 0)] = -1
+    cell = np.searchsorted(lo, edges, side="right") - 1  # the cell _invert_cdf gives u*total
+    guide, span = cell[:-1], np.diff(cell)
+    meets = flagged[guide] | (span > 0) & flagged[np.minimum(guide + 1, lo.size - 1)]
+    guide[(span > 1) | meets] = -1
     return guide
+
+
+def _newton(s, t, width, c0, c1, c2, f, df):
+    """One Newton step on the cell cubic c0 s^3 + c1 s^2 + c2 s = t, in
+    place on s and clamped to [0, width]; f and df are scratch rows.
+
+    With p = c0 s + c1 and q = p s + c2 (Horner's scheme and its derivative)
+    the residual is q s - t and the derivative (c0 s + p) s + q.  The calls
+    below compute them in place, in the operation order of these formulas,
+    so every draw is bitwise that of the formulas.  The clamp passes a NaN
+    through, and a -0.0 adds to the left node as 0.0 does.
+    """
+    np.multiply(c0, s, out=df)
+    np.add(df, c1, out=f)
+    df += f
+    df *= s
+    f *= s
+    f += c2
+    df += f
+    f *= s
+    f -= t
+    np.maximum(df, 1e-300, out=df)
+    f /= df
+    s -= f
+    np.maximum(s, 0.0, out=s)
+    np.minimum(s, width, out=s)
+
+
+def _converge(s, t, cells):
+    """Newton steps on the draws s of flagged cells, whose rows of `cells`
+    are given, until a draw's move is 0 or no smaller than its last one:
+    then it has reached the root to rounding.  Each draw stops on its own,
+    so it does not depend on the draws it is inverted with.  A draw still
+    going after _MAX_STEPS steps is a RuntimeError."""
+    width, c0, c1, c2 = cells[1], cells[3], cells[4], cells[5]
+    out = s.copy()
+    f, df = np.empty_like(s), np.empty_like(s)
+    last = np.full_like(s, np.inf)
+    going = np.ones(s.shape, dtype=bool)
+    for _ in range(_MAX_STEPS):
+        _newton(s, t, width, c0, c1, c2, f, df)
+        step = np.abs(s - out)
+        np.copyto(out, s, where=going)
+        going &= (step < last) & (step > 0.0)
+        if not going.any():
+            return out
+        last = step
+    raise RuntimeError(f"{np.count_nonzero(going)} draws took more than {_MAX_STEPS} "
+                       "Newton steps")
 
 
 def _invert_cdf(table, u):
     """Invert a CdfTable at the fractions u of its total mass.
 
-    A draw's cell is the last whose left node value lies below u*total.  The
+    A draw's cell is the last whose left node value is at most u*total.  The
     guide gives it with one compare against the cell's right node value;
-    draws in the few buckets that span more than two cells or start in the
-    first cell (the guide's -1) take a binary search instead.  The root then
-    starts at the secant guess and takes _NEWTON_STEPS (four) Newton steps
-    on that cell's cubic, each clamped to the cell, so a draw never leaves
-    its bracket.  Where the density is close to linear across a cell this
-    inverts the table to rounding.  In the first cell, where the density
-    vanishes like eta^{n-1}, n >= 2, the secant guess of a small u lies far
-    below the root (the steps from it stopped at 743 times the root for the
-    n = 2 bump at u = 1e-15), so those draws start at the smaller root of
-    the cubic's s^2 and s^3 terms (its slope at 0 is 0), which is close to
-    the root and above it where neither term is negative.
+    draws in the few buckets that span more than two cells or meet a
+    flagged cell (the guide's -1) take a binary search instead.  The root
+    then starts at the cell's inverse cubic and takes one Newton step on the
+    cell's cubic, clamped to the cell, so a draw never leaves its bracket.
+    Outside the flagged cells that step is within an ulp of the root.
+
+    Draws in a flagged cell take further steps until they converge
+    (_converge).  In the first cell, where the density vanishes like
+    eta^{n-1}, n >= 2, the inverse cubic of a small u lies far from the
+    root, so those draws start at the smaller root of the cubic's s^2 and
+    s^3 terms (its slope at 0 is 0), which is close to the root and above
+    it where neither term is negative.
     """
     shape = np.shape(u)
     u = np.reshape(u, -1)
@@ -195,45 +294,25 @@ def _invert_cdf(table, u):
     i = guide.take((u * guide.size).astype(np.intp))
     wide = np.flatnonzero(i < 0)
     if wide.size:
-        i[wide] = np.searchsorted(cells[2], uu[wide]) - 1
-    i += cells[3].take(i) < uu
-    left, width, lo, hi, c0, c1, c2 = cells.take(i, axis=1)
-    # s = width (uu - lo) / (hi - lo), r = lo - uu, and the Newton steps
-    # below, in place but in the operation order of the formulas, so every
-    # draw is bitwise that of the formulas
-    s = np.subtract(uu, lo)
-    s *= width
-    hi -= lo
-    s /= hi
-    first = wide[i[wide] == 0]
+        i[wide] = np.searchsorted(cells[2], uu[wide], side="right") - 1
+    i += cells[9].take(i) <= uu
+    left, width, lo, c0, c1, c2, a1, a2, a3 = cells[:9].take(i, axis=1)
+    t = np.subtract(uu, lo, out=lo)
+    # s = ((a3 t + a2) t + a1) t, in place but in the formula's operation order
+    s = np.multiply(a3, t, out=a3)
+    s += a2
+    s *= t
+    s += a1
+    s *= t
+    hard = wide[table.flagged.take(i[wide])]
+    first = hard[i[hard] == 0]
     if first.size:
-        a3, a2 = (max(a, 0.0) for a in table.interp.c[:2, 0])  # the cubic is 0 at 0
+        k3, k2 = (max(k, 0.0) for k in table.interp.c[:2, 0])  # the cubic is 0 at 0
         with np.errstate(divide="ignore"):  # a zero coefficient's root is inf
-            s[first] = np.minimum(np.cbrt(uu[first] / a3), np.sqrt(uu[first] / a2))
-    r = np.subtract(lo, uu, out=lo)
-    c0x3 = np.multiply(c0, 3.0, out=hi)
-    c1x2 = np.multiply(c1, 2.0, out=uu)
-    f = np.empty_like(s)
-    df = np.empty_like(s)
-    for _ in range(_NEWTON_STEPS):
-        # f = ((c0 s + c1) s + c2) s + r and df = (3 c0 s + 2 c1) s + c2
-        np.multiply(c0, s, out=f)
-        f += c1
-        f *= s
-        f += c2
-        f *= s
-        f += r
-        np.multiply(c0x3, s, out=df)
-        df += c1x2
-        df *= s
-        df += c2
-        np.maximum(df, 1e-300, out=df)
-        f /= df
-        s -= f
-        # the clamp to [0, width]; NaN passes through both, and a -0.0 adds
-        # to `left` as 0.0 does
-        np.maximum(s, 0.0, out=s)
-        np.minimum(s, width, out=s)
+            s[first] = np.minimum(np.cbrt(t[first] / k3), np.sqrt(t[first] / k2))
+    _newton(s, t, width, c0, c1, c2, a1, a2)
+    if hard.size:
+        s[hard] = _converge(s[hard], t[hard], cells.take(i[hard], axis=1))
     s += left
     return s.reshape(shape)
 
@@ -408,11 +487,12 @@ def _sample_eta_many(p: RadialProfile, u: np.ndarray) -> np.ndarray:
     """Vectorized inversion of the cubic CDF table at the draws u in (0, 1).
 
     The inversion is _invert_cdf's: a guide-table lookup of each draw's
-    cell, then four clamped Newton steps on its cubic.  In the first cell,
-    where the density vanishes like eta^{n-1}, the steps start at the
-    smaller root of the cubic's s^2 and s^3 terms, so even a draw far below
-    that cell's mass (1.4e-7 for the unit bump in n = 2) is the cubic's root
-    to rounding.
+    cell, then one clamped Newton step on its cubic from the cell's inverse
+    cubic, and in the flagged cells at the table's ends further steps until
+    the draw converges.  In the first cell, where the density vanishes like
+    eta^{n-1}, the steps start at the smaller root of the cubic's s^2 and
+    s^3 terms, so even a draw far below that cell's mass (1.4e-7 for the
+    unit bump in n = 2) is the cubic's root to rounding.
     The table's own error is what the 1e-12 doubling criterion of _cdf_table
     bounds: successive interpolants agree to 1e-12 at the finer nodes.
     """

@@ -345,23 +345,24 @@ def test_angle_draws_invert_the_beta_law(n):
 
 
 # SHA-256 of run_walk(WalkConfig(make_bump(1.0, n), 40, 700, mode, 1000 + n))
-# .tobytes(), and of the stdout of one `hyperwalk walk` call,
-# recorded with the binary-search inverter, blocks of 2^16 draws and freshly
-# allocated step temporaries.  They pin the draws and the steps' arithmetic
-# bit for bit.  numpy's elementwise sinh and arcsinh may round differently on
+# .tobytes(), and of the stdout of one `hyperwalk walk` call, recorded with
+# one Newton step per draw from its cell's inverse cubic (further steps in
+# the flagged cells) on CDF tables built with the Newton-iteration
+# Gauss-Legendre rule.  They pin the draws and the steps' arithmetic bit for
+# bit.  numpy's elementwise sinh and arcsinh may round differently on
 # another CPU family or numpy build, which would need the hashes re-recorded.
 _PINNED = {
-    ("clt", 2): "49f274f7061497711a0226241cd5f536134084d3a72f1766bbf3ab3177ae93c0",
-    ("clt", 3): "4956558c115f2ba4ae9a01898f7abbffd12e273069d3d8cd41f0a39a0af898ad",
-    ("clt", 5): "81ec25988a25cbf67a8cbca435f0b92276f1c9273dc71387cd205d2ee14b8311",
-    ("lln", 2): "78d82c9229a7922a0014ad3ba07f6e40d4f3260298d343b64341465ddcdfbd99",
-    ("lln", 3): "7067004242f94ac565e7b43b8a6ae23cb6fdc96f99eb8e7c86075db058610fab",
-    ("lln", 5): "a43f34272ce72426154ef8277b26c0c18dd7a0950e86d928b23c4596f3aebfae",
-    ("sturm", 2): "8e51e9ca8c054d7417c740b0fbcc3e41a5881d1ec7dcdd712b494beba8a02222",
-    ("sturm", 3): "50e736848a6901c7814935f2280f5cbf3ae27ef58cd10814d8fe4c7f9f5b16b9",
-    ("sturm", 5): "f44cb1b51d5ce70ad68d04b3c8ce489da135cbaa983c71e753d18dfe68ae89d9",
+    ("clt", 2): "4e856396603faef3d16866a7753c4434d996fbff29e302dbde78db940de7ad81",
+    ("clt", 3): "2eace7d9c801405de139fb32400c2082b87adcf1eb5c12f3d826210fdec8cab2",
+    ("clt", 5): "3c82cb2da4f4cbc5728efe0f7330fc25ba0e86f7133679ed3701316083cb6bf0",
+    ("lln", 2): "62febe1d9b4fa2afcb9f8da40a84bcc5d1bb3b1973711bf0889049ff358f6b5e",
+    ("lln", 3): "06463fedef119ffbff4aea123c27eaa998ec7d0e41c25c36da5efbd3ef70e17a",
+    ("lln", 5): "dbf72d1cf145ba565e5626d7ed84f510b020e512b47ff231ddedb463c9c0e2c9",
+    ("sturm", 2): "6112bcf0c0a9343cf63cc831a008ed4f5b4e5edd37fde3d8a698d850f740459e",
+    ("sturm", 3): "62929167d837282ff0c7ac2a7d8bcda6da73e6f39778f4cf41682be5899d3663",
+    ("sturm", 5): "dd19b52d2ce1259a5c3a5c5bb7412abac605528ecc1ba1b1653919e539062899",
 }
-_PINNED_CSV = "e46ee48b9ff1b81ecd3da3f74f895dbc11f081555942d39d4b3adac94723e212"
+_PINNED_CSV = "dfdc9c371d47bfae614a5656093f7bdc310db50a2c77bec17fb1f082a014f392"
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
