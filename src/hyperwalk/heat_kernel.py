@@ -142,8 +142,12 @@ def _eval_terms(m: int, etas: np.ndarray, tau: float) -> np.ndarray:
         e = etas[big]
         acc = np.zeros(e.shape)
         ch, sh = np.cosh(e), np.sinh(e)
-        for (a, b, c, d), coef in terms_key:
-            acc += coef * e**a * ch**b / sh ** (b + c) * tau ** (-d)
+        # sinh^(b+c) overflows only where (b+c) s > 709, far out in hk_even's
+        # descent at high order (m >= 7, t = 20); as c >= m > (b+c)/2, the
+        # quotient there is below 2^c e^{-354}, and its 0 stands for it
+        with np.errstate(over="ignore"):
+            for (a, b, c, d), coef in terms_key:
+                acc += coef * e**a * ch**b / sh ** (b + c) * tau ** (-d)
         out[big] = acc
     return out
 

@@ -324,15 +324,7 @@ class RadialProfile:
     there)."""
 
     def __init__(self, shape, eta_max, dim, family="custom", params=None, knots=()):
-        if not 0.0 < eta_max < math.inf:
-            raise ValueError(f"eta_max must be positive and finite, got {eta_max!r}")
-        self.dim = as_dim(dim)
-        self.eta_max = float(eta_max)
-        self.knots = tuple(sorted({float(k) for k in knots if 0.0 < k <= self.eta_max}))
-        self.family = family
-        self.params = dict(params or {})
-        self._shape = shape
-        self._cache = {}
+        self._define(shape, eta_max, dim, family, params, knots)
         area = sphere_area(self.dim)
         nm1 = self.dim.n - 1
 
@@ -344,6 +336,18 @@ class RadialProfile:
                                              abs_tol=1e-14, rel_tol=1e-14, q=32)
         if not (self.norm_const > 0.0 and math.isfinite(self.norm_const)):
             raise ValueError("profile shape must have positive finite mass")
+
+    def _define(self, shape, eta_max, dim, family, params, knots):
+        """Every attribute but the normaliser norm_const."""
+        if not 0.0 < eta_max < math.inf:
+            raise ValueError(f"eta_max must be positive and finite, got {eta_max!r}")
+        self.dim = as_dim(dim)
+        self.eta_max = float(eta_max)
+        self.knots = tuple(sorted({float(k) for k in knots if 0.0 < k <= self.eta_max}))
+        self.family = family
+        self.params = dict(params or {})
+        self._shape = shape
+        self._cache = {}
 
     # -- density views ------------------------------------------------------
 
@@ -497,7 +501,8 @@ def _sample_eta_many(p: RadialProfile, u: np.ndarray) -> np.ndarray:
     bounds: successive interpolants agree to 1e-12 at the finer nodes.
     """
     u = np.asarray(u, dtype=float)
-    if np.any((u <= 0.0) | (u >= 1.0)):
+    # two reductions, not a pass per compare; a NaN fails both compares
+    if not (u.min(initial=0.5) > 0.0 and u.max(initial=0.5) < 1.0):
         raise ValueError("uniform draws must lie strictly inside (0, 1)")
     return _invert_cdf(p._cdf_interp(), u)
 
@@ -521,10 +526,14 @@ def scale_profile(p: RadialProfile, eps: float) -> RadialProfile:
         ratio = (sinch(etas * inv) / sinch(etas)) ** nm1
         return inv ** p.dim.n * parent_g(etas * inv) * ratio
 
-    # the substitution eta -> eps*eta preserves the mass, so the computed
-    # normaliser is 1 up to the quadrature's error
-    return RadialProfile(shape, eps * p.eta_max, p.dim, family=p.family, params=p.params,
-                         knots=[eps * k for k in p.knots])
+    # the substitution eta -> eps*eta carries the parent's mass of 1 over, so
+    # the normaliser is 1 without a quadrature, and the parent's
+    # positive-finite-mass check holds for it
+    scaled = RadialProfile.__new__(RadialProfile)
+    scaled._define(shape, eps * p.eta_max, p.dim, p.family, p.params,
+                   [eps * k for k in p.knots])
+    scaled.norm_const = 1.0
+    return scaled
 
 
 def second_moment(p: RadialProfile) -> float:

@@ -8,7 +8,11 @@ int_s g(eta) sinh(eta) (cosh(eta) - cosh(s))^alpha d eta, alpha = (n-3)/2.
 A table of A (n = 2) or -A' (n >= 3) per profile and quadrature level makes
 each lambda one row of cosines or sines, and the variance a moment ratio.
 The table's panels end at the profile's knots, and its inner integral has
-its own level doubling, so a table of S nodes costs O(S).
+its own level doubling, so a table of S nodes costs O(S).  Each lambda
+starts one level below the profile's converged level, the first whose
+table's mass agrees with the previous level's, or higher where its
+oscillation needs finer panels, so the levels below, which no lambda would
+keep, are not summed.
 
 The spherical function, which the inverse transform needs, is
 sin(lambda eta)/(lambda eta) * eta/sinh(eta) in closed form for n = 3.  For
@@ -319,6 +323,27 @@ def _deficit_base(p: RadialProfile, level: int) -> float:
     return bases[level]
 
 
+def _converged_level(p: RadialProfile) -> int:
+    """The first panel level whose Abel table's mass, the transform at
+    lambda = 0, agrees with the previous level's to fh_transform's
+    tolerance, cached; a QuadratureError after 14 levels.  It reads the
+    profile's tables alone, so it does not depend on which calls came
+    before."""
+    level = p._cache.get("converged_level")
+    if level is None:
+        prev = math.inf
+        for level in range(14):
+            s, wt = _abel_table(p, level)
+            cur = float(np.sum(wt) if p.dim.n == 2 else np.sum(wt * s))
+            if abs(cur - prev) <= max(_ABS_TARGET, 1e-13 * abs(cur)):
+                break
+            prev = cur
+        else:
+            raise QuadratureError("transform quadrature did not converge (lam=0.0)")
+        p._cache["converged_level"] = level
+    return level
+
+
 def fh_transform(p: RadialProfile, lam, deficit: bool = False):
     """Radial Helgason transform: integral of the spherical function against
     the radial measure of the profile, to ~1e-13 absolute; with deficit set,
@@ -333,15 +358,22 @@ def fh_transform(p: RadialProfile, lam, deficit: bool = False):
     sinh(rho s)/rho - sin(lambda s)/lambda (n >= 3), splits into a lambda-free
     and a lambda term, both >= 0 and computed without cancellation.
 
-    Scalar or array lam.  Each lambda starts at its own panel level, stops
-    when two consecutive levels agree and has a budget of 14 levels; only the
-    lambdas still open are evaluated at the next level, one row of the Abel
-    table each, in blocks of at most _COS_BLOCK.
+    Scalar or array lam.  Each lambda starts at its own panel level: the
+    level its oscillation needs, bit_length(lambda eta_max / 34), or one
+    below the profile's converged level (_converged_level), whichever is
+    higher, so the lower levels, which only the stop test would read, are
+    skipped.  It stops when two consecutive levels agree and has a budget of
+    14 levels; only the lambdas still open are evaluated at the next level,
+    one row of the Abel table each, in blocks of at most _COS_BLOCK.  Both
+    start terms depend on the profile and the lambda alone, so each lambda
+    gets the value of its scalar call.
     """
     d = p.dim.n
     lams = np.abs(np.asarray(lam, dtype=float))
     flat = lams.reshape(-1)
     start = np.array([int(l * p.eta_max / 34.0).bit_length() for l in flat], dtype=int)
+    if flat.size:
+        np.maximum(start, _converged_level(p) - 1, out=start)
     out = np.empty(flat.size)
     prev = np.full(flat.size, np.inf)
     pending = np.ones(flat.size, dtype=bool)

@@ -169,6 +169,18 @@ def test_positivity_and_even_monotone_decay():
     assert np.all(np.diff(even) < 0.0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("m", range(1, 9))
+def test_kernels_raise_no_floating_point_warning(m):
+    """Every validated order, odd and even n, from short to long times: the
+    even descent reaches s past 40 at t = 20, where sinh(s)^(b+c) of the
+    high-order terms overflows, and no warning reaches the caller."""
+    etas = np.linspace(0.0, 4.0, 33)
+    for t in (0.05, 1.0, 20.0):
+        assert np.all(np.isfinite(hk_odd(t, etas, m)))
+        assert np.all(np.isfinite(hk_even(t, etas, m)))
+
+
 @pytest.mark.parametrize("n,tol", [(2, 1e-7), (3, 1e-8), (4, 1e-8), (5, 1e-8)])
 def test_fourier_pair(n, tol):
     etas = np.linspace(0.0, 5.0, 21)

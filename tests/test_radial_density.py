@@ -69,6 +69,16 @@ def test_sample_eta_limits(bump3):
             _sample_eta_many(bump3, np.array([0.5, u]))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sample_eta_rejects_draws_outside_the_open_interval(bump3):
+    """A NaN fails every compare, so it is rejected like 0, 1 and +-inf,
+    with the ValueError and before any cast of it to a cell index."""
+    for u in (math.nan, math.inf, -math.inf, 0.0, 1.0):
+        with pytest.raises(ValueError, match="strictly inside"):
+            _sample_eta_many(bump3, np.array([0.25, u, 0.5]))
+    assert _sample_eta_many(bump3, np.empty(0)).shape == (0,)
+
+
 def test_sample_eta_inverts_cdf(bump3):
     us = np.random.default_rng(0).random(500)
     etas = _sample_eta_many(bump3, us)
@@ -225,11 +235,15 @@ def _invert_cdf_searchsorted(table, u):
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_scaled_profile_normaliser_is_one(n):
-    """The scaled shape carries the Jacobian eps^-n of eta -> eps*eta, so its
-    computed mass is 1; a wrong power would be normalised away unseen."""
+    """The scaled shape carries the Jacobian eps^-n of eta -> eps*eta, so the
+    contracted radial measure has mass 1 without a normaliser of its own; a
+    wrong power would leave a mass of eps^k."""
     p = make_bump(1.0, n)
     for eps in (0.3, 1.0 / 16.0, 1e-4):
-        assert abs(scale_profile(p, eps).norm_const - 1.0) < 1e-13
+        scaled = scale_profile(p, eps)
+        mass = integrate_adaptive(lambda e: pdf_eta(scaled, e), 0.0, scaled.eta_max,
+                                  abs_tol=1e-15, rel_tol=1e-15, q=32)
+        assert abs(mass - 1.0) < 1e-13
 
 
 def _zero_run_profile():

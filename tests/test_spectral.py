@@ -9,6 +9,7 @@ from hyperwalk import (fh_inverse_grid, fh_transform, hk, hk_fourier, inversion_
                        llt_check, make_bump, make_table, phi_many, plancherel_density, scale_profile,
                        second_moment, spectral, variance_direct, walk_density_grid,
                        walk_transform)
+from hyperwalk import radial_density
 from hyperwalk.diagnostics import _llt_eta_grid
 from hyperwalk.geometry import as_dim
 from hyperwalk.quadrature import QuadratureError, gauss_jacobi_sym, integrate_adaptive
@@ -539,6 +540,73 @@ def test_llt_n3_transform_evaluates_each_lambda_once(monkeypatch):
     assert 0 < len(calls) <= 16 and sum(calls) <= 360
 
 
+@pytest.mark.parametrize("kind,n", [("bump", 2), ("bump", 3), ("bump", 5), ("table", 2)])
+def test_deficit_start_levels_do_not_depend_on_the_call(kind, n, monkeypatch):
+    """Each lambda starts at the higher of its oscillation level and one
+    below its profile's converged level, both fixed by the profile and the
+    lambda, so the deficit of a contracted profile is bitwise the same in a
+    lambda array, in reversed order, in scalar calls that begin at the
+    largest lambda, and in blocks of one kernel entry, each on a profile
+    whose tables are built by that call."""
+    base = make_bump(1.0, n) if kind == "bump" else eleven_point_table(n)
+    lams = np.concatenate([[0.0], np.geomspace(0.05, 600.0, 24)])
+    for N in (16, 256):
+        def fresh():
+            return scale_profile(base, 1.0 / math.sqrt(N))
+
+        array = fh_transform(fresh(), lams, deficit=True)
+        np.testing.assert_array_equal(fh_transform(fresh(), lams[::-1], deficit=True)[::-1],
+                                      array)
+        p = fresh()
+        scalar = [fh_transform(p, lam, deficit=True) for lam in lams[::-1]][::-1]
+        np.testing.assert_array_equal(scalar, array)
+        with monkeypatch.context() as m:
+            m.setattr(spectral, "_COS_BLOCK", 1)
+            np.testing.assert_array_equal(fh_transform(fresh(), lams, deficit=True), array)
+
+
+def test_llt_n3_sums_each_lambda_at_two_levels(monkeypatch):
+    """In llt_check on the llt-n3 configuration the contracted profiles
+    converge at panel level 3, so every lambda starts at level 2 and stops at
+    level 3: each is summed at exactly two table levels (summing from level
+    0, as its oscillation alone would allow, took four)."""
+    rows, sizes, lams = [], set(), []
+    transform, deficit = spectral.fh_transform, spectral._sinc_deficit
+
+    def counted_transform(p, lam, **kwargs):
+        lams.append(np.size(lam))
+        return transform(p, lam, **kwargs)
+
+    def counted_deficit(x, *args):
+        if np.ndim(x) == 2:  # a block of (lambda, s) kernel entries
+            rows.append(x.shape[0])
+            sizes.add(x.shape[1])
+        return deficit(x, *args)
+
+    monkeypatch.setattr(spectral, "fh_transform", counted_transform)
+    monkeypatch.setattr(spectral, "_sinc_deficit", counted_deficit)
+    assert llt_check(make_bump(1.0, 3), [16, 32, 64, 128, 256]).passed
+    assert sum(rows) == 2 * sum(lams) > 0
+    assert sizes == {32 << 2, 32 << 3}
+
+
+def test_llt_n3_contracted_profiles_take_no_quadrature(monkeypatch):
+    """The contracted profiles of llt_check on the llt-n3 configuration are
+    normalised by the substitution eta -> eps eta alone: no adaptive
+    quadrature runs over a contracted support (one per N did before)."""
+    prof = make_bump(1.0, 3)
+    uppers = []
+    integrate = radial_density.integrate_adaptive
+
+    def counted(f, a, b, **kwargs):
+        uppers.append(b)
+        return integrate(f, a, b, **kwargs)
+
+    monkeypatch.setattr(radial_density, "integrate_adaptive", counted)
+    assert llt_check(prof, [16, 32, 64, 128, 256]).passed
+    assert all(b == prof.eta_max for b in uppers)
+
+
 @pytest.mark.parametrize("n", range(2, 18))
 def test_inverse_heat_kernel_relative_accuracy(n):
     """Inverting the heat kernel's transform e^{-(lambda^2 + rho^2) t} gives
@@ -612,13 +680,13 @@ def test_walk_transform_basics(bump3):
 def _walk_power_long_double(p, lams, N):
     """(1 - delta)^N in long double, delta = int (phi_{i rho} - phi_lambda)
     dmu summed over the float64 Abel table that fh_transform's level rule
-    picks, with the kernels cosh(rho s) - cos(lambda s) (n = 2) and
-    sinh(rho s)/rho - sin(lambda s)/lambda (n >= 3)."""
+    picks, from its start level, with the kernels cosh(rho s) - cos(lambda
+    s) (n = 2) and sinh(rho s)/rho - sin(lambda s)/lambda (n >= 3)."""
     ld = np.longdouble
     rho = ld(0.5 * (p.dim.n - 1))
     out = []
     for lam in lams:
-        start = int(lam * p.eta_max / 34.0).bit_length()
+        start = max(int(lam * p.eta_max / 34.0).bit_length(), spectral._converged_level(p) - 1)
         prev = None
         for lv in range(start, start + 14):
             s, wt = (a.astype(ld) for a in spectral._abel_table(p, lv))
