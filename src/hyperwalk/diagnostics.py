@@ -81,7 +81,7 @@ def _limit_radial_cdf(t: float, n: int, eta_hi: float, points: int = 2001):
 
 
 def clt_check(p: RadialProfile, N: int, paths: int, seed: int,
-              t_scale: float = 1.0, threshold: float = None) -> Verdict:
+              t_scale: float = 1.0) -> Verdict:
     """KS distance between the terminal radial law of the CLT walk and the
     radial CDF of the limit density at t = limit_time (times t_scale; values
     other than 1 are deliberate corruptions for negative controls).  A
@@ -97,7 +97,7 @@ def clt_check(p: RadialProfile, N: int, paths: int, seed: int,
     ks = _ks_statistic(etas, np.interp(etas, grid, cdf_vals))
     noise = _KS_COEFF / math.sqrt(paths)
     bias = _BIAS_COEFF / N
-    thr = threshold if threshold is not None else noise + bias
+    thr = noise + bias
     return Verdict(
         name="clt", statistic=ks, threshold=thr, passed=ks < thr, seed=seed,
         details={"t": t, "t_scale": t_scale, "noise_floor": noise,

@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .geometry import as_dim
-from .quadrature import gauss_legendre
+from .quadrature import QuadratureError, gauss_legendre
 
 # Near eta = 0 the direct sum of the order-m terms cancels singular parts of
 # size eta^(1 - 2m) down to a finite value and loses about two digits per
@@ -143,11 +143,14 @@ def _eval_terms(m: int, etas: np.ndarray, tau: float) -> np.ndarray:
         acc = np.zeros(e.shape)
         ch, sh = np.cosh(e), np.sinh(e)
         # sinh^(b+c) overflows only where (b+c) s > 709, far out in hk_even's
-        # descent at high order (m >= 7, t = 20); as c >= m > (b+c)/2, the
-        # quotient there is below 2^c e^{-354}, and its 0 stands for it
+        # descent (at high order, or at long times, where the descent reaches
+        # s ~ 400); as c >= m > (b+c)/2, the quotient there is below
+        # 2^c e^{-354}, so the term counts as 0, also where cosh^b overflows
         with np.errstate(over="ignore"):
             for (a, b, c, d), coef in terms_key:
-                acc += coef * e**a * ch**b / sh ** (b + c) * tau ** (-d)
+                den = sh ** (b + c)
+                acc += np.divide(coef * e**a * ch**b, den, out=np.zeros_like(e),
+                                 where=den < np.inf) * tau ** (-d)
         out[big] = acc
     return out
 
@@ -184,8 +187,11 @@ def hk_even(t: float, eta, m: int):
     The descent integrand csch(s) (-d/ds) (-csch(s) d/ds)^(m-1) applied to the
     Gaussian is (-csch(s) d/ds)^m of it, so it shares the n = 2m+1 terms and
     series table.  The substitution u^2 = cosh(s) - cosh(eta) removes the
-    endpoint singularity; s is recovered stably through asinh of
-    sqrt(sinh(eta)^2 + u^2 (2 cosh(eta) + u^2)).
+    endpoint singularity; s is recovered stably, and without overflow at
+    the long-time reach of the descent, from sinh(s/2) = sqrt(sinh(eta/2)^2
+    + u^2/2).  The Gauss-Legendre panels double, _EVEN_DOUBLINGS times at
+    most, until two levels agree to 1e-13 (1 + max |value|); a
+    QuadratureError where they never do.
     """
     if not t > 0.0 or m < 1:
         raise ValueError("need t > 0 and m >= 1")
@@ -194,8 +200,7 @@ def hk_even(t: float, eta, m: int):
     tau = 2.0 * t
     pref = math.exp(-((m - 0.5) ** 2) * t) / ((2.0 * math.pi) ** m * math.sqrt(math.pi * tau))
     reach = math.sqrt(2.0 * tau * math.log(1e18))
-    sh2 = np.sinh(etas) ** 2
-    ch2 = 2.0 * np.cosh(etas)
+    sh2 = np.sinh(0.5 * etas) ** 2
 
     def level(npanels):
         # panel edges follow a uniform s-grid so the nodes track the Gaussian;
@@ -209,7 +214,7 @@ def hk_even(t: float, eta, m: int):
         half = 0.5 * (u_edges[:, 1:] - u_edges[:, :-1])
         u = mid[:, :, None] + half[:, :, None] * x[None, None, :]
         wu = half[:, :, None] * w[None, None, :]
-        s = np.arcsinh(np.sqrt(sh2[:, None, None] + u * u * (ch2[:, None, None] + u * u)))
+        s = 2.0 * np.arcsinh(np.sqrt(sh2[:, None, None] + 0.5 * (u * u)))
         vals = _eval_terms(m, s.ravel(), tau).reshape(s.shape) * _gaussian(s, tau)
         return 2.0 * np.sum(wu * vals, axis=(1, 2))
 
@@ -219,11 +224,11 @@ def hk_even(t: float, eta, m: int):
         npanels *= 2
         cur = level(npanels)
         if float(np.max(np.abs(cur - prev))) <= 1e-13 * (1.0 + float(np.max(np.abs(cur)))):
-            prev = cur
-            break
+            out = pref * cur
+            return float(out[0]) if scalar else out
         prev = cur
-    out = pref * prev
-    return float(out[0]) if scalar else out
+    raise QuadratureError(f"even-n heat kernel did not converge in {_EVEN_DOUBLINGS} "
+                          f"panel doublings (t={t}, m={m})")
 
 
 def require_validated_dim(n) -> int:

@@ -40,11 +40,11 @@ scalar or an array of lambda and evaluate every lambda in one call; each
 lambda gets exactly the value a scalar call would give it.
 `fh_inverse_grid` evaluates its spectral integrand on the nodes of the
 first trapezoid level, in node order, and then on the new nodes of each
-later level, so the F it is given, and the envelope, receive 1-d lambda
-arrays of at most _COS_BLOCK // len(etas) lambdas (and may return a
-scalar, which is broadcast).  For an F that, like `fh_transform`, gives
-every lambda its scalar value, the result does not depend on how the
-nodes are blocked.
+later level, so the F it is given receives 1-d lambda arrays of at most
+_COS_BLOCK // len(etas) lambdas (and may return a scalar, which is
+broadcast); the truncation scan judges those same F values.  For an F
+that, like `fh_transform`, gives every lambda its scalar value, the result
+does not depend on how the nodes are blocked.
 """
 
 import math
@@ -403,48 +403,36 @@ def fh_transform(p: RadialProfile, lam, deficit: bool = False):
     return float(out[0]) if lams.ndim == 0 else out.reshape(lams.shape)
 
 
-def _level0(F, envelope, d, step, block, tail_tol):
+def _level0(F, d, step, block):
     """Level 0 of the inverse transform, which is also its truncation scan:
-    the bounds |envelope| |c|^{-2} at the nodes k step, k = 1, 2, ..., are
-    judged in node order until three consecutive ones lie below tail_tol *
+    the bounds |F| |c|^{-2} at the nodes k step, k = 1, 2, ..., are judged in
+    node order until three consecutive ones lie below _TAIL_THRESHOLD *
     min(1, running peak), a tolerance relative to the integrand where its
     peak is below 1 (the heat kernel transform in high dimension).  Returns
     the count K of nodes up to the first of those three, the peak, and F at
-    those K nodes (None when an envelope is given).  Each call of F, or of
-    the envelope, takes as many nodes as all calls before, from 32 up to
-    block; hard error past _LAMBDA_CAP, or when the bounds stop decaying."""
+    those K nodes.  Each call of F takes as many nodes as all calls before,
+    from 32 up to block; hard error past _LAMBDA_CAP."""
     vals = []
-    k = run = growing = 0
+    k = run = 0
     peak = 0.0
-    prev_bound = math.inf
     last = int(_LAMBDA_CAP / step)
     while k < last:
         lams = np.arange(k + 1, min(k + min(block, max(32, k)), last) + 1) * step
-        if envelope is None:
-            vals.append(F(lams))
-        bounds = np.abs(vals[-1] if envelope is None else envelope(lams))
-        bounds *= plancherel_density(lams, d)
-        for at, bound in zip(lams.tolist(), bounds.tolist()):
+        vals.append(F(lams))
+        bounds = np.abs(vals[-1]) * plancherel_density(lams, d)
+        for bound in bounds.tolist():
             k += 1
             peak = max(peak, bound)
-            if bound <= tail_tol * min(1.0, peak):
+            if bound <= _TAIL_THRESHOLD * min(1.0, peak):
                 run += 1
                 if run >= 3:
-                    return k - 2, peak, np.concatenate(vals)[:k - 2] if vals else None
+                    return k - 2, peak, np.concatenate(vals)[:k - 2]
             else:
                 run = 0
-                # a numerically computed transform bottoms out at its quadrature
-                # noise floor and the bound then grows like lambda^{n-1} forever
-                growing = growing + 1 if bound >= prev_bound and at > 50.0 else 0
-                if growing >= 24:
-                    raise TruncationError(
-                        "envelope stopped decaying before certifying the tail; "
-                        "supply an analytic decay certificate")
-            prev_bound = bound
     raise TruncationError(f"no admissible truncation below lambda = {_LAMBDA_CAP}")
 
 
-def fh_inverse_grid(F, etas, n, envelope=None, tail_tol=_TAIL_THRESHOLD):
+def fh_inverse_grid(F, etas, n):
     """Inverse transform in dimension n on a 1-d grid of radii, sharing the
     lambda nodes.
 
@@ -455,10 +443,9 @@ def fh_inverse_grid(F, etas, n, envelope=None, tail_tol=_TAIL_THRESHOLD):
     Each later level halves the step and evaluates only the new midpoints.
     The integrand is even in lambda and vanishes at 0, so a level's sum is
     its step times the sum over its nodes in (0, lam_max].  Two consecutive
-    levels must agree to max(max(_ABS_TARGET, 0.1 tail_tol) min(1, peak),
-    1e-14 max |result|), the peak of |envelope| |c|^{-2}, so an integrand far
-    below 1 keeps its relative accuracy; _LEVELS halvings without that
-    agreement are a QuadratureError.
+    levels must agree to max(_ABS_TARGET min(1, peak), 1e-14 max |result|),
+    the peak of |F| |c|^{-2}, so an integrand far below 1 keeps its relative
+    accuracy; _LEVELS halvings without that agreement are a QuadratureError.
 
     F is a callable lambda -> value.  It is called with 1-d arrays of nodes
     in node order, at most _COS_BLOCK // len(etas) of them (at least one),
@@ -466,12 +453,11 @@ def fh_inverse_grid(F, etas, n, envelope=None, tail_tol=_TAIL_THRESHOLD):
     returns the values at those lambdas, or a scalar that holds for all of
     them.  Each node's row is added to the running sum in node order, so for
     an F that, like fh_transform, gives every lambda its scalar value, the
-    result does not depend on the blocks.  envelope is a decay certificate
-    bounding |F| (defaults to |F| itself), called like F with the level-0
-    nodes of the scan.  Transforms whose numerically computed values bottom
-    out at the quadrature noise floor need either an analytic envelope or a
-    tail_tol matched to the target accuracy, since the default integrand
-    bound of 1e-14 is then never certified.
+    result does not depend on the blocks.  The tail is certified from F's
+    own values, so a transform that decays only to its quadrature noise
+    floor, as a raw compactly supported profile's does, never certifies it
+    and raises a TruncationError at _LAMBDA_CAP; the N-step walk transforms
+    and the heat kernel's decay like Gaussians and need no more.
     """
     d = as_dim(n).n
     etas = np.asarray(etas, dtype=float)
@@ -481,15 +467,15 @@ def fh_inverse_grid(F, etas, n, envelope=None, tail_tol=_TAIL_THRESHOLD):
 
     block = max(1, _COS_BLOCK // max(1, etas.size))
     step = math.pi / max(float(np.max(etas, initial=0.0)), 1.0)
-    nodes, peak, vals = _level0(func, envelope, d, step, block, tail_tol)
-    abs_tol = max(_ABS_TARGET, 0.1 * tail_tol) * min(1.0, peak)
+    nodes, peak, vals = _level0(func, d, step, block)
+    abs_tol = _ABS_TARGET * min(1.0, peak)
     total = np.zeros(etas.size)  # the integrand summed over every node so far
     prev = None
     for level in range(_LEVELS + 1):
         ks = np.arange(1, nodes + 1) if level == 0 else np.arange(1, nodes, 2)
         for i in range(0, ks.size, block):
             lams = ks[i:i + block] * step
-            f = vals[i:i + block] if level == 0 and vals is not None else func(lams)
+            f = vals[i:i + block] if level == 0 else func(lams)
             rows = (f * plancherel_density(lams, d))[:, None] * phi_many(lams, etas, d)
             for row in rows:
                 total += row

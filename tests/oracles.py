@@ -166,16 +166,26 @@ def find_truncation(envelope, d, tail_tol=spectral._TAIL_THRESHOLD):
     raise spectral.TruncationError(f"no admissible truncation below {spectral._LAMBDA_CAP}")
 
 
-def fh_inverse_kronrod(F, etas, n):
+def fh_inverse_kronrod(F, etas, n, envelope=None, tail_tol=spectral._TAIL_THRESHOLD):
     """The inverse transform by adaptive Gauss-Kronrod panels in lambda, a
     rule independent of fh_inverse_grid's trapezoid levels with the same
     tolerance, truncated by find_truncation's own scan: uniform panels of
     width min(4, 8 / max(1, eta_top)) over the bulk, growing by 1.35 into
     the tail, refined by quadrature.gk_adaptive_vector.  F returns an array
-    for an array of lambda."""
+    for an array of lambda.
+
+    envelope is a decay certificate bounding |F| (|F| itself by default),
+    and tail_tol the tail bound it is judged against; the panel tolerance is
+    max(_ABS_TARGET, 0.1 tail_tol) min(1, peak).  A raw compactly supported
+    profile's transform decays like exp(-c sqrt(lambda)) only down to its
+    quadrature noise floor, so inverting it needs an analytic envelope or a
+    tail_tol above that floor."""
     d = as_dim(n).n
     etas = np.asarray(etas, dtype=float)
-    lam_max, peak = find_truncation(lambda lams: np.abs(F(lams)), d)
+    if envelope is None:
+        def envelope(lams):
+            return np.abs(F(lams))
+    lam_max, peak = find_truncation(envelope, d, tail_tol)
 
     def rows(lams):
         return (F(lams) * spectral.plancherel_density(lams, d))[:, None] * spectral.phi_many(
@@ -188,8 +198,8 @@ def fh_inverse_kronrod(F, etas, n):
         if edges[-1] > 8.0 * width:
             step *= 1.35
         edges.append(min(edges[-1] + step, lam_max))
-    integral = gk_adaptive_vector(rows, np.asarray(edges),
-                                  abs_tol=spectral._ABS_TARGET * min(1.0, peak))
+    abs_tol = max(spectral._ABS_TARGET, 0.1 * tail_tol) * min(1.0, peak)
+    integral = gk_adaptive_vector(rows, np.asarray(edges), abs_tol=abs_tol)
     return spectral.inversion_constant(d) * integral
 
 

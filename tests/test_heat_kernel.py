@@ -11,7 +11,7 @@ from scipy.integrate import quad
 
 from hyperwalk import (fh_inverse_grid, fh_transform, heat_kernel, hk, hk_even, hk_fourier,
                        hk_odd, psi_clt, sphere_area)
-from hyperwalk.quadrature import cumulative_gl
+from hyperwalk.quadrature import QuadratureError, cumulative_gl
 
 from oracles import spline_profile
 
@@ -174,11 +174,34 @@ def test_positivity_and_even_monotone_decay():
 def test_kernels_raise_no_floating_point_warning(m):
     """Every validated order, odd and even n, from short to long times: the
     even descent reaches s past 40 at t = 20, where sinh(s)^(b+c) of the
-    high-order terms overflows, and no warning reaches the caller."""
+    high-order terms overflows, and s near 400 at t = 1000, where cosh(s)^b
+    overflows too; no warning reaches the caller."""
     etas = np.linspace(0.0, 4.0, 33)
-    for t in (0.05, 1.0, 20.0):
+    for t in (0.05, 1.0, 20.0, 100.0, 300.0, 1000.0):
         assert np.all(np.isfinite(hk_odd(t, etas, m)))
         assert np.all(np.isfinite(hk_even(t, etas, m)))
+
+
+@pytest.mark.parametrize("n", [2, 4, 10, 14, 16])
+def test_long_time_kernel_matches_spectral_inverse(n):
+    """At long times the space side agrees with the inverse of exp(-(lambda^2
+    + rho^2) t) to 1e-10 relative where that is nonzero, and is exactly 0
+    where it underflows (every eta for n >= 10 at t >= 100)."""
+    etas = np.linspace(0.0, 4.0, 9)
+    for t in (20.0, 100.0, 300.0, 1000.0):
+        ref = fh_inverse_grid(lambda lam: hk_fourier(t, lam, n), etas, n)
+        vals = hk(t, etas, n)
+        nz = ref != 0.0
+        np.testing.assert_allclose(vals[nz], ref[nz], rtol=1e-10, atol=0.0)
+        np.testing.assert_array_equal(vals[~nz], 0.0)
+
+
+def test_even_kernel_without_agreeing_levels_is_hard_error(monkeypatch):
+    """No panel doubling left to agree with: a QuadratureError, not the last
+    level's value."""
+    monkeypatch.setattr(heat_kernel, "_EVEN_DOUBLINGS", 0)
+    with pytest.raises(QuadratureError):
+        hk_even(1.0, np.array([0.0, 1.0]), 1)
 
 
 @pytest.mark.parametrize("n,tol", [(2, 1e-7), (3, 1e-8), (4, 1e-8), (5, 1e-8)])

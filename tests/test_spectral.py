@@ -368,21 +368,21 @@ def test_kinked_table_needs_two_levels(n, monkeypatch):
 
 def test_round_trip_identity_n3(bump3):
     grid = np.linspace(0.05, 0.95, 10)
-    rec = fh_inverse_grid(lambda lam: fh_transform(bump3, lam), grid, 3,
-                          envelope=bump_transform_envelope(bump3), tail_tol=1e-9)
+    rec = fh_inverse_kronrod(lambda lam: fh_transform(bump3, lam), grid, 3,
+                             envelope=bump_transform_envelope(bump3), tail_tol=1e-9)
     assert float(np.max(np.abs(rec - bump3.g(grid)))) < 1e-8
 
 
 def test_round_trip_identity_n2(bump2):
     grid = np.linspace(0.1, 0.9, 5)
-    rec = fh_inverse_grid(lambda lam: fh_transform(bump2, lam), grid, 2,
-                          envelope=bump_transform_envelope(bump2), tail_tol=1e-8)
+    rec = fh_inverse_kronrod(lambda lam: fh_transform(bump2, lam), grid, 2,
+                             envelope=bump_transform_envelope(bump2), tail_tol=1e-8)
     assert float(np.max(np.abs(rec - bump2.g(grid)))) < 1e-8
 
 
 def test_inverse_decays_beyond_support(bump3):
-    val = fh_inverse_grid(lambda lam: fh_transform(bump3, lam), np.array([2.5]), 3,
-                          envelope=bump_transform_envelope(bump3), tail_tol=1e-8)[0]
+    val = fh_inverse_kronrod(lambda lam: fh_transform(bump3, lam), np.array([2.5]), 3,
+                             envelope=bump_transform_envelope(bump3), tail_tol=1e-8)[0]
     assert abs(val) < 1e-6
 
 
@@ -422,9 +422,10 @@ def test_lambda_arrays_match_scalar_calls(n, monkeypatch):
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_inverse_accepts_scalar_or_array_F(n, monkeypatch):
-    """F gets 1-d lambda arrays and the envelope 1-d blocks of the truncation
-    scan; a scalar F value holds for the whole call, here one lambda per
-    call.  A grid of only eta = 0 inverts the heat kernel's transform."""
+    """F gets 1-d lambda arrays, the truncation scan's first block of 32
+    nodes among them; a scalar F value holds for the whole call, here one
+    lambda per call.  A grid of only eta = 0 inverts the heat kernel's
+    transform."""
     t, etas = 0.7, np.array([0.0, 0.4, 1.1])
     shapes, blocks = [], []
 
@@ -432,14 +433,15 @@ def test_inverse_accepts_scalar_or_array_F(n, monkeypatch):
         shapes.append(np.shape(lam))
         return float(hk_fourier(t, lam[0], n))
 
-    def envelope(lam):
+    def F_array(lam):
         blocks.append(np.shape(lam))
-        return np.abs(hk_fourier(t, lam, n))
+        return hk_fourier(t, lam, n)
 
-    array = fh_inverse_grid(lambda lam: hk_fourier(t, lam, n), etas, n, envelope=envelope)
+    array = fh_inverse_grid(F_array, etas, n)
     monkeypatch.setattr(spectral, "_COS_BLOCK", 1)
-    scalar = fh_inverse_grid(F, etas, n, envelope=envelope)
-    assert set(shapes) == {(1,)} and all(len(b) == 1 for b in blocks)
+    scalar = fh_inverse_grid(F, etas, n)
+    assert blocks[0] == (32,) and all(len(b) == 1 for b in blocks)
+    assert set(shapes) == {(1,)}
     np.testing.assert_array_equal(scalar, array)
     origin = fh_inverse_grid(lambda lam: hk_fourier(t, lam, n), np.array([0.0]), n)
     assert origin[0] == pytest.approx(hk(t, 0.0, n), rel=1e-10, abs=0.0)
@@ -461,7 +463,7 @@ def test_inverse_is_bitwise_independent_of_lambda_blocks(n, monkeypatch):
             sizes.append(np.size(lam))
             return walk_transform(prof, 16, lam)
 
-        return fh_inverse_grid(F, etas, n, envelope=lambda lam: np.abs(F(lam)))
+        return fh_inverse_grid(F, etas, n)
 
     batched = density()
     assert max(sizes) > 16
@@ -489,13 +491,19 @@ def test_walk_density_matches_kronrod_route(kind, n):
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_inverse_of_a_cut_off_integrand_is_hard_error(n):
-    """F = 1 with an envelope that lies about its decay: the integrand is cut
-    off at the truncation point, where it is far from 0, so no two trapezoid
-    levels agree and the inverse raises instead of returning the cut-off
-    integral."""
+    """F = exp(-lambda^2) on the truncation scan's nodes k pi / 1.1 and 1 at
+    every other lambda: the scan certifies a tail that the later levels do
+    not see, the integrand is cut off where it is far from 0, so no two
+    trapezoid levels agree and the inverse raises instead of returning the
+    cut-off integral."""
+    h0 = math.pi / 1.1
+
+    def F(lam):
+        k = lam / h0
+        return np.where(np.abs(k - np.round(k)) < 1e-9, np.exp(-lam**2), 1.0)
+
     with pytest.raises(QuadratureError):
-        fh_inverse_grid(lambda lam: 1.0, np.array([0.0, 0.4, 1.1]), n,
-                        envelope=lambda lam: np.exp(-lam**2))
+        fh_inverse_grid(F, np.array([0.0, 0.4, 1.1]), n)
 
 
 def test_llt_n3_inversions_take_few_lambda_nodes(monkeypatch):
@@ -766,8 +774,8 @@ def test_walk_characteristic_converges_to_gaussian(bump3):
 
 def test_walk_density_reproduces_profile_at_n1(bump3):
     grid = np.linspace(0.05, 0.95, 8)
-    vals = fh_inverse_grid(lambda lam: walk_transform(bump3, 1, lam), grid, 3,
-                           envelope=bump_transform_envelope(bump3), tail_tol=1e-9)
+    vals = fh_inverse_kronrod(lambda lam: walk_transform(bump3, 1, lam), grid, 3,
+                              envelope=bump_transform_envelope(bump3), tail_tol=1e-9)
     assert float(np.max(np.abs(vals - bump3.g(grid)))) < 1e-8
 
 
