@@ -212,7 +212,7 @@ def variance_rate_check(p: RadialProfile, Ns) -> Verdict:
 
 # -- gyrogroup identity suite --------------------------------------------------
 
-def _random_points(rng: np.random.Generator, trials: int, n: int, rmax=0.8):
+def _random_points(rng: "np.random.Generator", trials: int, n: int, rmax=0.8):
     """Batch of interior points: uniform directions, radii uniform in [0, rmax].
 
     rmax = 0.8 keeps three-fold compositions away from the boundary, where

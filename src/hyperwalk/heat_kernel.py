@@ -136,7 +136,12 @@ def _eval_terms(m: int, etas: np.ndarray, tau: float) -> np.ndarray:
         table = _series_table(terms_key)
         u_pows = (1.0 / tau) ** np.arange(table.shape[1])
         coef_eta = table @ u_pows
-        out[small] = np.polynomial.polynomial.polyval(etas[small], coef_eta)
+        # Horner's rule, as numpy.polynomial's polyval, which costs an import
+        x = etas[small]
+        acc = coef_eta[-1] + x * 0
+        for c in coef_eta[-2::-1]:
+            acc = c + acc * x
+        out[small] = acc
     big = ~small
     if np.any(big):
         e = etas[big]
@@ -190,8 +195,10 @@ def hk_even(t: float, eta, m: int):
     endpoint singularity; s is recovered stably, and without overflow at
     the long-time reach of the descent, from sinh(s/2) = sqrt(sinh(eta/2)^2
     + u^2/2).  The Gauss-Legendre panels double, _EVEN_DOUBLINGS times at
-    most, until two levels agree to 1e-13 (1 + max |value|); a
-    QuadratureError where they never do.
+    most, until two levels agree to 1e-13 (1 + |value|).  Each radius stops
+    at its own first agreeing level, and only the pending radii are summed
+    at the next, so a radius gets the value a call with it alone would; a
+    QuadratureError where some radius never agrees.
     """
     if not t > 0.0 or m < 1:
         raise ValueError("need t > 0 and m >= 1")
@@ -200,15 +207,15 @@ def hk_even(t: float, eta, m: int):
     tau = 2.0 * t
     pref = math.exp(-((m - 0.5) ** 2) * t) / ((2.0 * math.pi) ** m * math.sqrt(math.pi * tau))
     reach = math.sqrt(2.0 * tau * math.log(1e18))
-    sh2 = np.sinh(0.5 * etas) ** 2
 
-    def level(npanels):
+    def level(npanels, radii):
         # panel edges follow a uniform s-grid so the nodes track the Gaussian;
         # a uniform u-grid would pile almost everything into the far tail.
         frac = np.linspace(0.0, 1.0, npanels + 1)
-        s_edges = etas[:, None] + reach * frac[None, :]
-        u_edges = np.sqrt(2.0 * np.sinh(0.5 * (s_edges + etas[:, None]))
-                          * np.sinh(0.5 * (s_edges - etas[:, None])))
+        s_edges = radii[:, None] + reach * frac[None, :]
+        u_edges = np.sqrt(2.0 * np.sinh(0.5 * (s_edges + radii[:, None]))
+                          * np.sinh(0.5 * (s_edges - radii[:, None])))
+        sh2 = np.sinh(0.5 * radii) ** 2
         x, w = gauss_legendre(24)
         mid = 0.5 * (u_edges[:, 1:] + u_edges[:, :-1])
         half = 0.5 * (u_edges[:, 1:] - u_edges[:, :-1])
@@ -219,16 +226,19 @@ def hk_even(t: float, eta, m: int):
         return 2.0 * np.sum(wu * vals, axis=(1, 2))
 
     npanels = max(8, int(reach / math.sqrt(tau)) + 2)
-    prev = level(npanels)
+    out = np.empty(etas.size)
+    pending = np.arange(etas.size)
+    prev = level(npanels, etas)
     for _ in range(_EVEN_DOUBLINGS):
         npanels *= 2
-        cur = level(npanels)
-        if float(np.max(np.abs(cur - prev))) <= 1e-13 * (1.0 + float(np.max(np.abs(cur)))):
-            out = pref * cur
+        cur = level(npanels, etas[pending])
+        done = np.abs(cur - prev) <= 1e-13 * (1.0 + np.abs(cur))
+        out[pending[done]] = pref * cur[done]
+        pending, prev = pending[~done], cur[~done]
+        if pending.size == 0:
             return float(out[0]) if scalar else out
-        prev = cur
     raise QuadratureError(f"even-n heat kernel did not converge in {_EVEN_DOUBLINGS} "
-                          f"panel doublings (t={t}, m={m})")
+                          f"panel doublings (t={t}, m={m}, eta={etas[pending[0]]})")
 
 
 def require_validated_dim(n) -> int:

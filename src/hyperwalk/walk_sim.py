@@ -32,12 +32,18 @@ for its angle: N radii, then N angles.  A draw depends only on
 (master_seed, j, i), so ensembles are bitwise reproducible for any chunking
 and step blocking.
 
-Paths run in chunks of _CHUNK, and a chunk makes its draws one block of
-steps at a time, at most _BLOCK = 2^13 draws of each kind per block, so the
-memory a walk needs does not grow with N.  At 64 KiB an array of a block
-stays in cache and below malloc's mmap threshold, so making it faults in no
-fresh pages.  splitmix64 and _uniforms build a block's stream words in place,
-on one counter array and one scratch copy.
+Paths run in chunks of _CHUNK = 16 384, and a chunk makes its draws one
+block of steps at a time, at most _BLOCK = 2^15 draws of each kind per
+block, so the memory a walk needs does not grow with N.  The sizes are set
+by numpy's per-call cost, not by cache: a block's draws (uniforms, cell
+search, Newton step, angles) take some 80 numpy calls, about 48 us at n = 3
+on a 2-core x86-64 host however few the draws.  That was a sixth of a block
+of 2^13 draws; at 2^15 a draw pays a quarter as many calls.
+The larger arrays cost memory: the clt walk at n = 3 (250 steps, 20 000
+paths) faults in about 1 200 more pages (ru_minflt 1 700 -> 2 910), and
+it raises the process's peak RSS by 2.2 MiB instead of 0.9 MiB.
+splitmix64 and _uniforms build a block's stream words in place, on one
+counter array and one scratch copy.
 
 A step is a few dozen numpy calls on one chunk's paths, so on narrow chunks
 (the Sturm ladders' hundreds of paths) much of its cost is per call.  The
@@ -61,8 +67,8 @@ from .gyro import mobius_add_raw, mobius_scalar_raw  # noqa: F401
 from .radial_density import (RadialProfile, _cdf_table, _invert_cdf, _sample_eta_many,
                              open_uniforms)
 
-_CHUNK = 4096
-_BLOCK = 2**13  # draws of each kind per block of steps, as one (steps, paths) array
+_CHUNK = 16384
+_BLOCK = 2**15  # draws of each kind per block of steps, as one (steps, paths) array
 _MODES = ("clt", "lln", "sturm")
 _HALF_GUARD = math.atanh(1.0 - BOUNDARY_TOL)  # half the radius of ||s|| = 1 - BOUNDARY_TOL
 

@@ -146,18 +146,35 @@ def test_series_table_exact_coefficients():
         heat_kernel._series_table((((0, 0, 1, 0), 1),))
 
 
-def test_kernels_do_not_load_sympy():
-    code = ("import sys\n"
-            "from hyperwalk import hk\n"
-            "for n in range(2, 10):\n"
-            "    hk(0.5, [0.0, 0.05, 1.0], n)\n"
-            "assert 'sympy' not in sys.modules, 'sympy was imported'\n")
+def _run_fresh(code: str):
+    """Run code in a fresh interpreter that imports this package; assert exit 0."""
     src = str(Path(heat_kernel.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_kernels_do_not_load_sympy():
+    _run_fresh("import sys\n"
+               "from hyperwalk import hk\n"
+               "for n in range(2, 10):\n"
+               "    hk(0.5, [0.0, 0.05, 1.0], n)\n"
+               "assert 'sympy' not in sys.modules, 'sympy was imported'\n")
+
+
+def test_cold_start_loads_neither_numpy_random_nor_polynomial():
+    """Importing the CLI and a first small-eta kernel call leave numpy.random
+    (only the gyro property suite seeds a generator) and numpy.polynomial out
+    of the process: each costs import time and resident memory on every
+    command."""
+    _run_fresh("import sys\n"
+               "import hyperwalk.cli\n"
+               "from hyperwalk.heat_kernel import hk\n"
+               "hk(1.0, [0.0, 1.0], 3)\n"
+               "loaded = [m for m in ('numpy.random', 'numpy.polynomial') if m in sys.modules]\n"
+               "assert not loaded, loaded\n")
 
 
 def test_positivity_and_even_monotone_decay():
@@ -194,6 +211,28 @@ def test_long_time_kernel_matches_spectral_inverse(n):
         nz = ref != 0.0
         np.testing.assert_allclose(vals[nz], ref[nz], rtol=1e-10, atol=0.0)
         np.testing.assert_array_equal(vals[~nz], 0.0)
+
+
+@pytest.mark.parametrize("n", [2, 4, 10, 16])
+def test_even_kernel_array_is_its_scalar_calls(n):
+    """Each radius stops at its own first agreeing level, so an array call
+    is bitwise the scalar calls: every level sums a radius's own contiguous
+    (panels, nodes) row, in the same order whatever the other radii."""
+    etas = np.linspace(0.0, 4.0, 41)
+    for t in (0.05, 1.0, 100.0):
+        np.testing.assert_array_equal(hk(t, etas, n), [hk(t, e, n) for e in etas])
+
+
+@pytest.mark.parametrize("n,count", [(10, 3001), (12, 800)])
+def test_even_kernel_on_a_fine_grid(n, count):
+    """Every radius of these grids converges alone, but some radius misses the
+    stop tolerance at each doubling; a shared stop level raised
+    QuadratureError here."""
+    etas = np.linspace(0.0, 1.2, count)
+    vals = hk(1.0, etas, n)
+    assert np.all(np.isfinite(vals)) and np.all(vals > 0.0)
+    picks = np.arange(0, count, 97)
+    np.testing.assert_array_equal(vals[picks], [hk(1.0, etas[i], n) for i in picks])
 
 
 def test_even_kernel_without_agreeing_levels_is_hard_error(monkeypatch):

@@ -363,14 +363,39 @@ _PINNED = {
     ("sturm", 5): "dd19b52d2ce1259a5c3a5c5bb7412abac605528ecc1ba1b1653919e539062899",
 }
 _PINNED_CSV = "dfdc9c371d47bfae614a5656093f7bdc310db50a2c77bec17fb1f082a014f392"
+# the same at N = 120, recorded with blocks of 2^13 draws of each kind
+_PINNED_120 = {
+    ("clt", 2): "ff2c3716e380600e72aa42936b45a9e40c7e55009c3478854a2c470fc614c06c",
+    ("clt", 3): "6ebdc21bbe366c5a8562178e3dc9a12ade988aabe579b4032dbbe6b59c7f5999",
+    ("clt", 5): "3e405c97973640fc028476b9bd4c0051bb7b2bf0e95c43ec45d72a77b28a368c",
+    ("lln", 2): "78f14de264a99e0bd3f04b925ea828f9fac3e13b86fd6ff2b5a4d650b6ace89a",
+    ("lln", 3): "d3ce51f5a4ec1a4c575d78580e6a0b559c2c776cbe5bed5da77c439a8e84348d",
+    ("lln", 5): "0c385ec51e7063a8516fb2c366f2da143154f2815d5eecb719028344dc7b5f7e",
+    ("sturm", 2): "04c13048184db828d27c858d25c7b290f7f5a1911b647f2051b554e2ca13202f",
+    ("sturm", 3): "2acc57b8da23001e9d1533ff879fcc05dd9ca968eb172a6d16cd262a25a86ffc",
+    ("sturm", 5): "eff24a932f116ac16080e80feca80ea310f8c74f074bbefe8dd2abe934c71383",
+}
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 @pytest.mark.parametrize("mode", ["clt", "lln", "sturm"])
 def test_terminal_radii_pinned(mode, n):
-    """Every path takes several blocks of steps at the default _BLOCK."""
+    """Recorded when every path took four blocks of steps; at the default
+    _BLOCK the 40 steps fit in one."""
     etas = run_walk(WalkConfig(make_bump(1.0, n), 40, 700, mode, 1000 + n))
     assert hashlib.sha256(etas.tobytes()).hexdigest() == _PINNED[mode, n]
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("mode", ["clt", "lln", "sturm"])
+def test_terminal_radii_pinned_across_blocks(mode, n):
+    """Every path takes several blocks of steps at the default _BLOCK (three
+    at 2^15 draws), and the radii are bitwise those of eleven blocks of
+    2^13 draws."""
+    N, paths = 120, 700
+    assert N > walk_sim._BLOCK // paths
+    etas = run_walk(WalkConfig(make_bump(1.0, n), N, paths, mode, 1000 + n))
+    assert hashlib.sha256(etas.tobytes()).hexdigest() == _PINNED_120[mode, n]
 
 
 def test_walk_csv_pinned(capsys):
