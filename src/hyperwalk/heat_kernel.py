@@ -36,6 +36,7 @@ _MAX_DIM = 17  # n = 2m + 1 or 2m with m <= 8, the validated orders
 _SERIES_ORDER = 16  # the series terms for m = 1
 _SWITCH_CAP = 1.0
 _EVEN_DOUBLINGS = 6  # panel doublings of the even-n descent integral
+_EVEN_TOL = 1e-11  # their relative tolerance; rounding leaves levels 2e-12 apart
 
 
 def _small_eta(m: int) -> float:
@@ -146,12 +147,12 @@ def _eval_terms(m: int, etas: np.ndarray, tau: float) -> np.ndarray:
     if np.any(big):
         e = etas[big]
         acc = np.zeros(e.shape)
-        ch, sh = np.cosh(e), np.sinh(e)
         # sinh^(b+c) overflows only where (b+c) s > 709, far out in hk_even's
         # descent (at high order, or at long times, where the descent reaches
-        # s ~ 400); as c >= m > (b+c)/2, the quotient there is below
+        # s ~ 400 past eta); as c >= m > (b+c)/2, the quotient there is below
         # 2^c e^{-354}, so the term counts as 0, also where cosh^b overflows
         with np.errstate(over="ignore"):
+            ch, sh = np.cosh(e), np.sinh(e)
             for (a, b, c, d), coef in terms_key:
                 den = sh ** (b + c)
                 acc += np.divide(coef * e**a * ch**b, den, out=np.zeros_like(e),
@@ -192,13 +193,15 @@ def hk_even(t: float, eta, m: int):
     The descent integrand csch(s) (-d/ds) (-csch(s) d/ds)^(m-1) applied to the
     Gaussian is (-csch(s) d/ds)^m of it, so it shares the n = 2m+1 terms and
     series table.  The substitution u^2 = cosh(s) - cosh(eta) removes the
-    endpoint singularity; s is recovered stably, and without overflow at
-    the long-time reach of the descent, from sinh(s/2) = sqrt(sinh(eta/2)^2
-    + u^2/2).  The Gauss-Legendre panels double, _EVEN_DOUBLINGS times at
-    most, until two levels agree to 1e-13 (1 + |value|).  Each radius stops
-    at its own first agreeing level, and only the pending radii are summed
-    at the next, so a radius gets the value a call with it alone would; a
-    QuadratureError where some radius never agrees.
+    endpoint singularity; u is sqrt(2) times the square roots of the two sinh
+    factors of cosh(s) - cosh(eta), and s comes back stably from sinh(s/2) =
+    hypot(sinh(eta/2), u/sqrt(2)), so both stay finite while (s + eta)/2 <
+    710.  The Gauss-Legendre panels double, _EVEN_DOUBLINGS times at most,
+    until two levels agree to _EVEN_TOL relative, which, unlike an absolute
+    rule, also converges a sum far below 1 (both levels 0 agree).  Each radius
+    stops at its own first agreeing level, and only the pending radii are
+    summed at the next, so a radius gets the value a call with it alone
+    would; a QuadratureError where some radius never agrees.
     """
     if not t > 0.0 or m < 1:
         raise ValueError("need t > 0 and m >= 1")
@@ -213,15 +216,14 @@ def hk_even(t: float, eta, m: int):
         # a uniform u-grid would pile almost everything into the far tail.
         frac = np.linspace(0.0, 1.0, npanels + 1)
         s_edges = radii[:, None] + reach * frac[None, :]
-        u_edges = np.sqrt(2.0 * np.sinh(0.5 * (s_edges + radii[:, None]))
-                          * np.sinh(0.5 * (s_edges - radii[:, None])))
-        sh2 = np.sinh(0.5 * radii) ** 2
+        u_edges = (math.sqrt(2.0) * np.sqrt(np.sinh(0.5 * (s_edges + radii[:, None])))
+                   * np.sqrt(np.sinh(0.5 * (s_edges - radii[:, None]))))
         x, w = gauss_legendre(24)
         mid = 0.5 * (u_edges[:, 1:] + u_edges[:, :-1])
         half = 0.5 * (u_edges[:, 1:] - u_edges[:, :-1])
         u = mid[:, :, None] + half[:, :, None] * x[None, None, :]
         wu = half[:, :, None] * w[None, None, :]
-        s = 2.0 * np.arcsinh(np.sqrt(sh2[:, None, None] + 0.5 * (u * u)))
+        s = 2.0 * np.arcsinh(np.hypot(np.sinh(0.5 * radii)[:, None, None], math.sqrt(0.5) * u))
         vals = _eval_terms(m, s.ravel(), tau).reshape(s.shape) * _gaussian(s, tau)
         return 2.0 * np.sum(wu * vals, axis=(1, 2))
 
@@ -232,7 +234,7 @@ def hk_even(t: float, eta, m: int):
     for _ in range(_EVEN_DOUBLINGS):
         npanels *= 2
         cur = level(npanels, etas[pending])
-        done = np.abs(cur - prev) <= 1e-13 * (1.0 + np.abs(cur))
+        done = np.abs(cur - prev) <= _EVEN_TOL * np.abs(cur)
         out[pending[done]] = pref * cur[done]
         pending, prev = pending[~done], cur[~done]
         if pending.size == 0:

@@ -11,9 +11,8 @@ from functools import lru_cache
 
 import numpy as np
 
-# budgets of integrate_adaptive and of gk_adaptive_vector, which nothing in
-# the package calls: it is the tests' oracle of the inverse transform's
-# trapezoid levels, and the benchmark's tracer rebinds it by name
+# budgets of integrate_adaptive and of gk_adaptive_vector, the tests' oracle
+# of the inverse transform, which the benchmark's tracer rebinds by name
 _MAX_DOUBLINGS = 14
 _MAX_PANELS = 400
 
@@ -88,19 +87,44 @@ def panel_nodes(a: float, b: float, npanels: int, q: int):
     return nodes, weights
 
 
+def doubling(name: str, levels, value, agree):
+    """Run a level-doubling loop: value(level) at each of `levels` in turn,
+    until agree(prev, cur) -> (agreed, gap) holds for the values of two
+    consecutive levels.  Returns (cur, level) of the first agreeing pair; a
+    QuadratureError naming the loop and its last gap when the levels run out."""
+    prev, gap = None, math.nan
+    for level in levels:
+        cur = value(level)
+        if prev is not None:
+            agreed, gap = agree(prev, cur)
+            if agreed:
+                return cur, level
+        prev = cur
+    raise QuadratureError(f"{name} did not converge in {len(levels)} levels "
+                          f"(last gap {gap:.3e})")
+
+
+def within(abs_tol: float, rel_tol: float):
+    """agree() of doubling: a max-norm gap within max(abs_tol, rel_tol max|cur|)."""
+    def agree(prev, cur):
+        gap = float(np.max(np.abs(cur - prev), initial=0.0))
+        return gap <= max(abs_tol, rel_tol * float(np.max(np.abs(cur), initial=0.0))), gap
+    return agree
+
+
 def integrate_adaptive(f, a: float, b: float, abs_tol: float = 1e-13,
                        rel_tol: float = 1e-13, npanels: int = 1, q: int = 32) -> float:
-    """Composite GL with panel doubling until two consecutive levels agree."""
+    """Composite GL with panel doubling until two consecutive levels agree to
+    max(abs_tol, rel_tol |value|), _MAX_DOUBLINGS doublings at most."""
     if b <= a:
         return 0.0
-    prev = math.inf
-    for level in range(_MAX_DOUBLINGS + 1):
+
+    def value(level):
         nodes, weights = panel_nodes(a, b, npanels << level, q)
-        cur = float(np.dot(weights, np.asarray(f(nodes), dtype=float)))
-        if abs(cur - prev) <= max(abs_tol, rel_tol * abs(cur)):
-            return cur
-        prev = cur
-    raise QuadratureError(f"no convergence on [{a}, {b}] after {_MAX_DOUBLINGS} doublings")
+        return float(np.dot(weights, np.asarray(f(nodes), dtype=float)))
+
+    return doubling("integrate_adaptive", range(_MAX_DOUBLINGS + 1), value,
+                    within(abs_tol, rel_tol))[0]
 
 
 def cumulative_gl(f, grid: np.ndarray, q: int = 16) -> np.ndarray:
@@ -135,53 +159,43 @@ _G7_CENTER_WEIGHT = 0.417959183673469
 
 GK_NODES = np.concatenate([-_K15_HALF_NODES, [0.0], _K15_HALF_NODES[::-1]])
 GK_K_WEIGHTS = np.concatenate([_K15_HALF_WEIGHTS, [_K15_CENTER_WEIGHT], _K15_HALF_WEIGHTS[::-1]])
-_gw = np.zeros(15)
-_gw[7] = _G7_CENTER_WEIGHT
-for _i, _wv in zip((1, 3, 5), _G7_HALF_WEIGHTS):
-    _gw[_i] = _wv
-    _gw[14 - _i] = _wv
-GK_G_WEIGHTS = _gw
-del _gw, _i, _wv
+GK_G_WEIGHTS = np.zeros(15)  # the Gauss nodes are the Kronrod nodes of odd index
+GK_G_WEIGHTS[1::2] = np.concatenate([_G7_HALF_WEIGHTS, [_G7_CENTER_WEIGHT],
+                                     _G7_HALF_WEIGHTS[::-1]])
 
 
-def _gk_panels(fvec, segs, batch):
+def _gk_panels(fvec, segs):
     """Kronrod sums and error estimates [err, lo, hi, (K,) value] of the
     panels segs [(lo, hi), ...] of a vector integrand fvec(lams) -> (L, K),
-    calling fvec once per batch of panels with all their 15-node abscissae.
-    Each panel's sums take its own 15 rows, so they do not depend on the
-    batch."""
+    calling fvec once with all their 15-node abscissae."""
     out = []
-    for i in range(0, len(segs), batch):
-        lo, hi = np.array(segs[i:i + batch]).T
-        half = 0.5 * (hi - lo)
-        mid = 0.5 * (lo + hi)
-        vals = np.asarray(fvec((mid[:, None] + half[:, None] * GK_NODES).ravel()), dtype=float)
-        for j in range(lo.size):
-            v = vals[15 * j:15 * j + 15]
-            k15 = half[j] * (GK_K_WEIGHTS @ v)
-            g7 = half[j] * (GK_G_WEIGHTS @ v)
-            err = float(np.max(np.abs(k15 - g7))) if k15.size else 0.0
-            out.append([err, lo[j], hi[j], k15])
+    lo, hi = np.array(segs).T
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (lo + hi)
+    vals = np.asarray(fvec((mid[:, None] + half[:, None] * GK_NODES).ravel()), dtype=float)
+    for j in range(lo.size):
+        v = vals[15 * j:15 * j + 15]
+        k15 = half[j] * (GK_K_WEIGHTS @ v)
+        g7 = half[j] * (GK_G_WEIGHTS @ v)
+        err = float(np.max(np.abs(k15 - g7))) if k15.size else 0.0
+        out.append([err, lo[j], hi[j], k15])
     return out
 
 
-def gk_adaptive_vector(fvec, edges, abs_tol: float = 1e-13, batch=None):
+def gk_adaptive_vector(fvec, edges, abs_tol: float = 1e-13):
     """Adaptive Gauss-Kronrod panels for a vector integrand; bisects worst panel.
 
     fvec maps an array of abscissae (L,) to values (L, K); `edges` is the
     initial panel subdivision; returns the (K,) integral.  The error criterion
     is the max-norm over the K components.  fvec is called once per round of
     panels, with the 15 abscissae of each panel in turn: all the initial
-    panels in one call and both halves of a bisected panel in one call, at
-    most `batch` panels per call (no limit when None).  A panel's sums do not
-    depend on the panels it shares a call with.
+    panels in one call and both halves of a bisected panel in one call.
     """
     edges = np.asarray(edges, dtype=float)
     if edges[-1] <= edges[0]:
         probe = np.asarray(fvec(np.array([edges[0]])), dtype=float)
         return np.zeros(probe.shape[1])
-    batch = batch or len(edges)
-    panels = _gk_panels(fvec, list(zip(edges[:-1], edges[1:])), batch)
+    panels = _gk_panels(fvec, list(zip(edges[:-1], edges[1:])))
     while True:
         total = sum(p[3] for p in panels)
         tol = max(abs_tol, 1e-14 * float(np.max(np.abs(total))))
@@ -193,4 +207,4 @@ def gk_adaptive_vector(fvec, edges, abs_tol: float = 1e-13, batch=None):
                 f"Kronrod refinement exceeded {_MAX_PANELS} panels (residual {sum(errs):.3e})")
         _, lo, hi, _ = panels.pop(int(np.argmax(errs)))
         mid = 0.5 * (lo + hi)
-        panels += _gk_panels(fvec, [(lo, mid), (mid, hi)], batch)
+        panels += _gk_panels(fvec, [(lo, mid), (mid, hi)])

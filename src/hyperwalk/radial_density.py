@@ -16,9 +16,10 @@ from functools import cached_property
 import numpy as np
 
 from .geometry import as_dim, sphere_area
-from .quadrature import QuadratureError, cumulative_gl, integrate_adaptive
+from .quadrature import cumulative_gl, doubling, integrate_adaptive
 
 _CDF_TOL = 1e-12
+_CDF_LEVELS = 8  # levels of a CDF table before a QuadratureError
 _MAX_STEPS = 100  # Newton steps of a draw in a flagged cell
 
 
@@ -98,15 +99,15 @@ def _cdf_table(measure, upper, knots=()):
     The table has the exact density as its slopes on the knot_grid of the
     first level with at least 256 cells, the last slope its left limit at
     upper, and is doubled until the previous level's interpolant matches
-    the new node values to _CDF_TOL: the criterion bounds the interpolant
-    between nodes, not only the nodes themselves.  Eight levels without
-    that agreement are a QuadratureError.  Returns a CdfTable with the
-    final cubic and its slopes.
+    the new node values to below _CDF_TOL: the criterion bounds the
+    interpolant between nodes, not only the nodes themselves.  _CDF_LEVELS
+    levels without that agreement are a QuadratureError (doubling).
+    Returns a CdfTable with the final cubic and its slopes.
     """
     intervals = knot_grid(knots, upper, 0).size - 1
     first = (255 // intervals).bit_length()  # the least level with 256 cells or more
-    prev = None
-    for level in range(first, first + 8):
+
+    def value(level):
         grid = knot_grid(knots, upper, level)
         vals = cumulative_gl(measure, grid, q=16)
         vals = np.minimum.accumulate(np.minimum(vals, vals[-1])[::-1])[::-1]
@@ -121,12 +122,14 @@ def _cdf_table(measure, upper, knots=()):
         secant = np.diff(vals) / np.diff(grid)
         slopes[:-1] = np.minimum(slopes[:-1], 3.0 * secant)
         slopes[1:] = np.minimum(slopes[1:], 3.0 * secant)
-        interp = CubicHermite(grid, vals, slopes)
-        if prev is not None and float(np.max(np.abs(prev(grid) - vals))) < _CDF_TOL:
-            return CdfTable(interp, float(vals[-1]), slopes)
-        prev = interp
-    raise QuadratureError(f"CDF table did not reach {_CDF_TOL} in 8 levels "
-                          f"({grid.size} nodes)")
+        return CdfTable(CubicHermite(grid, vals, slopes), float(vals[-1]), slopes), vals
+
+    def agree(prev, cur):
+        gap = float(np.max(np.abs(prev[0].interp(cur[0].interp.x) - cur[1])))
+        return gap < _CDF_TOL, gap
+
+    (table, _), _ = doubling("CDF table", range(first, first + _CDF_LEVELS), value, agree)
+    return table
 
 
 class CdfTable:
@@ -371,18 +374,6 @@ class RadialProfile:
                                                     self.eta_max, self.knots)
         return table
 
-    def _cdf_eval(self, etas):
-        table = self._cdf_interp()
-        etas = np.asarray(etas, dtype=float)
-        out = np.empty(etas.shape)
-        below = etas <= 0.0
-        above = etas >= self.eta_max
-        inside = ~(below | above)
-        out[below] = 0.0
-        out[above] = table.total
-        out[inside] = table.interp(etas[inside])
-        return out
-
     def _moment(self, k: int) -> float:
         key = ("moment", k)
         val = self._cache.get(key)
@@ -420,7 +411,8 @@ def make_table(etas, values, dim) -> RadialProfile:
     """Profile from tabulated (eta, value) pairs; zero beyond the last eta.
 
     Values are interpreted per unit Riemannian volume and renormalized, and
-    interpolated by pchip, which preserves their shape.
+    interpolated by pchip, which preserves their shape; their scale does not
+    matter.
     """
     etas = np.asarray(etas, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -430,6 +422,9 @@ def make_table(etas, values, dim) -> RadialProfile:
         raise ValueError("etas must start at 0 and increase strictly")
     if np.any(values < 0.0) or not np.all(np.isfinite(values)):
         raise ValueError("table values must be finite and nonnegative")
+    # the normaliser's tolerance has an absolute part: an exact power of two
+    # brings the largest value into [1, 2), so every scale is normalised alike
+    values = np.ldexp(values, 1 - math.frexp(float(values.max()))[1])
     interp = CubicHermite(etas, values, pchip_slopes(etas, values))
     eta_max = float(etas[-1])
 
@@ -470,9 +465,12 @@ def pdf_eta(p: RadialProfile, eta):
 
 def cdf_eta(p: RadialProfile, eta):
     """Radial CDF, monotone with cdf(0) = 0 and cdf(eta_max) = 1."""
-    scalar = np.isscalar(eta)
-    out = p._cdf_eval(np.atleast_1d(np.asarray(eta, dtype=float)))
-    return float(out[0]) if scalar else out
+    table = p._cdf_interp()
+    etas = np.atleast_1d(np.asarray(eta, dtype=float))
+    out = table.interp(np.clip(etas, 0.0, p.eta_max))
+    out[etas >= p.eta_max] = table.total
+    out[etas <= 0.0] = 0.0
+    return float(out[0]) if np.isscalar(eta) else out
 
 
 def open_uniforms(u, out=None):

@@ -37,14 +37,8 @@ tanh(pi lambda) at +-i/2 add an error that falls like e^{-pi/step}.
 
 Array contract: `phi_many`, `fh_transform` and `plancherel_density` take a
 scalar or an array of lambda and evaluate every lambda in one call; each
-lambda gets exactly the value a scalar call would give it.
-`fh_inverse_grid` evaluates its spectral integrand on the nodes of the
-first trapezoid level, in node order, and then on the new nodes of each
-later level, so the F it is given receives 1-d lambda arrays of at most
-_COS_BLOCK // len(etas) lambdas (and may return a scalar, which is
-broadcast); the truncation scan judges those same F values.  For an F
-that, like `fh_transform`, gives every lambda its scalar value, the result
-does not depend on how the nodes are blocked.
+lambda gets exactly the value a scalar call would give it.  How
+`fh_inverse_grid` calls its F is in its docstring.
 """
 
 import math
@@ -52,9 +46,8 @@ import math
 import numpy as np
 
 from .geometry import as_dim, sphere_area
-from .quadrature import QuadratureError, gauss_jacobi_sym, gauss_legendre
-# unused here: the benchmark's tracer rebinds spectral.gk_adaptive_vector by
-# name, and fails while the name is missing
+from .quadrature import QuadratureError, doubling, gauss_jacobi_sym, gauss_legendre, within
+# unused here, but the benchmark's tracer rebinds this name and needs it
 from .quadrature import gk_adaptive_vector  # noqa: F401
 from .radial_density import RadialProfile, knot_grid, scale_profile, sinch
 
@@ -63,6 +56,8 @@ _TAIL_THRESHOLD = 1e-14
 _LAMBDA_CAP = 1e4
 # halvings of the inverse transform's lambda step before a QuadratureError
 _LEVELS = 12
+_TABLE_LEVELS = 14  # levels of the Abel table's panels before a QuadratureError
+_INNER_LEVELS = 14  # levels of its inner Abel integral before a QuadratureError
 # elements of one block of (lambda, eta, Jacobi node) cosines, of (lambda, s)
 # transform kernels, of (s, u) Abel-transform nodes or of the (lambda, eta)
 # rows of one call of the inverse transform's integrand: 2 MiB of float64
@@ -252,11 +247,12 @@ def _abel_table(p: RadialProfile, level: int):
     integer ones).  Elsewhere, as near the flat end of a bump, the map would
     only cost accuracy.
 
-    The inner rule's level doubles from 0, whatever the outer level, until
-    the sum of 2 w |change of T| |kernel| falls to _ABS_TARGET (|kernel| <= 1
-    for the cosines of n = 2 and <= s for the sines of n >= 3), which bounds
-    the change of every transform value, and the finer table is kept.  So a
-    table of S nodes costs O(S) inner nodes.
+    The inner rule's level doubles from 0, whatever the outer level, for
+    _INNER_LEVELS levels at most, until the sum of 2 w |change of T| |kernel|
+    falls to _ABS_TARGET (|kernel| <= 1 for the cosines of n = 2 and <= s for
+    the sines of n >= 3), which bounds the change of every transform value,
+    and the finer table is kept.  So a table of S nodes costs O(S) inner
+    nodes.
     """
     tables = p._cache.setdefault("abel", {})
     entry = tables.get(level)
@@ -277,14 +273,13 @@ def _abel_table(p: RadialProfile, level: int):
         else:
             m, scale = (0, c) if d == 2 else (d - 4, c * alpha * np.sinh(s))
             bound = 2.0 * w * (1.0 if d == 2 else s)
-            prev = scale * _abel_inner(p, s, m, 0)
-            for inner in range(1, 14):
-                t = scale * _abel_inner(p, s, m, inner)
-                if np.sum(bound * np.abs(t - prev)) <= _ABS_TARGET:
-                    break
-                prev = t
-            else:
-                raise QuadratureError("Abel transform quadrature did not converge")
+
+            def agree(prev, cur):
+                gap = float(np.sum(bound * np.abs(cur - prev)))
+                return gap <= _ABS_TARGET, gap
+
+            t = doubling("Abel inner integral", range(_INNER_LEVELS),
+                         lambda inner: scale * _abel_inner(p, s, m, inner), agree)[0]
         entry = tables[level] = (s, 2.0 * w * t)
     return entry
 
@@ -326,22 +321,17 @@ def _deficit_base(p: RadialProfile, level: int) -> float:
 def _converged_level(p: RadialProfile) -> int:
     """The first panel level whose Abel table's mass, the transform at
     lambda = 0, agrees with the previous level's to fh_transform's
-    tolerance, cached; a QuadratureError after 14 levels.  It reads the
-    profile's tables alone, so it does not depend on which calls came
-    before."""
-    level = p._cache.get("converged_level")
-    if level is None:
-        prev = math.inf
-        for level in range(14):
+    tolerance, cached; a QuadratureError after _TABLE_LEVELS levels.  It
+    reads the profile's tables alone, so it does not depend on which calls
+    came before."""
+    if "converged_level" not in p._cache:
+        def mass(level):
             s, wt = _abel_table(p, level)
-            cur = float(np.sum(wt) if p.dim.n == 2 else np.sum(wt * s))
-            if abs(cur - prev) <= max(_ABS_TARGET, 1e-13 * abs(cur)):
-                break
-            prev = cur
-        else:
-            raise QuadratureError("transform quadrature did not converge (lam=0.0)")
-        p._cache["converged_level"] = level
-    return level
+            return float(np.sum(wt) if p.dim.n == 2 else np.sum(wt * s))
+
+        p._cache["converged_level"] = doubling("transform mass", range(_TABLE_LEVELS), mass,
+                                               within(_ABS_TARGET, 1e-13))[1]
+    return p._cache["converged_level"]
 
 
 def fh_transform(p: RadialProfile, lam, deficit: bool = False):
@@ -363,10 +353,10 @@ def fh_transform(p: RadialProfile, lam, deficit: bool = False):
     below the profile's converged level (_converged_level), whichever is
     higher, so the lower levels, which only the stop test would read, are
     skipped.  It stops when two consecutive levels agree and has a budget of
-    14 levels; only the lambdas still open are evaluated at the next level,
-    one row of the Abel table each, in blocks of at most _COS_BLOCK.  Both
-    start terms depend on the profile and the lambda alone, so each lambda
-    gets the value of its scalar call.
+    _TABLE_LEVELS levels; only the lambdas still open are evaluated at the
+    next level, one row of the Abel table each, in blocks of at most
+    _COS_BLOCK.  Both start terms depend on the profile and the lambda alone,
+    so each lambda gets the value of its scalar call.
     """
     d = p.dim.n
     lams = np.abs(np.asarray(lam, dtype=float))
@@ -377,8 +367,8 @@ def fh_transform(p: RadialProfile, lam, deficit: bool = False):
     out = np.empty(flat.size)
     prev = np.full(flat.size, np.inf)
     pending = np.ones(flat.size, dtype=bool)
-    for lv in range(int(start.max(initial=-14)) + 14):
-        sel = np.nonzero(pending & (start <= lv) & (lv < start + 14))[0]
+    for lv in range(int(start.max(initial=-_TABLE_LEVELS)) + _TABLE_LEVELS):
+        sel = np.nonzero(pending & (start <= lv) & (lv < start + _TABLE_LEVELS))[0]
         if sel.size == 0:
             if not pending.any():
                 break
@@ -470,24 +460,20 @@ def fh_inverse_grid(F, etas, n):
     nodes, peak, vals = _level0(func, d, step, block)
     abs_tol = _ABS_TARGET * min(1.0, peak)
     total = np.zeros(etas.size)  # the integrand summed over every node so far
-    prev = None
-    for level in range(_LEVELS + 1):
-        ks = np.arange(1, nodes + 1) if level == 0 else np.arange(1, nodes, 2)
+
+    def value(level):
+        h = math.ldexp(step, -level)
+        ks = np.arange(1, nodes + 1) if level == 0 else np.arange(1, nodes << level, 2)
         for i in range(0, ks.size, block):
-            lams = ks[i:i + block] * step
+            lams = ks[i:i + block] * h
             f = vals[i:i + block] if level == 0 else func(lams)
             rows = (f * plancherel_density(lams, d))[:, None] * phi_many(lams, etas, d)
             for row in rows:
-                total += row
-        cur = step * total
-        if prev is not None and np.max(np.abs(cur - prev), initial=0.0) <= max(
-                abs_tol, 1e-14 * np.max(np.abs(cur), initial=0.0)):
-            return inversion_constant(d) * cur
-        prev = cur
-        nodes *= 2
-        step *= 0.5
-    raise QuadratureError(f"inverse transform did not converge in {_LEVELS} trapezoid levels "
-                          f"(lam_max={nodes * step})")
+                np.add(total, row, out=total)
+        return h * total
+
+    cur, _ = doubling("inverse transform", range(_LEVELS + 1), value, within(abs_tol, 1e-14))
+    return inversion_constant(d) * cur
 
 
 # -- variance and walk transforms ---------------------------------------------
@@ -495,16 +481,15 @@ def fh_inverse_grid(F, etas, n):
 def variance_direct(p: RadialProfile) -> float:
     """Variance -F''(0)/F(0) as the exact ratio int s^2 A / int A (no finite
     differences), for n >= 3 by parts as int s^3 B / (3 int s B), from the
-    Abel table; the levels double until two ratios agree to 1e-13 relative."""
+    Abel table; the levels double until two ratios agree to 1e-13 relative,
+    _TABLE_LEVELS levels at most."""
     k = 0 if p.dim.n == 2 else 1
-    prev = math.inf
-    for lv in range(14):
+
+    def ratio(lv):
         s, wt = _abel_table(p, lv)
-        cur = float(np.sum(wt * s ** (2 + k)) / ((1 + 2 * k) * np.sum(wt * s**k)))
-        if abs(cur - prev) <= 1e-13 * abs(cur):
-            return cur
-        prev = cur
-    raise QuadratureError("variance quadrature did not converge")
+        return float(np.sum(wt * s ** (2 + k)) / ((1 + 2 * k) * np.sum(wt * s**k)))
+
+    return doubling("variance", range(_TABLE_LEVELS), ratio, within(0.0, 1e-13))[0]
 
 
 def _scaled_for_walk(p: RadialProfile, N: int) -> RadialProfile:

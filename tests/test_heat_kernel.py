@@ -84,6 +84,35 @@ def test_hk_even_m1_mckean_oracle():
         assert np.allclose(hk_even(t, etas, 1), ref, rtol=1e-10)
 
 
+def mckean_h2_mp(t, eta):
+    """mckean_h2 as a 40-digit mpmath integral in u, s = eta + u^2, over the
+    half-unit cells of [0, 20] and then to infinity: no exponent range to
+    leave, at any radius or time."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        t, eta = mpmath.mpf(t), mpmath.mpf(eta)
+
+        def f(u):
+            s = eta + u * u
+            return 2 * u * s * mpmath.exp(-s * s / (4 * t)) / mpmath.sqrt(
+                2 * mpmath.sinh((s + eta) / 2) * mpmath.sinh(u * u / 2))
+
+        val = mpmath.quad(f, [k / 2 for k in range(41)] + [mpmath.inf])
+        return float(mpmath.sqrt(2) * mpmath.exp(-t / 4) * (4 * mpmath.pi * t) ** -1.5 * val)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("t,eta", [(100.0, 50.0), (1000.0, 50.0), (1000.0, 150.0),
+                                   (1000.0, 300.0), (1000.0, 400.0)])
+def test_hk_even_far_out_at_long_times(t, eta):
+    """Far out at long times the sum before the prefactor is far below 1, so
+    only a relative stop rule converges it (an absolute one stopped at the
+    first doubling, 93% low at t = 1000, eta = 50), and from eta = 350 the
+    descent passes s = 710, where cosh(s) - cosh(eta) overflows."""
+    assert hk_even(t, eta, 1) == pytest.approx(mckean_h2_mp(t, eta), rel=1e-10, abs=0.0)
+
+
 def test_small_eta_series_branch_continuity(monkeypatch):
     # at each eta around the series/direct switch of order m, force the series
     # branch and then the direct branch; the two must agree there.  The

@@ -826,3 +826,11 @@ def test_variance_additivity(bump3):
     conv = convolution_profile(bump3, g, points=301)
     assert variance_direct(conv) == pytest.approx(
         variance_direct(bump3) + variance_direct(g), abs=1e-6)
+
+
+def test_stop_levels_pinned():
+    """The n = 3 bump's Abel tables agree first at level 3, and the n = 5
+    bump's CDF table stops at 8 192 cells; the pinned walk hashes and the
+    transform start levels rest on both."""
+    assert spectral._converged_level(make_bump(1.0, 3)) == 3
+    assert make_bump(1.0, 5)._cdf_interp().interp.x.size - 1 == 8192
