@@ -126,9 +126,10 @@ def _series_table(terms_key):
     return table
 
 
-def _eval_terms(m: int, etas: np.ndarray, tau: float) -> np.ndarray:
+def _eval_terms(m: int, etas: np.ndarray, tau: float, scaled: bool = False) -> np.ndarray:
     """Prefactor P(eta) of the order-m terms with the Gaussian factored out;
-    series branch below _small_eta(m)."""
+    series branch below _small_eta(m).  scaled: P(eta) e^{m eta}, free of
+    overflow and underflow at any radius, as every term has c >= m."""
     terms_key = _odd_terms(m)
     etas = np.asarray(etas, dtype=float)
     out = np.empty(etas.shape)
@@ -142,21 +143,22 @@ def _eval_terms(m: int, etas: np.ndarray, tau: float) -> np.ndarray:
         acc = coef_eta[-1] + x * 0
         for c in coef_eta[-2::-1]:
             acc = c + acc * x
-        out[small] = acc
+        out[small] = acc * np.exp(m * x) if scaled else acc
     big = ~small
     if np.any(big):
         e = etas[big]
         acc = np.zeros(e.shape)
-        # sinh^(b+c) overflows only where (b+c) s > 709, far out in hk_even's
-        # descent (at high order, or at long times, where the descent reaches
-        # s ~ 400 past eta); as c >= m > (b+c)/2, the quotient there is below
-        # 2^c e^{-354}, so the term counts as 0, also where cosh^b overflows
+        # unscaled, sinh^(b+c) overflows only where (b+c) s > 709, and there the
+        # quotient is below 2^c e^{-354} (c >= m > (b+c)/2), so the term counts
+        # as 0; scaled, cosh and sinh are over e^e, and decay^(c-m) is the rest
         with np.errstate(over="ignore"):
-            ch, sh = np.cosh(e), np.sinh(e)
+            sh = -0.5 * np.expm1(-2.0 * e) if scaled else np.sinh(e)
+            ch = 1.0 - sh if scaled else np.cosh(e)
+            decay = np.exp(-e) if scaled else 1.0
             for (a, b, c, d), coef in terms_key:
                 den = sh ** (b + c)
                 acc += np.divide(coef * e**a * ch**b, den, out=np.zeros_like(e),
-                                 where=den < np.inf) * tau ** (-d)
+                                 where=den < np.inf) * tau ** (-d) * decay ** (c - m)
         out[big] = acc
     return out
 
@@ -171,10 +173,6 @@ def hk_fourier(t: float, lam, n) -> float:
     return float(out) if out.ndim == 0 else out
 
 
-def _gaussian(etas, tau):
-    return np.exp(-np.asarray(etas, dtype=float) ** 2 / (2.0 * tau))
-
-
 def hk_odd(t: float, eta, m: int):
     """Space side for n = 2m+1 via the iterated sinh-derivative operator."""
     if not t > 0.0 or m < 1:
@@ -183,7 +181,7 @@ def hk_odd(t: float, eta, m: int):
     etas = np.atleast_1d(np.asarray(eta, dtype=float))
     tau = 2.0 * t
     pref = math.exp(-m * m * t) / ((2.0 * math.pi) ** m * math.sqrt(2.0 * math.pi * tau))
-    out = pref * _eval_terms(m, etas, tau) * _gaussian(etas, tau)
+    out = pref * _eval_terms(m, etas, tau) * np.exp(-etas**2 / (2.0 * tau))
     return float(out[0]) if scalar else out
 
 
@@ -193,22 +191,26 @@ def hk_even(t: float, eta, m: int):
     The descent integrand csch(s) (-d/ds) (-csch(s) d/ds)^(m-1) applied to the
     Gaussian is (-csch(s) d/ds)^m of it, so it shares the n = 2m+1 terms and
     series table.  The substitution u^2 = cosh(s) - cosh(eta) removes the
-    endpoint singularity; u is sqrt(2) times the square roots of the two sinh
-    factors of cosh(s) - cosh(eta), and s comes back stably from sinh(s/2) =
-    hypot(sinh(eta/2), u/sqrt(2)), so both stay finite while (s + eta)/2 <
-    710.  The Gauss-Legendre panels double, _EVEN_DOUBLINGS times at most,
-    until two levels agree to _EVEN_TOL relative, which, unlike an absolute
-    rule, also converges a sum far below 1 (both levels 0 agree).  Each radius
-    stops at its own first agreeing level, and only the pending radii are
-    summed at the next, so a radius gets the value a call with it alone
-    would; a QuadratureError where some radius never agrees.
+    endpoint singularity, and s comes back stably from sinh(s/2) =
+    hypot(sinh(eta/2), u/sqrt(2)).  The integrand is taken relative to its
+    scale at eta, e^{-eta^2/(2 tau) - (m - 1/2) eta}, which the prefactor
+    takes as e^{-(eta + (m - 1/2) tau)^2 / (2 tau)}: no node value underflows
+    where the kernel is a normal float, and a radius where that factor
+    underflows is 0.  u and s are finite while s < 1419, past every descent
+    that the other radii need (s up to eta + sqrt(4t ln 10^18), below 1150).
+    The Gauss-Legendre panels double, _EVEN_DOUBLINGS times at most, until
+    two levels agree to _EVEN_TOL relative.  Each radius stops at its own
+    first agreeing level, and only the pending radii are summed at the next,
+    so a radius gets the value a call with it alone would; a QuadratureError
+    where some radius never agrees.
     """
     if not t > 0.0 or m < 1:
         raise ValueError("need t > 0 and m >= 1")
     scalar = np.isscalar(eta) or np.asarray(eta).ndim == 0
     etas = np.atleast_1d(np.asarray(eta, dtype=float))
     tau = 2.0 * t
-    pref = math.exp(-((m - 0.5) ** 2) * t) / ((2.0 * math.pi) ** m * math.sqrt(math.pi * tau))
+    pref = 1.0 / ((2.0 * math.pi) ** m * math.sqrt(math.pi * tau))
+    scale = np.exp(-((etas + (m - 0.5) * tau) ** 2) / (2.0 * tau))
     reach = math.sqrt(2.0 * tau * math.log(1e18))
 
     def level(npanels, radii):
@@ -216,31 +218,37 @@ def hk_even(t: float, eta, m: int):
         # a uniform u-grid would pile almost everything into the far tail.
         frac = np.linspace(0.0, 1.0, npanels + 1)
         s_edges = radii[:, None] + reach * frac[None, :]
-        u_edges = (math.sqrt(2.0) * np.sqrt(np.sinh(0.5 * (s_edges + radii[:, None])))
-                   * np.sqrt(np.sinh(0.5 * (s_edges - radii[:, None]))))
+        # u^2 = 2 sinh((s + eta)/2) sinh((s - eta)/2) with e^{s/2} taken out
+        u_edges = np.exp(0.5 * s_edges) * np.sqrt(0.5 * np.expm1(radii[:, None] - s_edges)
+                                                  * np.expm1(-radii[:, None] - s_edges))
         x, w = gauss_legendre(24)
         mid = 0.5 * (u_edges[:, 1:] + u_edges[:, :-1])
         half = 0.5 * (u_edges[:, 1:] - u_edges[:, :-1])
         u = mid[:, :, None] + half[:, :, None] * x[None, None, :]
         wu = half[:, :, None] * w[None, None, :]
-        s = 2.0 * np.arcsinh(np.hypot(np.sinh(0.5 * radii)[:, None, None], math.sqrt(0.5) * u))
-        vals = _eval_terms(m, s.ravel(), tau).reshape(s.shape) * _gaussian(s, tau)
+        r = radii[:, None, None]
+        s = 2.0 * np.arcsinh(np.hypot(np.sinh(0.5 * r), math.sqrt(0.5) * u))
+        # P(s) e^{-s^2/(2 tau)} over its scale at eta
+        vals = _eval_terms(m, s.ravel(), tau, scaled=True).reshape(s.shape) * np.exp(
+            -(s - r) * ((s + r) / (2.0 * tau) + m) - 0.5 * r)
         return 2.0 * np.sum(wu * vals, axis=(1, 2))
 
     npanels = max(8, int(reach / math.sqrt(tau)) + 2)
-    out = np.empty(etas.size)
-    pending = np.arange(etas.size)
-    prev = level(npanels, etas)
+    out = np.zeros(etas.size)
+    pending = np.nonzero(scale > 0.0)[0]
+    prev = level(npanels, etas[pending])
     for _ in range(_EVEN_DOUBLINGS):
+        if pending.size == 0:
+            break
         npanels *= 2
         cur = level(npanels, etas[pending])
         done = np.abs(cur - prev) <= _EVEN_TOL * np.abs(cur)
-        out[pending[done]] = pref * cur[done]
+        out[pending[done]] = pref * (scale[pending[done]] * cur[done])
         pending, prev = pending[~done], cur[~done]
-        if pending.size == 0:
-            return float(out[0]) if scalar else out
-    raise QuadratureError(f"even-n heat kernel did not converge in {_EVEN_DOUBLINGS} "
-                          f"panel doublings (t={t}, m={m}, eta={etas[pending[0]]})")
+    if pending.size:
+        raise QuadratureError(f"even-n heat kernel did not converge in {_EVEN_DOUBLINGS} "
+                              f"panel doublings (t={t}, m={m}, eta={etas[pending[0]]})")
+    return float(out[0]) if scalar else out
 
 
 def require_validated_dim(n) -> int:

@@ -87,29 +87,22 @@ def panel_nodes(a: float, b: float, npanels: int, q: int):
     return nodes, weights
 
 
-def doubling(name: str, levels, value, agree):
-    """Run a level-doubling loop: value(level) at each of `levels` in turn,
-    until agree(prev, cur) -> (agreed, gap) holds for the values of two
-    consecutive levels.  Returns (cur, level) of the first agreeing pair; a
-    QuadratureError naming the loop and its last gap when the levels run out."""
-    prev, gap = None, math.nan
-    for level in levels:
+def doubling(name: str, levels, value, abs_tol=0.0, rel_tol=0.0, gap=None):
+    """Run the level-doubling loop `name`: value(level) over the range
+    `levels` until gap(prev, cur), by default max|cur - prev|, is at most
+    max(abs_tol, rel_tol max|cur|), rel_tol 0 for values that are not numbers.
+    Returns (cur, level); a QuadratureError with the last gap if none agree."""
+    prev, last = value(levels[0]), math.nan
+    # abs for floats: a numpy reduction costs microseconds per comparison
+    norm = abs if isinstance(prev, float) else lambda x: float(np.max(np.abs(x), initial=0.0))
+    for level in levels[1:]:
         cur = value(level)
-        if prev is not None:
-            agreed, gap = agree(prev, cur)
-            if agreed:
-                return cur, level
+        last = gap(prev, cur) if gap else norm(cur - prev)
+        if last <= max(abs_tol, rel_tol * norm(cur) if rel_tol else 0.0):
+            return cur, level
         prev = cur
     raise QuadratureError(f"{name} did not converge in {len(levels)} levels "
-                          f"(last gap {gap:.3e})")
-
-
-def within(abs_tol: float, rel_tol: float):
-    """agree() of doubling: a max-norm gap within max(abs_tol, rel_tol max|cur|)."""
-    def agree(prev, cur):
-        gap = float(np.max(np.abs(cur - prev), initial=0.0))
-        return gap <= max(abs_tol, rel_tol * float(np.max(np.abs(cur), initial=0.0))), gap
-    return agree
+                          f"(last gap {last:.3e})")
 
 
 def integrate_adaptive(f, a: float, b: float, abs_tol: float = 1e-13,
@@ -123,8 +116,7 @@ def integrate_adaptive(f, a: float, b: float, abs_tol: float = 1e-13,
         nodes, weights = panel_nodes(a, b, npanels << level, q)
         return float(np.dot(weights, np.asarray(f(nodes), dtype=float)))
 
-    return doubling("integrate_adaptive", range(_MAX_DOUBLINGS + 1), value,
-                    within(abs_tol, rel_tol))[0]
+    return doubling("integrate_adaptive", range(_MAX_DOUBLINGS + 1), value, abs_tol, rel_tol)[0]
 
 
 def cumulative_gl(f, grid: np.ndarray, q: int = 16) -> np.ndarray:
@@ -159,9 +151,13 @@ _G7_CENTER_WEIGHT = 0.417959183673469
 
 GK_NODES = np.concatenate([-_K15_HALF_NODES, [0.0], _K15_HALF_NODES[::-1]])
 GK_K_WEIGHTS = np.concatenate([_K15_HALF_WEIGHTS, [_K15_CENTER_WEIGHT], _K15_HALF_WEIGHTS[::-1]])
-GK_G_WEIGHTS = np.zeros(15)  # the Gauss nodes are the Kronrod nodes of odd index
-GK_G_WEIGHTS[1::2] = np.concatenate([_G7_HALF_WEIGHTS, [_G7_CENTER_WEIGHT],
-                                     _G7_HALF_WEIGHTS[::-1]])
+_gw = np.zeros(15)
+_gw[7] = _G7_CENTER_WEIGHT
+for _i, _wv in zip((1, 3, 5), _G7_HALF_WEIGHTS):
+    _gw[_i] = _wv
+    _gw[14 - _i] = _wv
+GK_G_WEIGHTS = _gw
+del _gw, _i, _wv
 
 
 def _gk_panels(fvec, segs):

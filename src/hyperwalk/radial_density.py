@@ -122,14 +122,14 @@ def _cdf_table(measure, upper, knots=()):
         secant = np.diff(vals) / np.diff(grid)
         slopes[:-1] = np.minimum(slopes[:-1], 3.0 * secant)
         slopes[1:] = np.minimum(slopes[1:], 3.0 * secant)
-        return CdfTable(CubicHermite(grid, vals, slopes), float(vals[-1]), slopes), vals
+        return CdfTable(CubicHermite(grid, vals, slopes), float(vals[-1]), slopes)
 
-    def agree(prev, cur):
-        gap = float(np.max(np.abs(prev[0].interp(cur[0].interp.x) - cur[1])))
-        return gap < _CDF_TOL, gap
+    def gap(prev, cur):  # the new node values are the cubics' constant terms and the total
+        return np.max(np.abs(prev.interp(cur.interp.x) - np.append(cur.interp.c[3], cur.total)))
 
-    (table, _), _ = doubling("CDF table", range(first, first + _CDF_LEVELS), value, agree)
-    return table
+    # the largest float below _CDF_TOL: the gap must stay strictly below it
+    return doubling("CDF table", range(first, first + _CDF_LEVELS), value,
+                    math.nextafter(_CDF_TOL, 0.0), gap=gap)[0]
 
 
 class CdfTable:

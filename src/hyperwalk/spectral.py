@@ -46,7 +46,7 @@ import math
 import numpy as np
 
 from .geometry import as_dim, sphere_area
-from .quadrature import QuadratureError, doubling, gauss_jacobi_sym, gauss_legendre, within
+from .quadrature import QuadratureError, doubling, gauss_jacobi_sym, gauss_legendre
 # unused here, but the benchmark's tracer rebinds this name and needs it
 from .quadrature import gk_adaptive_vector  # noqa: F401
 from .radial_density import RadialProfile, knot_grid, scale_profile, sinch
@@ -273,13 +273,9 @@ def _abel_table(p: RadialProfile, level: int):
         else:
             m, scale = (0, c) if d == 2 else (d - 4, c * alpha * np.sinh(s))
             bound = 2.0 * w * (1.0 if d == 2 else s)
-
-            def agree(prev, cur):
-                gap = float(np.sum(bound * np.abs(cur - prev)))
-                return gap <= _ABS_TARGET, gap
-
             t = doubling("Abel inner integral", range(_INNER_LEVELS),
-                         lambda inner: scale * _abel_inner(p, s, m, inner), agree)[0]
+                         lambda inner: scale * _abel_inner(p, s, m, inner), _ABS_TARGET,
+                         gap=lambda prev, cur: np.sum(bound * np.abs(cur - prev)))[0]
         entry = tables[level] = (s, 2.0 * w * t)
     return entry
 
@@ -330,7 +326,7 @@ def _converged_level(p: RadialProfile) -> int:
             return float(np.sum(wt) if p.dim.n == 2 else np.sum(wt * s))
 
         p._cache["converged_level"] = doubling("transform mass", range(_TABLE_LEVELS), mass,
-                                               within(_ABS_TARGET, 1e-13))[1]
+                                               _ABS_TARGET, 1e-13)[1]
     return p._cache["converged_level"]
 
 
@@ -472,8 +468,8 @@ def fh_inverse_grid(F, etas, n):
                 np.add(total, row, out=total)
         return h * total
 
-    cur, _ = doubling("inverse transform", range(_LEVELS + 1), value, within(abs_tol, 1e-14))
-    return inversion_constant(d) * cur
+    return inversion_constant(d) * doubling("inverse transform", range(_LEVELS + 1), value,
+                                            abs_tol, 1e-14)[0]
 
 
 # -- variance and walk transforms ---------------------------------------------
@@ -489,7 +485,7 @@ def variance_direct(p: RadialProfile) -> float:
         s, wt = _abel_table(p, lv)
         return float(np.sum(wt * s ** (2 + k)) / ((1 + 2 * k) * np.sum(wt * s**k)))
 
-    return doubling("variance", range(_TABLE_LEVELS), ratio, within(0.0, 1e-13))[0]
+    return doubling("variance", range(_TABLE_LEVELS), ratio, rel_tol=1e-13)[0]
 
 
 def _scaled_for_walk(p: RadialProfile, N: int) -> RadialProfile:

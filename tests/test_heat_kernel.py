@@ -86,8 +86,9 @@ def test_hk_even_m1_mckean_oracle():
 
 def mckean_h2_mp(t, eta):
     """mckean_h2 as a 40-digit mpmath integral in u, s = eta + u^2, over the
-    half-unit cells of [0, 20] and then to infinity: no exponent range to
-    leave, at any radius or time."""
+    half-unit cells of [0, 20], refined by 40 cells up to where the Gaussian
+    is e^{-100} of its peak (the peak narrows as t falls and eta grows), and
+    then to infinity: no exponent range to leave, at any radius or time."""
     import mpmath
 
     with mpmath.workdps(40):
@@ -98,19 +99,33 @@ def mckean_h2_mp(t, eta):
             return 2 * u * s * mpmath.exp(-s * s / (4 * t)) / mpmath.sqrt(
                 2 * mpmath.sinh((s + eta) / 2) * mpmath.sinh(u * u / 2))
 
-        val = mpmath.quad(f, [k / 2 for k in range(41)] + [mpmath.inf])
+        top = mpmath.sqrt(mpmath.sqrt(eta**2 + 400 * t) - eta)
+        cells = sorted(set(mpmath.linspace(0, top, 41)) | {mpmath.mpf(k) / 2 for k in range(41)})
+        val = mpmath.quad(f, cells + [mpmath.inf])
         return float(mpmath.sqrt(2) * mpmath.exp(-t / 4) * (4 * mpmath.pi * t) ** -1.5 * val)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("t,eta", [(100.0, 50.0), (1000.0, 50.0), (1000.0, 150.0),
-                                   (1000.0, 300.0), (1000.0, 400.0)])
+                                   (1000.0, 300.0), (1000.0, 400.0), (1000.0, 600.0),
+                                   (100.0, 376.0), (100.0, 400.0), (1.0, 52.0)])
 def test_hk_even_far_out_at_long_times(t, eta):
-    """Far out at long times the sum before the prefactor is far below 1, so
-    only a relative stop rule converges it (an absolute one stopped at the
-    first doubling, 93% low at t = 1000, eta = 50), and from eta = 350 the
+    """Far out the kernel is tiny but a normal float.  An absolute stop rule
+    stopped at the first doubling (93% low at t = 1000, eta = 50); node
+    values of the integrand not taken relative to their scale at eta were
+    subnormal (a QuadratureError at t = 100, eta = 376, and at t = 1, eta =
+    52) or 0 (at t = 100, eta = 400); and from eta = 350 at t = 1000 the
     descent passes s = 710, where cosh(s) - cosh(eta) overflows."""
     assert hk_even(t, eta, 1) == pytest.approx(mckean_h2_mp(t, eta), rel=1e-10, abs=0.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_hk_even_is_zero_where_it_underflows():
+    """Where e^{-(eta + (m - 1/2) 2t)^2 / (4t)} underflows, the kernel is 0,
+    without a descent that would overflow."""
+    for m in (1, 4):
+        assert hk_even(1000.0, [750.0, 2000.0, 1e4], m).tolist() == [0.0] * 3
+        assert hk_even(1.0, [100.0, 1500.0], m).tolist() == [0.0, 0.0]
 
 
 def test_small_eta_series_branch_continuity(monkeypatch):

@@ -57,11 +57,11 @@ def test_doubling_returns_the_first_agreeing_level():
         seen.append(level)
         return 2.0**-level
 
-    def agree(prev, cur):
-        return prev - cur <= 0.1, prev - cur
-
-    assert doubling("halving", range(2, 20), value, agree) == (2.0**-4, 4)
+    assert doubling("halving", range(2, 20), value, 0.1) == (2.0**-4, 4)
     assert seen == [2, 3, 4]
+    # the gaps are 1/8, 1/16, ...: within the size of the newer value from level 3
+    assert doubling("halving", range(2, 20), value, rel_tol=1.0) == (2.0**-3, 3)
+    assert doubling("halving", range(2, 20), value, 0.1, gap=lambda p, c: 3 * (p - c))[1] == 5
     with pytest.raises(QuadratureError, match=r"^halving did not converge in 2 levels "
                                               r"\(last gap 1\.250e-01\)$"):
-        doubling("halving", range(2, 4), value, agree)
+        doubling("halving", range(2, 4), value, 0.1)
