@@ -11,6 +11,7 @@ import json
 import locale  # noqa: F401  argparse's messages load it at the first parser
 import math
 import sys
+from functools import partial
 
 import numpy as np
 import numpy.rec  # noqa: F401  numpy loads it lazily, at the first np.rec
@@ -176,24 +177,24 @@ def _check_integers(cfg: dict):
 def _cmd_verify(args) -> int:
     cfg = _load_config(args.config, _VERIFY_KEYS[args.check])
     _check_integers(cfg)
+    # a KeyError is a missing key here; inside the check it is a computational failure
     try:
         profile = profile_from_config(cfg["density"])
         if args.check == "clt":
-            verdict = clt_check(
-                profile, cfg["N"], cfg["paths"], cfg["seed"],
-                t_scale=float(cfg.get("t_scale", 1.0)))
+            check = partial(clt_check, profile, cfg["N"], cfg["paths"], cfg["seed"],
+                            t_scale=float(cfg.get("t_scale", 1.0)))
         elif args.check == "llt":
             eta_grid = _llt_eta_grid(profile, cfg["eta_points"]) if "eta_points" in cfg else None
-            verdict = llt_check(profile, cfg["Ns"], eta_grid=eta_grid,
-                                limit=cfg.get("limit", "clt"))
+            check = partial(llt_check, profile, cfg["Ns"], eta_grid=eta_grid,
+                            limit=cfg.get("limit", "clt"))
         elif args.check == "lln":
-            verdict = lln_check(profile, cfg["Ns"], cfg["paths"],
-                                cfg["seed"], scaling=cfg.get("scaling", "lln"))
+            check = partial(lln_check, profile, cfg["Ns"], cfg["paths"], cfg["seed"],
+                            scaling=cfg.get("scaling", "lln"))
         else:
-            verdict = variance_rate_check(profile, cfg["Ns"])
+            check = partial(variance_rate_check, profile, cfg["Ns"])
     except KeyError as exc:
         raise ConfigError(f"missing config key: {exc.args[0]}")
-    return _emit_verdict(verdict, args.out)
+    return _emit_verdict(check(), args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -247,7 +248,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, KeyError) as exc:
+    except (ConfigError, ValueError) as exc:
         return _error(f"configuration error: {exc}", 2)
     except Exception as exc:  # quadrature/truncation/boundary failures
         return _error(f"computation failed: {exc}", 1)

@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .geometry import as_dim
-from .quadrature import QuadratureError, gauss_legendre
+from .quadrature import QuadratureError, gauss_legendre, panel_nodes
 
 # Near eta = 0 the direct sum of the order-m terms cancels singular parts of
 # size eta^(1 - 2m) down to a finite value and loses about two digits per
@@ -221,11 +221,7 @@ def hk_even(t: float, eta, m: int):
         # u^2 = 2 sinh((s + eta)/2) sinh((s - eta)/2) with e^{s/2} taken out
         u_edges = np.exp(0.5 * s_edges) * np.sqrt(0.5 * np.expm1(radii[:, None] - s_edges)
                                                   * np.expm1(-radii[:, None] - s_edges))
-        x, w = gauss_legendre(24)
-        mid = 0.5 * (u_edges[:, 1:] + u_edges[:, :-1])
-        half = 0.5 * (u_edges[:, 1:] - u_edges[:, :-1])
-        u = mid[:, :, None] + half[:, :, None] * x[None, None, :]
-        wu = half[:, :, None] * w[None, None, :]
+        u, wu = panel_nodes(u_edges, *gauss_legendre(24))
         r = radii[:, None, None]
         s = 2.0 * np.arcsinh(np.hypot(np.sinh(0.5 * r), math.sqrt(0.5) * u))
         # P(s) e^{-s^2/(2 tau)} over its scale at eta

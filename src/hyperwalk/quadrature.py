@@ -76,15 +76,27 @@ def gauss_jacobi_sym(q: int, alpha: float):
     return x, w
 
 
-def panel_nodes(a: float, b: float, npanels: int, q: int):
-    """Composite Gauss-Legendre nodes and weights on [a, b]."""
-    x, w = gauss_legendre(q)
-    edges = np.linspace(a, b, npanels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return nodes, weights
+def knot_grid(knots, upper: float, level: int) -> np.ndarray:
+    """Panel edges 0, the knots and upper, each interval between them cut
+    into 2^level equal panels; the knots are sorted, distinct and in (0,
+    upper].  Every integral over a profile takes its panels from here.
+    Without knots this is bitwise linspace(0, upper, 2^level + 1)."""
+    ends = [0.0, *knots]
+    if ends[-1] < upper:
+        ends.append(upper)
+    ends = np.array(ends)
+    cuts = ends[:-1, None] + np.diff(ends)[:, None] * (np.arange(2**level) / 2**level)
+    return np.append(cuts.ravel(), upper)
+
+
+def panel_nodes(edges, x, w):
+    """The rule (x, w) on [-1, 1] mapped onto each panel between consecutive
+    edges along the last axis: nodes and weights of shape edges.shape[:-1] +
+    (panels, q).  x and w are one rule of q nodes, or one per panel."""
+    edges = np.asarray(edges, dtype=float)
+    mid = 0.5 * (edges[..., :-1] + edges[..., 1:])[..., None]
+    half = 0.5 * (edges[..., 1:] - edges[..., :-1])[..., None]
+    return mid + half * x, half * w
 
 
 def doubling(name: str, levels, value, abs_tol=0.0, rel_tol=0.0, gap=None):
@@ -105,32 +117,29 @@ def doubling(name: str, levels, value, abs_tol=0.0, rel_tol=0.0, gap=None):
                           f"(last gap {last:.3e})")
 
 
-def integrate_adaptive(f, a: float, b: float, abs_tol: float = 1e-13,
-                       rel_tol: float = 1e-13, npanels: int = 1, q: int = 32) -> float:
-    """Composite GL with panel doubling until two consecutive levels agree to
-    max(abs_tol, rel_tol |value|), _MAX_DOUBLINGS doublings at most."""
-    if b <= a:
-        return 0.0
+def integrate_adaptive(f, upper: float, knots=(), abs_tol: float = 1e-13,
+                       rel_tol: float = 1e-13) -> float:
+    """Integral of f over [0, upper]: 32-node Gauss-Legendre on knot_grid(knots,
+    upper, level), the level rising until two agree to max(abs_tol, rel_tol
+    |value|), _MAX_DOUBLINGS doublings at most."""
+    x, w = gauss_legendre(32)
 
     def value(level):
-        nodes, weights = panel_nodes(a, b, npanels << level, q)
-        return float(np.dot(weights, np.asarray(f(nodes), dtype=float)))
+        nodes, weights = panel_nodes(knot_grid(knots, upper, level), x, w)
+        return float(np.dot(weights.ravel(), np.asarray(f(nodes.ravel()), dtype=float)))
 
     return doubling("integrate_adaptive", range(_MAX_DOUBLINGS + 1), value, abs_tol, rel_tol)[0]
 
 
 def cumulative_gl(f, grid: np.ndarray, q: int = 16) -> np.ndarray:
     """Cumulative integral of f along a grid, one GL rule per interval."""
-    grid = np.asarray(grid, dtype=float)
     x, w = gauss_legendre(q)
-    mid = 0.5 * (grid[:-1] + grid[1:])
-    half = 0.5 * (grid[1:] - grid[:-1])
-    nodes = mid[:, None] + half[:, None] * x[None, :]
+    # unit weights give the half-widths: each interval's sum takes them last
+    nodes, half = panel_nodes(grid, x, 1.0)
     vals = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
-    per_interval = half * (vals @ w)
-    out = np.empty(grid.size)
+    out = np.empty(len(grid))
     out[0] = 0.0
-    np.cumsum(per_interval, out=out[1:])
+    np.cumsum(half[:, 0] * (vals @ w), out=out[1:])
     return out
 
 

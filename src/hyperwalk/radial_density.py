@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .geometry import as_dim, sphere_area
-from .quadrature import cumulative_gl, doubling, integrate_adaptive
+from .quadrature import cumulative_gl, doubling, integrate_adaptive, knot_grid
 
 _CDF_TOL = 1e-12
 _CDF_LEVELS = 8  # levels of a CDF table before a QuadratureError
@@ -80,29 +80,19 @@ def pchip_slopes(x, y):
                            [_pchip_end(h[-1], h[-2], m[-1], m[-2])]])
 
 
-def knot_grid(knots, upper: float, level: int) -> np.ndarray:
-    """Ascending nodes 0, the knots and upper, each interval between them
-    cut into 2^level equal panels; the knots are sorted, distinct and in (0,
-    upper].  Without knots this is bitwise linspace(0, upper, 2^level + 1)."""
-    ends = [0.0, *knots]
-    if ends[-1] < upper:
-        ends.append(upper)
-    ends = np.array(ends)
-    cuts = ends[:-1, None] + np.diff(ends)[:, None] * (np.arange(2**level) / 2**level)
-    return np.append(cuts.ravel(), upper)
-
-
 def _cdf_table(measure, upper, knots=()):
     """Cubic Hermite table of the CDF of a density on [0, upper], smooth
     between its knots.
 
-    The table has the exact density as its slopes on the knot_grid of the
-    first level with at least 256 cells, the last slope its left limit at
-    upper, and is doubled until the previous level's interpolant matches
-    the new node values to below _CDF_TOL: the criterion bounds the
-    interpolant between nodes, not only the nodes themselves.  _CDF_LEVELS
-    levels without that agreement are a QuadratureError (doubling).
-    Returns a CdfTable with the final cubic and its slopes.
+    Its nodes are the knot_grid of the first level with at least 256 cells,
+    knot-aligned as the panels of the profile's normaliser and moments are.
+    Its values sum 16-node Gauss-Legendre over the cells, and its slopes are
+    the exact density, the last one its left limit at upper.  The table is
+    doubled until the previous level's interpolant matches the new node
+    values to below _CDF_TOL: the criterion bounds the interpolant between
+    nodes, not only the nodes themselves.  _CDF_LEVELS levels without that
+    agreement are a QuadratureError (doubling).  Returns a CdfTable with the
+    final cubic and its slopes.
     """
     intervals = knot_grid(knots, upper, 0).size - 1
     first = (255 // intervals).bit_length()  # the least level with 256 cells or more
@@ -322,9 +312,10 @@ def _invert_cdf(table, u):
 
 class RadialProfile:
     """A normalized radial density with compact support [0, eta_max]; the
-    shape is smooth between its `knots` in (0, eta_max], where the transforms
-    put panel edges (eta_max is one if the density does not vanish smoothly
-    there)."""
+    shape is smooth between its `knots` in (0, eta_max] (eta_max is one if
+    the density does not vanish smoothly there).  Every integral over it, the
+    normaliser, the moments, the CDF table and the Abel tables, takes its
+    panels from knot_grid, so no panel straddles a knot."""
 
     def __init__(self, shape, eta_max, dim, family="custom", params=None, knots=()):
         self._define(shape, eta_max, dim, family, params, knots)
@@ -335,8 +326,8 @@ class RadialProfile:
             etas = np.asarray(etas, dtype=float)
             return area * shape(etas) * np.sinh(etas) ** nm1
 
-        self.norm_const = integrate_adaptive(raw_measure, 0.0, self.eta_max,
-                                             abs_tol=1e-14, rel_tol=1e-14, q=32)
+        self.norm_const = integrate_adaptive(raw_measure, self.eta_max, self.knots,
+                                             abs_tol=1e-14, rel_tol=1e-14)
         if not (self.norm_const > 0.0 and math.isfinite(self.norm_const)):
             raise ValueError("profile shape must have positive finite mass")
 
@@ -384,8 +375,8 @@ class RadialProfile:
             def integrand(etas):
                 return etas**k * area * self.g(etas) * np.sinh(etas) ** nm1
 
-            val = integrate_adaptive(integrand, 0.0, self.eta_max,
-                                     abs_tol=1e-14, rel_tol=1e-13, q=32)
+            val = integrate_adaptive(integrand, self.eta_max, self.knots,
+                                     abs_tol=1e-14, rel_tol=1e-13)
             self._cache[key] = val
         return val
 

@@ -46,10 +46,11 @@ import math
 import numpy as np
 
 from .geometry import as_dim, sphere_area
-from .quadrature import QuadratureError, doubling, gauss_jacobi_sym, gauss_legendre
+from .quadrature import (QuadratureError, doubling, gauss_jacobi_sym, gauss_legendre,
+                         knot_grid, panel_nodes)
 # unused here, but the benchmark's tracer rebinds this name and needs it
 from .quadrature import gk_adaptive_vector  # noqa: F401
-from .radial_density import RadialProfile, knot_grid, scale_profile, sinch
+from .radial_density import RadialProfile, scale_profile, sinch
 
 _ABS_TARGET = 1e-13
 _TAIL_THRESHOLD = 1e-14
@@ -266,8 +267,7 @@ def _abel_table(p: RadialProfile, level: int):
         if d % 2 == 0:
             xk = x[kinked]
             x[kinked], w[kinked] = 0.5 * xk * (3.0 - xk * xk), 1.5 * w[kinked] * (1.0 - xk * xk)
-        mid, half = 0.5 * (e[:-1] + e[1:])[:, None], 0.5 * np.diff(e)[:, None]
-        s, w = (mid + half * x).ravel(), (half * w).ravel()
+        s, w = (a.ravel() for a in panel_nodes(e, x, w))
         if d == 3:
             t = c * np.sinh(s) * p.g(s)
         else:

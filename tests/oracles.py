@@ -109,7 +109,8 @@ def fh_transform_jacobi(p: RadialProfile, lam):
         sel = np.nonzero(pending & (start <= lv) & (lv < start + 14))[0]
         if sel.size == 0:
             continue
-        nodes, weights = panel_nodes(0.0, p.eta_max, 2**lv, 32)
+        nodes, weights = (a.ravel() for a in panel_nodes(np.linspace(0.0, p.eta_max, 2**lv + 1),
+                                                         *gauss_legendre(32)))
         phis = np.array([phi_jacobi(lam, nodes, p.dim.n) for lam in flat[sel]])
         cur = (phis * (weights * pdf_eta(p, nodes))).sum(axis=1)
         close = np.abs(cur - prev[sel]) <= np.maximum(1e-13, 1e-13 * np.abs(cur))
@@ -139,7 +140,7 @@ def variance_jacobi(p: RadialProfile) -> float:
         j = 2.0 * (((sinch(a) * sinch(b)) ** alpha * v[None, :] ** 2) @ w)
         return _kn(d) * sinch(etas) ** (2 - d) * etas**2 * j * pdf_eta(p, etas)
 
-    raw = integrate_adaptive(integrand, 0.0, p.eta_max, abs_tol=1e-15, rel_tol=1e-13, q=32)
+    raw = integrate_adaptive(integrand, p.eta_max, abs_tol=1e-15, rel_tol=1e-13)
     return raw / fh_transform_jacobi(p, 0.0)
 
 
@@ -237,7 +238,8 @@ def convolve_direct(f: RadialProfile, g: RadialProfile, etas):
     area_angle = 2.0 * math.pi ** ((d - 1) / 2.0) / math.gamma((d - 1) / 2.0)
 
     rx = np.tanh(etas / 2.0)
-    y_nodes, y_weights = panel_nodes(0.0, g.eta_max, 8, 32)
+    y_nodes, y_weights = (a.ravel() for a in panel_nodes(np.linspace(0.0, g.eta_max, 9),
+                                                         *gauss_legendre(32)))
     c_nodes, c_weights = roots_jacobi(128, alpha, alpha)
     ry = np.tanh(y_nodes / 2.0)
     gy = g.g(y_nodes) * np.sinh(y_nodes) ** (d - 1)

@@ -175,6 +175,43 @@ def test_verify_rejects_config_numbers_that_are_not_integers(tmp_path, capsys):
         assert "integer" in json.loads(err)["error"], doc
 
 
+def test_verify_missing_key_is_a_configuration_error(tmp_path, capsys, monkeypatch):
+    """A missing key exits 2 and names the key, before any walk or transform."""
+    def never(*args):
+        raise AssertionError("a walk or transform ran for an incomplete config")
+
+    monkeypatch.setattr(diagnostics, "run_walk", never)
+    monkeypatch.setattr(diagnostics, "walk_density_grid", never)
+    bump = {"family": "bump", "eta_max": 1.0, "dim": 3}
+    cases = [("clt", {"density": bump, "paths": 100, "seed": 1}, "N"),
+             ("llt", {"density": bump}, "Ns"),
+             ("lln", {"density": bump, "Ns": [10, 100], "seed": 1}, "paths"),
+             ("variance", {"Ns": [4, 16, 64]}, "density"),
+             ("llt", {"density": {"family": "bump", "dim": 3}, "Ns": [16, 32, 64]}, "eta_max")]
+    cfg = tmp_path / "cfg.json"
+    for check, doc, key in cases:
+        cfg.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", check, "--config", str(cfg))
+        assert code == 2 and out == "", key
+        assert json.loads(err)["error"] == f"configuration error: missing config key: {key}"
+
+
+def test_verify_key_error_inside_a_check_is_a_computational_failure(tmp_path, capsys,
+                                                                     monkeypatch):
+    """A KeyError raised by the check itself is a fault of the computation
+    (exit 1), not a missing config key (exit 2), which it used to be."""
+    def broken(*args):
+        raise KeyError("rows")
+
+    monkeypatch.setattr(diagnostics, "walk_density_grid", broken)
+    cfg = tmp_path / "llt.json"
+    cfg.write_text(json.dumps({"density": {"family": "bump", "eta_max": 1.0, "dim": 3},
+                               "Ns": [16, 32, 64]}))
+    code, out, err = run(capsys, "verify", "llt", "--config", str(cfg))
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "computation failed: 'rows'"
+
+
 @pytest.mark.parametrize("t", ["nan", "inf", "-1"])
 def test_heat_kernel_rejects_time_that_is_not_positive_and_finite(t, tmp_path, capsys):
     out = tmp_path / "hk.csv"

@@ -12,7 +12,7 @@ from hyperwalk.quadrature import QuadratureError, doubling, integrate_adaptive
 
 
 def _kink():
-    return integrate_adaptive(lambda x: np.abs(x - 1.0 / 3.0), 0.0, 1.0)
+    return integrate_adaptive(lambda x: np.abs(x - 1.0 / 3.0), 1.0)
 
 
 def _cdf():

@@ -144,8 +144,8 @@ def phi_legendre_check(lam, eta, n):
         return (np.cosh(eta) - np.cosh(s)) ** k * np.cos(lam * s)
 
     npanels = max(2, int(lam * eta / 3.0) + 1)
-    radial = integrate_adaptive(integrand, 0.0, eta, abs_tol=1e-15,
-                                rel_tol=1e-14, npanels=npanels, q=24)
+    radial = integrate_adaptive(integrand, eta, np.linspace(0.0, eta, npanels + 1)[1:],
+                                abs_tol=1e-15, rel_tol=1e-14)
     legendre = (math.sqrt(2.0 / math.pi) * math.sinh(eta) ** (1.0 - d / 2.0)
                 / math.gamma(rho) * radial)
     return (2.0 ** (rho - 0.5) * math.gamma(rho + 0.5)
@@ -606,13 +606,13 @@ def test_llt_n3_contracted_profiles_take_no_quadrature(monkeypatch):
     uppers = []
     integrate = radial_density.integrate_adaptive
 
-    def counted(f, a, b, **kwargs):
-        uppers.append(b)
-        return integrate(f, a, b, **kwargs)
+    def counted(f, upper, *args, **kwargs):
+        uppers.append(upper)
+        return integrate(f, upper, *args, **kwargs)
 
     monkeypatch.setattr(radial_density, "integrate_adaptive", counted)
     assert llt_check(prof, [16, 32, 64, 128, 256]).passed
-    assert all(b == prof.eta_max for b in uppers)
+    assert all(upper == prof.eta_max for upper in uppers)
 
 
 @pytest.mark.parametrize("n", range(2, 18))
