@@ -315,7 +315,9 @@ class RadialProfile:
     shape is smooth between its `knots` in (0, eta_max] (eta_max is one if
     the density does not vanish smoothly there).  Every integral over it, the
     normaliser, the moments, the CDF table and the Abel tables, takes its
-    panels from knot_grid, so no panel straddles a knot."""
+    panels from knot_grid, so no panel straddles a knot.  Every table or
+    value built once per profile, here or in spectral, is kept by cached
+    under its own key; only this class knows how they are stored."""
 
     def __init__(self, shape, eta_max, dim, family="custom", params=None, knots=()):
         self._define(shape, eta_max, dim, family, params, knots)
@@ -343,6 +345,13 @@ class RadialProfile:
         self._shape = shape
         self._cache = {}
 
+    def cached(self, key, build):
+        """build(), built at the first call with this key and kept: the one
+        store of every table and value computed once per profile."""
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
+
     # -- density views ------------------------------------------------------
 
     def g(self, etas):
@@ -359,26 +368,18 @@ class RadialProfile:
     # -- CDF tabulation ------------------------------------------------------
 
     def _cdf_interp(self) -> CdfTable:
-        table = self._cache.get("cdf")
-        if table is None:
-            table = self._cache["cdf"] = _cdf_table(lambda etas: pdf_eta(self, etas),
-                                                    self.eta_max, self.knots)
-        return table
+        return self.cached("cdf", lambda: _cdf_table(lambda etas: pdf_eta(self, etas),
+                                                     self.eta_max, self.knots))
 
     def _moment(self, k: int) -> float:
-        key = ("moment", k)
-        val = self._cache.get(key)
-        if val is None:
-            area = sphere_area(self.dim)
-            nm1 = self.dim.n - 1
+        area = sphere_area(self.dim)
+        nm1 = self.dim.n - 1
 
-            def integrand(etas):
-                return etas**k * area * self.g(etas) * np.sinh(etas) ** nm1
+        def integrand(etas):
+            return etas**k * area * self.g(etas) * np.sinh(etas) ** nm1
 
-            val = integrate_adaptive(integrand, self.eta_max, self.knots,
-                                     abs_tol=1e-14, rel_tol=1e-13)
-            self._cache[key] = val
-        return val
+        return self.cached(("moment", k), lambda: integrate_adaptive(
+            integrand, self.eta_max, self.knots, abs_tol=1e-14, rel_tol=1e-13))
 
 
 def make_bump(eta_max, dim) -> RadialProfile:

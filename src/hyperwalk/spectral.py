@@ -255,9 +255,7 @@ def _abel_table(p: RadialProfile, level: int):
     and the finer table is kept.  So a table of S nodes costs O(S) inner
     nodes.
     """
-    tables = p._cache.setdefault("abel", {})
-    entry = tables.get(level)
-    if entry is None:
+    def build():
         d = p.dim.n
         alpha = (d - 3) / 2.0
         c = 2.0**alpha * _kn(d) * sphere_area(d)
@@ -276,8 +274,9 @@ def _abel_table(p: RadialProfile, level: int):
             t = doubling("Abel inner integral", range(_INNER_LEVELS),
                          lambda inner: scale * _abel_inner(p, s, m, inner), _ABS_TARGET,
                          gap=lambda prev, cur: np.sum(bound * np.abs(cur - prev)))[0]
-        entry = tables[level] = (s, 2.0 * w * t)
-    return entry
+        return s, 2.0 * w * t
+
+    return p.cached(("abel", level), build)
 
 
 # 1/(2k+1)!, k = 1...9: the Taylor series of sinc - 1 in x^2 to rounding at |x| = 1
@@ -305,13 +304,13 @@ def _sinc_deficit(x, sign=-1.0):
 def _deficit_base(p: RadialProfile, level: int) -> float:
     """The lambda-free half of the deficit (see fh_transform) over the Abel
     table of the level, cached."""
-    bases = p._cache.setdefault("deficit_base", {})
-    if level not in bases:
+    def build():
         s, wt = _abel_table(p, level)
         rho = 0.5 * (p.dim.n - 1)
         k = 2.0 * np.sinh(0.5 * rho * s) ** 2 if p.dim.n == 2 else s * _sinc_deficit(rho * s, 1.0)
-        bases[level] = float(np.sum(wt * k))
-    return bases[level]
+        return float(np.sum(wt * k))
+
+    return p.cached(("deficit_base", level), build)
 
 
 def _converged_level(p: RadialProfile) -> int:
@@ -320,14 +319,12 @@ def _converged_level(p: RadialProfile) -> int:
     tolerance, cached; a QuadratureError after _TABLE_LEVELS levels.  It
     reads the profile's tables alone, so it does not depend on which calls
     came before."""
-    if "converged_level" not in p._cache:
-        def mass(level):
-            s, wt = _abel_table(p, level)
-            return float(np.sum(wt) if p.dim.n == 2 else np.sum(wt * s))
+    def mass(level):
+        s, wt = _abel_table(p, level)
+        return float(np.sum(wt) if p.dim.n == 2 else np.sum(wt * s))
 
-        p._cache["converged_level"] = doubling("transform mass", range(_TABLE_LEVELS), mass,
-                                               _ABS_TARGET, 1e-13)[1]
-    return p._cache["converged_level"]
+    return p.cached("converged_level", lambda: doubling("transform mass", range(_TABLE_LEVELS),
+                                                        mass, _ABS_TARGET, 1e-13)[1])
 
 
 def fh_transform(p: RadialProfile, lam, deficit: bool = False):
@@ -489,12 +486,7 @@ def variance_direct(p: RadialProfile) -> float:
 
 
 def _scaled_for_walk(p: RadialProfile, N: int) -> RadialProfile:
-    per = p._cache.setdefault("scaled_for_walk", {})
-    scaled = per.get(N)
-    if scaled is None:
-        scaled = scale_profile(p, 1.0 / math.sqrt(N))
-        per[N] = scaled
-    return scaled
+    return p.cached(("scaled_for_walk", N), lambda: scale_profile(p, 1.0 / math.sqrt(N)))
 
 
 def walk_transform(p: RadialProfile, N: int, lam):

@@ -362,7 +362,7 @@ def test_kinked_table_needs_two_levels(n, monkeypatch):
     monkeypatch.setattr(spectral, "_abel_inner", counted)
     fh_transform(prof, np.array([0.0, 1.0, 5.0, 20.0]))
     variance_direct(prof)
-    assert sorted(prof._cache["abel"]) == [0, 1]
+    assert sorted(key[1] for key in prof._cache if key[0] == "abel") == [0, 1]
     assert inner == [0, 1, 0, 1]
 
 
