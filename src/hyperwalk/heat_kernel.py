@@ -126,10 +126,10 @@ def _series_table(terms_key):
     return table
 
 
-def _eval_terms(m: int, etas: np.ndarray, tau: float, scaled: bool = False) -> np.ndarray:
-    """Prefactor P(eta) of the order-m terms with the Gaussian factored out;
-    series branch below _small_eta(m).  scaled: P(eta) e^{m eta}, free of
-    overflow and underflow at any radius, as every term has c >= m."""
+def _eval_terms(m: int, etas: np.ndarray, tau: float) -> np.ndarray:
+    """P(eta) e^{m eta}, P the prefactor of the order-m terms with the Gaussian
+    factored out: free of overflow and underflow at every finite radius, as
+    every term has c >= m; series branch below _small_eta(m)."""
     terms_key = _odd_terms(m)
     etas = np.asarray(etas, dtype=float)
     out = np.empty(etas.shape)
@@ -143,22 +143,17 @@ def _eval_terms(m: int, etas: np.ndarray, tau: float, scaled: bool = False) -> n
         acc = coef_eta[-1] + x * 0
         for c in coef_eta[-2::-1]:
             acc = c + acc * x
-        out[small] = acc * np.exp(m * x) if scaled else acc
+        out[small] = acc * np.exp(m * x)
     big = ~small
     if np.any(big):
         e = etas[big]
         acc = np.zeros(e.shape)
-        # unscaled, sinh^(b+c) overflows only where (b+c) s > 709, and there the
-        # quotient is below 2^c e^{-354} (c >= m > (b+c)/2), so the term counts
-        # as 0; scaled, cosh and sinh are over e^e, and decay^(c-m) is the rest
-        with np.errstate(over="ignore"):
-            sh = -0.5 * np.expm1(-2.0 * e) if scaled else np.sinh(e)
-            ch = 1.0 - sh if scaled else np.cosh(e)
-            decay = np.exp(-e) if scaled else 1.0
-            for (a, b, c, d), coef in terms_key:
-                den = sh ** (b + c)
-                acc += np.divide(coef * e**a * ch**b, den, out=np.zeros_like(e),
-                                 where=den < np.inf) * tau ** (-d) * decay ** (c - m)
+        # cosh and sinh over e^e, and decay^(c - m) the rest of e^{m e} csch^c
+        sh = -0.5 * np.expm1(-2.0 * e)
+        ch = 1.0 - sh
+        decay = np.exp(-e)
+        for (a, b, c, d), coef in terms_key:
+            acc += coef * e**a * ch**b / sh ** (b + c) * tau ** (-d) * decay ** (c - m)
         out[big] = acc
     return out
 
@@ -173,15 +168,28 @@ def hk_fourier(t: float, lam, n) -> float:
     return float(out) if out.ndim == 0 else out
 
 
-def hk_odd(t: float, eta, m: int):
-    """Space side for n = 2m+1 via the iterated sinh-derivative operator."""
-    if not t > 0.0 or m < 1:
-        raise ValueError("need t > 0 and m >= 1")
-    scalar = np.isscalar(eta) or np.asarray(eta).ndim == 0
+def _frame(t: float, eta, m: int, shift: float):
+    """The preamble of hk_odd and hk_even: eta as a 1-d array of radii, tau =
+    2t, the Gaussian's scale e^{-(eta + shift tau)^2 / (2 tau)} that takes the
+    e^{-shift eta} of the kernel's terms, and whether eta is a scalar.  A
+    ValueError unless t > 0, m >= 1 and every radius is >= 0 (NaN is not)."""
     etas = np.atleast_1d(np.asarray(eta, dtype=float))
+    if not (t > 0.0 and m >= 1 and np.all(etas >= 0.0)):
+        raise ValueError(f"need t > 0, m >= 1 and radii >= 0, got t = {t}, m = {m} "
+                         f"and a least radius of {etas.min(initial=math.inf)}")
     tau = 2.0 * t
-    pref = math.exp(-m * m * t) / ((2.0 * math.pi) ** m * math.sqrt(2.0 * math.pi * tau))
-    out = pref * _eval_terms(m, etas, tau) * np.exp(-etas**2 / (2.0 * tau))
+    return etas, tau, np.exp(-((etas + shift * tau) ** 2) / (2.0 * tau)), np.ndim(eta) == 0
+
+
+def hk_odd(t: float, eta, m: int):
+    """Space side for n = 2m+1 via the iterated sinh-derivative operator, as
+    pref (P(eta) e^{m eta}) e^{-(eta + m tau)^2 / (2 tau)}, tau = 2t: the
+    Gaussian's scale is taken as hk_even takes it, and 0 where it underflows."""
+    etas, tau, scale, scalar = _frame(t, eta, m, m)
+    pref = 1.0 / ((2.0 * math.pi) ** m * math.sqrt(2.0 * math.pi * tau))
+    live = scale > 0.0
+    out = np.zeros(etas.size)
+    out[live] = pref * _eval_terms(m, etas[live], tau) * scale[live]
     return float(out[0]) if scalar else out
 
 
@@ -204,13 +212,8 @@ def hk_even(t: float, eta, m: int):
     so a radius gets the value a call with it alone would; a QuadratureError
     where some radius never agrees.
     """
-    if not t > 0.0 or m < 1:
-        raise ValueError("need t > 0 and m >= 1")
-    scalar = np.isscalar(eta) or np.asarray(eta).ndim == 0
-    etas = np.atleast_1d(np.asarray(eta, dtype=float))
-    tau = 2.0 * t
+    etas, tau, scale, scalar = _frame(t, eta, m, m - 0.5)
     pref = 1.0 / ((2.0 * math.pi) ** m * math.sqrt(math.pi * tau))
-    scale = np.exp(-((etas + (m - 0.5) * tau) ** 2) / (2.0 * tau))
     reach = math.sqrt(2.0 * tau * math.log(1e18))
 
     def level(npanels, radii):
@@ -225,7 +228,7 @@ def hk_even(t: float, eta, m: int):
         r = radii[:, None, None]
         s = 2.0 * np.arcsinh(np.hypot(np.sinh(0.5 * r), math.sqrt(0.5) * u))
         # P(s) e^{-s^2/(2 tau)} over its scale at eta
-        vals = _eval_terms(m, s.ravel(), tau, scaled=True).reshape(s.shape) * np.exp(
+        vals = _eval_terms(m, s.ravel(), tau).reshape(s.shape) * np.exp(
             -(s - r) * ((s + r) / (2.0 * tau) + m) - 0.5 * r)
         return 2.0 * np.sum(wu * vals, axis=(1, 2))
 

@@ -315,9 +315,8 @@ class RadialProfile:
     shape is smooth between its `knots` in (0, eta_max] (eta_max is one if
     the density does not vanish smoothly there).  Every integral over it, the
     normaliser, the moments, the CDF table and the Abel tables, takes its
-    panels from knot_grid, so no panel straddles a knot.  Every table or
-    value built once per profile, here or in spectral, is kept by cached
-    under its own key; only this class knows how they are stored."""
+    panels from knot_grid, so no panel straddles a knot.  Each table built
+    once per profile, here or in spectral, is kept by cached under its key."""
 
     def __init__(self, shape, eta_max, dim, family="custom", params=None, knots=()):
         self._define(shape, eta_max, dim, family, params, knots)
@@ -346,8 +345,7 @@ class RadialProfile:
         self._cache = {}
 
     def cached(self, key, build):
-        """build(), built at the first call with this key and kept: the one
-        store of every table and value computed once per profile."""
+        """build(), called at the first use of key and kept for every later one."""
         if key not in self._cache:
             self._cache[key] = build()
         return self._cache[key]
@@ -372,14 +370,10 @@ class RadialProfile:
                                                      self.eta_max, self.knots))
 
     def _moment(self, k: int) -> float:
-        area = sphere_area(self.dim)
-        nm1 = self.dim.n - 1
-
-        def integrand(etas):
-            return etas**k * area * self.g(etas) * np.sinh(etas) ** nm1
-
+        area, nm1 = sphere_area(self.dim), self.dim.n - 1
         return self.cached(("moment", k), lambda: integrate_adaptive(
-            integrand, self.eta_max, self.knots, abs_tol=1e-14, rel_tol=1e-13))
+            lambda etas: etas**k * area * self.g(etas) * np.sinh(etas) ** nm1,
+            self.eta_max, self.knots, abs_tol=1e-14, rel_tol=1e-13))
 
 
 def make_bump(eta_max, dim) -> RadialProfile:

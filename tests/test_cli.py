@@ -221,6 +221,18 @@ def test_heat_kernel_rejects_time_that_is_not_positive_and_finite(t, tmp_path, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("dim", ["2", "3"])
+def test_heat_kernel_rejects_negative_radii(dim, tmp_path, capsys):
+    """A negative radius wrote negative kernel values at n = 3 (exit 0) and
+    failed the descent at n = 2 (exit 1)."""
+    out = tmp_path / "hk.csv"
+    code, stdout, err = run(capsys, "heat-kernel", "--dim", dim, "--t", "1.0",
+                            "--eta=-5:0:1", "--out", str(out))
+    assert code == 2 and stdout == ""
+    assert "radii >= 0" in json.loads(err)["error"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["walk", "--density", "bump:inf", "--N", "4", "--paths", "10", "--seed", "7"],
     ["transform", "--density", "bump:nan", "--lambda", "0:1:0.5"],

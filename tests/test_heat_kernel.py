@@ -37,11 +37,26 @@ def test_hk_fourier_values():
             kernel(math.nan, 0.5, arg)
 
 
+def classical_h3_mp(t, eta):
+    """classical_h3 at one radius, as a 40-digit mpmath value."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        t, eta = mpmath.mpf(t), mpmath.mpf(eta)
+        return float((4 * mpmath.pi * t) ** -1.5 * eta / mpmath.sinh(eta)
+                     * mpmath.exp(-t - eta**2 / (4 * t)))
+
+
 def test_hk_odd_m1_closed_form():
     etas = np.array([0.0, 0.2, 1.0, 2.5, 5.0])
     for t in (0.3, 1.0, 2.0):
         assert np.allclose(hk_odd(t, etas, 1), classical_h3(t, etas),
                            rtol=1e-13, atol=1e-300)
+    # far out, where sinh(eta) and the Gaussian are far from 1, and at a short
+    # time, where the kernel is 1e-43 by eta = 2
+    for t, eta in ((10.0, 50.0), (100.0, 100.0), (100.0, 200.0), (100.0, 300.0),
+                   (0.01, 1.0), (0.01, 2.0)):
+        assert hk_odd(t, eta, 1) == pytest.approx(classical_h3_mp(t, eta), rel=1e-12, abs=0.0)
 
 
 def test_hk_odd_m2_nested_fd_oracle():
@@ -117,6 +132,24 @@ def test_hk_even_far_out_at_long_times(t, eta):
     52) or 0 (at t = 100, eta = 400); and from eta = 350 at t = 1000 the
     descent passes s = 710, where cosh(s) - cosh(eta) overflows."""
     assert hk_even(t, eta, 1) == pytest.approx(mckean_h2_mp(t, eta), rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 16])
+@pytest.mark.parametrize("eta", [-0.5, math.nan, [0.0, 1.0, -0.5], [0.0, math.nan, 1.0]],
+                         ids=["negative", "nan", "negative-in-array", "nan-in-array"])
+def test_kernel_rejects_radii_that_are_not_nonnegative(n, eta):
+    """A radius must be >= 0, which NaN is not.  A negative radius gave
+    negative values at odd n and a QuadratureError at even n; NaN gave nan at
+    odd n and 0.0 at even n."""
+    with pytest.raises(ValueError, match="radii >= 0"):
+        hk(1.0, eta, n)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_kernel_is_zero_at_infinity():
+    for n in (2, 3, 5, 16, 17):
+        assert hk(1.0, math.inf, n) == 0.0
+        assert hk(1.0, [1.0, math.inf], n)[1] == 0.0
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
