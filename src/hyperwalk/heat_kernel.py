@@ -201,8 +201,8 @@ def hk_even(t: float, eta, m: int):
     series table.  The substitution u^2 = cosh(s) - cosh(eta) removes the
     endpoint singularity, and s comes back stably from sinh(s/2) =
     hypot(sinh(eta/2), u/sqrt(2)).  The integrand is taken relative to its
-    scale at eta, e^{-eta^2/(2 tau) - (m - 1/2) eta}, which the prefactor
-    takes as e^{-(eta + (m - 1/2) tau)^2 / (2 tau)}: no node value underflows
+    scale at eta, e^{-eta^2/(2 tau) - (m - 1/2) eta}, which the prefactor takes
+    as _frame's e^{-(eta + (m - 1/2) tau)^2 / (2 tau)}: no node value underflows
     where the kernel is a normal float, and a radius where that factor
     underflows is 0.  u and s are finite while s < 1419, past every descent
     that the other radii need (s up to eta + sqrt(4t ln 10^18), below 1150).

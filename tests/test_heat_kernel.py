@@ -147,6 +147,8 @@ def test_kernel_rejects_radii_that_are_not_nonnegative(n, eta):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_kernel_is_zero_at_infinity():
+    """+inf is a radius >= 0, where every kernel is 0.  hk_odd's scaled terms
+    are inf there, so its Gaussian's underflow must decide, not their product."""
     for n in (2, 3, 5, 16, 17):
         assert hk(1.0, math.inf, n) == 0.0
         assert hk(1.0, [1.0, math.inf], n)[1] == 0.0
