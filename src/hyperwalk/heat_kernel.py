@@ -171,14 +171,18 @@ def hk_fourier(t: float, lam, n) -> float:
 def _frame(t: float, eta, m: int, shift: float):
     """The preamble of hk_odd and hk_even: eta as a 1-d array of radii, tau =
     2t, the Gaussian's scale e^{-(eta + shift tau)^2 / (2 tau)} that takes the
-    e^{-shift eta} of the kernel's terms, and whether eta is a scalar.  A
-    ValueError unless t > 0, m >= 1 and every radius is >= 0 (NaN is not)."""
+    e^{-shift eta} of the kernel's terms (0 where it underflows), and whether
+    eta is a scalar.  A ValueError unless t > 0, m >= 1 and every radius is
+    >= 0 (NaN is not)."""
     etas = np.atleast_1d(np.asarray(eta, dtype=float))
     if not (t > 0.0 and m >= 1 and np.all(etas >= 0.0)):
         raise ValueError(f"need t > 0, m >= 1 and radii >= 0, got t = {t}, m = {m} "
                          f"and a least radius of {etas.min(initial=math.inf)}")
     tau = 2.0 * t
-    return etas, tau, np.exp(-((etas + shift * tau) ** 2) / (2.0 * tau)), np.ndim(eta) == 0
+    # past sqrt(1600 tau) the scale is below e^-800, which is 0.0: clamping
+    # there keeps the square finite for every radius up to inf
+    top = np.minimum(etas + shift * tau, math.sqrt(1600.0 * tau))
+    return etas, tau, np.exp(-(top**2) / (2.0 * tau)), np.ndim(eta) == 0
 
 
 def hk_odd(t: float, eta, m: int):

@@ -244,22 +244,34 @@ def _converge(s, t, cells):
     are given, until a draw's move is 0 or no smaller than its last one:
     then it has reached the root to rounding.  Each draw stops on its own,
     so it does not depend on the draws it is inverted with.  A draw still
-    going after _MAX_STEPS steps is a RuntimeError."""
-    width, c0, c1, c2 = cells[1], cells[3], cells[4], cells[5]
-    out = s.copy()
-    f, df = np.empty_like(s), np.empty_like(s)
-    last = np.full_like(s, np.inf)
-    going = np.ones(s.shape, dtype=bool)
-    for _ in range(_MAX_STEPS):
-        _newton(s, t, width, c0, c1, c2, f, df)
-        step = np.abs(s - out)
-        np.copyto(out, s, where=going)
-        going &= (step < last) & (step > 0.0)
-        if not going.any():
-            return out
-        last = step
-    raise RuntimeError(f"{np.count_nonzero(going)} draws took more than {_MAX_STEPS} "
-                       "Newton steps")
+    going after _MAX_STEPS steps is a RuntimeError.
+
+    The flagged cells hold about 1e-3 of the mass or less, a handful of the
+    draws of a call, so each draw steps as Python floats: as numpy calls on
+    the handful, a step cost some twenty calls.  The step is _newton's, in
+    its operation order; a comparison that is false for NaN passes NaN
+    through the clamps, as np.maximum and np.minimum do.
+    """
+    out, stuck = [], 0
+    for x, u, width, c0, c1, c2 in zip(s.tolist(), t.tolist(), *cells[[1, 3, 4, 5]].tolist()):
+        last = math.inf
+        for _ in range(_MAX_STEPS):
+            p = c0 * x + c1
+            q = p * x + c2
+            df = (c0 * x + p) * x + q
+            new = x - (q * x - u) / (1e-300 if df < 1e-300 else df)
+            new = 0.0 if new < 0.0 else width if new > width else new
+            step = abs(new - x)
+            x = new
+            if not last > step > 0.0:
+                break
+            last = step
+        else:
+            stuck += 1
+        out.append(x)
+    if stuck:
+        raise RuntimeError(f"{stuck} draws took more than {_MAX_STEPS} Newton steps")
+    return np.array(out)
 
 
 def _invert_cdf(table, u):

@@ -51,9 +51,33 @@ steps write into rows made once per chunk, stack their sinh calls (one at a
 step's start, one more in the Sturm tail) and carry the half radius eta/2,
 the output of arcsinh.  Every value stays bitwise that of the plain
 formulas, since scaling by a power of two commutes with rounding (_stewart).
+
+A block is made by two functions, which both schedules call: _draw_block
+makes its draws (the uniforms, the inverted radius and angle) and writes
+the rows half_z, sq (and h_z in the Sturm mode); _step_block runs its steps.
+run_walk runs them in one of two schedules, with the same outputs bit for
+bit:
+- in-process, each block drawn and then stepped;
+- for a walk of at least _WORKER_STEPS path-steps and two blocks, on Linux
+  with two CPUs or more, in one os.fork'ed step worker, which steps each
+  block while the caller draws the next into the other of two shared
+  buffers (_run_forked).  The caller keeps the rest: the stream seeds, every
+  draw, every traced call.  The worker calls no name that bench/tracing.py
+  rebinds, so a traced run counts what it counts in-process.  It forwards
+  any exception it raises, and it is reaped before run_walk returns or
+  raises.
+On 2 cores a Sturm step costs about as much as its draws, so the overlap
+takes the Sturm walk at n = 2 (N = 10 000, 300 paths) from 414 to 240 ms.
+The fork, the worker's exit and the wait cost a few ms, which the smaller
+walks lose (see _WORKER_STEPS).
 """
 
 import math
+import mmap
+import os
+import pickle
+import sys
+import warnings
 from dataclasses import dataclass
 from functools import cache
 
@@ -69,6 +93,16 @@ from .radial_density import (RadialProfile, _cdf_table, _invert_cdf, _sample_eta
 
 _CHUNK = 16384
 _BLOCK = 2**15  # draws of each kind per block of steps, as one (steps, paths) array
+# Path-steps from which a walk forks its step worker.  One walk, in-process
+# -> with the worker, median of 7 on a 2-core x86-64 host:
+#   Sturm, n = 2, N = 300, 300 paths (90 k):    16.8 -> 22.1 ms
+#   Sturm, n = 2, N = 1000, 300 paths (300 k):  39.6 -> 31.2 ms
+#   clt, n = 3, N = 250, 2 000 paths (500 k):   29.8 -> 30.2 ms
+#   clt, n = 3, N = 500, 2 000 paths (1 M):     53.3 -> 50.3 ms
+#   lln, n = 3, N = 1000, 2 000 paths (2 M):     115 -> 95 ms
+# A clt step costs less than a Sturm step, so the clt walk gains only from
+# about 1 M path-steps; 2^20 keeps every measured loss in-process.
+_WORKER_STEPS = 2**20
 _MODES = ("clt", "lln", "sturm")
 _HALF_GUARD = math.atanh(1.0 - BOUNDARY_TOL)  # half the radius of ||s|| = 1 - BOUNDARY_TOL
 
@@ -163,48 +197,74 @@ def _angle_q(n: int, u: np.ndarray) -> np.ndarray:
     return np.sin(0.5 * theta) ** 2
 
 
-def _run_chunk(cfg: WalkConfig, start: int, count: int) -> np.ndarray:
-    """Terminal radii of paths start, ..., start + count - 1."""
+def _plan(cfg: WalkConfig):
+    """The walk's chunks as (start, count, blocks), where blocks lists the
+    (first step, steps) of each block of the chunk's steps."""
+    plan = []
+    for start in range(0, cfg.paths, _CHUNK):
+        count = min(_CHUNK, cfg.paths - start)
+        steps = max(1, _BLOCK // count)
+        plan.append((start, count, [(k0, min(steps, cfg.N - k0)) for k0 in range(0, cfg.N, steps)]))
+    return plan
+
+
+def _block_view(buf: np.ndarray, block: int, count: int) -> np.ndarray:
+    """The draws of one block, as (rows, block, count) views into the front of
+    buf's rows."""
+    return buf[:, :block * count].reshape(len(buf), block, count)
+
+
+def _draw_block(cfg: WalkConfig, seeds: np.ndarray, k0: int, draws: np.ndarray):
+    """Write the draws of steps k0, ..., k0 + block - 1 of the paths of
+    `seeds` into the (block, paths) rows of draws: the step's half radius
+    half_z, sq = sinh(eta_z) q, and in the Sturm mode h_z = sinh^2(half_z)."""
     n, N = cfg.profile.dim.n, cfg.N
-    sturm = cfg.scaling == "sturm"
     eps = {"clt": 1.0 / math.sqrt(N), "lln": 1.0 / N, "sturm": 1.0}[cfg.scaling]
-    seeds = path_stream_seed(cfg.master_seed, np.arange(start, start + count, dtype=np.uint64))
-    # the step's rows, as views made once: eta, then the step's h, and the
-    # carried half radius half = eta/2.  One sinh maps the first two rows in
-    # place; in the Sturm mode it maps half too, for _stewart to square
-    rows = np.zeros((3, count))
+    block = draws.shape[1]
+    eta_z = eps * _sample_eta_many(cfg.profile, _uniforms(seeds, k0, block))
+    np.multiply(np.sinh(eta_z), _angle_q(n, _uniforms(seeds, N + k0, block)), out=draws[1])
+    np.multiply(eta_z, 0.5, out=draws[0])
+    if cfg.scaling == "sturm":
+        np.square(np.sinh(draws[0]), out=draws[2])
+
+
+def _step_rows(count: int, sturm: bool):
+    """The step's rows for count paths, made once per chunk: eta, then the
+    step's h, and the carried half radius half = eta/2; with the work rows of
+    _stewart in the Sturm mode, else None."""
+    return np.zeros((3, count)), _stewart_rows(count) if sturm else None
+
+
+def _step_block(state, draws: np.ndarray, k0: int, start: int):
+    """Steps k0, ..., k0 + block - 1 of paths start, ... from the draws of
+    _draw_block, on the rows of _step_rows; the new half radii are left in the
+    half row.  A BoundaryError where a radius reaches the guard or is NaN."""
+    rows, work = state
     eta, h, half = rows
-    sinh_rows = rows if sturm else rows[:2]
-    work = _stewart_rows(count) if sturm else None
-    steps = max(1, _BLOCK // count)
-    for k0 in range(0, N, steps):
-        block = min(steps, N - k0)
-        eta_z = eps * _sample_eta_many(cfg.profile, _uniforms(seeds, k0, block))
-        sq = np.sinh(eta_z) * _angle_q(n, _uniforms(seeds, N + k0, block))
-        half_z = np.multiply(eta_z, 0.5, out=eta_z)
-        if sturm:
-            h_z = np.sinh(half_z) ** 2
-        for k in range(block):
-            # h = sinh^2(d/2) = sinh^2(half - half_z) + sinh(eta) sq, with d
-            # the distance between -s (Sturm: s) and z
-            np.multiply(half, 2.0, out=eta)
-            np.subtract(half, half_z[k], out=h)
-            np.sinh(sinh_rows, out=sinh_rows)
-            np.square(h, out=h)
-            eta *= sq[k]
-            h += eta
-            np.sqrt(h, out=h)
-            if sturm:
-                _stewart(h, half, h_z[k], 1.0 / (k0 + k + 1), work)
-            else:
-                # half = arcsinh(sqrt(h))
-                np.arcsinh(h, out=half)
-            # a NaN radius fails the comparison too
-            if not half.max() < _HALF_GUARD:
-                bad = np.nonzero(~(half < _HALF_GUARD))[0]
-                raise BoundaryError(f"paths {(start + bad).tolist()} reached the boundary "
-                                    f"guard at step {k0 + k + 1}")
-    return 2.0 * half
+    # one sinh maps eta and h in place; in the Sturm mode it maps half too,
+    # for _stewart to square
+    sinh_rows = rows if work is not None else rows[:2]
+    half_z, sq = draws[0], draws[1]
+    for k in range(draws.shape[1]):
+        # h = sinh^2(d/2) = sinh^2(half - half_z) + sinh(eta) sq, with d
+        # the distance between -s (Sturm: s) and z
+        np.multiply(half, 2.0, out=eta)
+        np.subtract(half, half_z[k], out=h)
+        np.sinh(sinh_rows, out=sinh_rows)
+        np.square(h, out=h)
+        eta *= sq[k]
+        h += eta
+        np.sqrt(h, out=h)
+        if work is not None:
+            _stewart(h, half, draws[2, k], 1.0 / (k0 + k + 1), work)
+        else:
+            # half = arcsinh(sqrt(h))
+            np.arcsinh(h, out=half)
+        # a NaN radius fails the comparison too
+        if not half.max() < _HALF_GUARD:
+            bad = np.nonzero(~(half < _HALF_GUARD))[0]
+            raise BoundaryError(f"paths {(start + bad).tolist()} reached the boundary "
+                                f"guard at step {k0 + k + 1}")
 
 
 def _stewart_rows(count: int):
@@ -262,9 +322,148 @@ def _stewart(s_half, sinh_half_s, h_z, weight, work):
 
 def run_walk(cfg: WalkConfig) -> np.ndarray:
     """Terminal radii of every path of the configuration, deterministic per
-    (seed, index)."""
+    (seed, index).  A walk of at least _WORKER_STEPS path-steps and two
+    blocks, on Linux with two CPUs or more, steps in a forked worker
+    (_run_forked); any other walk draws and steps each block in turn."""
+    plan = _plan(cfg)
+    if (cfg.paths * cfg.N >= _WORKER_STEPS and sum(len(b) for _, _, b in plan) >= 2
+            and sys.platform == "linux" and len(os.sched_getaffinity(0)) >= 2):
+        return _run_forked(cfg, plan)
+    rows = 3 if cfg.scaling == "sturm" else 2
     out = np.empty(cfg.paths)
-    for start in range(0, cfg.paths, _CHUNK):
-        count = min(_CHUNK, cfg.paths - start)
-        out[start:start + count] = _run_chunk(cfg, start, count)
+    for start, count, blocks in plan:
+        seeds = path_stream_seed(cfg.master_seed, np.arange(start, start + count, dtype=np.uint64))
+        state = _step_rows(count, rows == 3)
+        buf = np.empty((rows, blocks[0][1] * count))
+        for k0, block in blocks:
+            draws = _block_view(buf, block, count)
+            _draw_block(cfg, seeds, k0, draws)
+            _step_block(state, draws, k0, start)
+        out[start:start + count] = 2.0 * state[0][2]
     return out
+
+
+def _run_forked(cfg: WalkConfig, plan) -> np.ndarray:
+    """run_walk with the steps in one forked worker (_step_worker), which
+    steps each block while this process draws the next.
+
+    The draws pass through two block buffers in one anonymous shared mapping,
+    used in turn; the worker writes each chunk's terminal radii into the same
+    mapping.  One pipe tells the worker that a buffer is full (a byte per
+    block), the other tells this process that one is free again (a zero
+    header) or carries the worker's exception (its pickle's length, then the
+    pickle), which is raised here.  The worker is always reaped: on any exit
+    this process closes its ends, so the worker reads EOF or fails to write
+    and exits, and then waits for it.
+    """
+    rows = 3 if cfg.scaling == "sturm" else 2
+    size = max(blocks[0][1] * count for _, count, blocks in plan)
+    shared = np.frombuffer(mmap.mmap(-1, 8 * (cfg.paths + 2 * rows * size)))
+    out, bufs = shared[:cfg.paths], shared[cfg.paths:].reshape(2, rows, size)
+    go_r, go_w = os.pipe()
+    free_r, free_w = os.pipe()
+    with warnings.catch_warnings(record=True) as forking:
+        # Python >= 3.12 warns here where other threads exist (a BLAS pool);
+        # the worker calls no BLAS.  The warning is issued below, where an
+        # error filter cannot raise it before the worker's pid is known
+        warnings.simplefilter("always")
+        try:
+            pid = os.fork()
+        except OSError:
+            for fd in (go_r, go_w, free_r, free_w):
+                os.close(fd)
+            raise
+    if pid == 0:
+        os.close(go_w)
+        os.close(free_r)
+        _step_worker(cfg, plan, out, bufs, go_r, free_w)
+    os.close(go_r)
+    os.close(free_w)
+    try:
+        for caught in forking:
+            warnings.warn(caught.message, stacklevel=3)
+        sent = pending = 0  # blocks sent, and those not yet freed
+        for start, count, blocks in plan:
+            seeds = path_stream_seed(cfg.master_seed, np.arange(start, start + count, dtype=np.uint64))
+            for k0, block in blocks:
+                if pending == 2:
+                    _await_free(free_r)
+                    pending -= 1
+                try:
+                    _draw_block(cfg, seeds, k0, _block_view(bufs[sent % 2], block, count))
+                    os.write(go_w, b"\0")
+                except Exception:
+                    # a failure of the worker's is at an earlier step: let it
+                    # step the blocks it has, and raise its exception first
+                    os.close(go_w)
+                    go_w = -1
+                    for _ in range(pending):
+                        _await_free(free_r)
+                    raise
+                sent += 1
+                pending += 1
+        for _ in range(pending):
+            _await_free(free_r)
+        return out.copy()
+    finally:
+        if go_w >= 0:
+            os.close(go_w)
+        os.close(free_r)
+        os.waitpid(pid, 0)
+
+
+def _await_free(fd: int):
+    """Wait for the worker's next message: return when it frees a buffer,
+    raise the exception it forwards."""
+    length = int.from_bytes(_read_exact(fd, 8), "little")
+    if length:
+        raise pickle.loads(_read_exact(fd, length))
+
+
+def _read_exact(fd: int, size: int) -> bytes:
+    """size bytes from the pipe fd; a RuntimeError at EOF before them."""
+    data = b""
+    while len(data) < size:
+        chunk = os.read(fd, size - len(data))
+        if not chunk:
+            raise RuntimeError("the walk's step worker exited before it finished")
+        data += chunk
+    return data
+
+
+def _step_worker(cfg: WalkConfig, plan, out, bufs, go: int, free: int):
+    """The forked step worker: _step_block on each block that the caller
+    reports full, then the free message, and a chunk's terminal radii into
+    out before the free message of its last block.  It calls no name that a
+    tracer may rebind (the caller makes every draw), so traced counts stay
+    the caller's.  It leaves only through os._exit: at EOF on go (the caller
+    is gone), when a write to free fails, or after forwarding its exception.
+    """
+    code = 0
+    try:
+        i = 0
+        for start, count, blocks in plan:
+            state = _step_rows(count, cfg.scaling == "sturm")
+            for k0, block in blocks:
+                if not os.read(go, 1):
+                    return
+                _step_block(state, _block_view(bufs[i % 2], block, count), k0, start)
+                i += 1
+                if k0 + block == cfg.N:
+                    np.multiply(state[0][2], 2.0, out=out[start:start + count])
+                os.write(free, bytes(8))
+    except BaseException as exc:  # forwarded, and the worker exits below
+        code = 1
+        try:
+            payload = pickle.dumps(exc)
+            pickle.loads(payload)  # as the caller will
+        except Exception:
+            payload = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+        try:
+            message = len(payload).to_bytes(8, "little") + payload
+            while message:
+                message = message[os.write(free, message):]
+        except OSError:
+            pass
+    finally:
+        os._exit(code)

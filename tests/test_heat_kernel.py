@@ -155,6 +155,16 @@ def test_kernel_is_zero_at_infinity():
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n", [2, 3, 17])
+def test_kernel_is_zero_far_out_without_overflow(n):
+    """Past eta ~ 1e154 the square in the Gaussian's scale overflowed: the
+    kernel was 0 but "overflow encountered in square" reached the caller."""
+    etas = [1e100, 1e154, 1e155, 1e200, 1e300]
+    assert hk(1.0, etas, n).tolist() == [0.0] * len(etas)
+    assert hk(1.0, [0.5, 1e300], n)[0] == hk(1.0, 0.5, n) > 0.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_hk_even_is_zero_where_it_underflows():
     """Where e^{-(eta + (m - 1/2) 2t)^2 / (4t)} underflows, the kernel is 0,
     without a descent that would overflow."""

@@ -1,5 +1,12 @@
+import contextlib
 import hashlib
 import math
+import os
+import subprocess
+import sys
+import textwrap
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +25,34 @@ from hyperwalk.walk_sim import _angle_q, _uniforms, path_stream_seed, splitmix64
 
 from conftest import eleven_point_table, ks_critical
 from oracles import empirical_radial_density
+
+_WORKER_RUNS = sys.platform == "linux" and len(os.sched_getaffinity(0)) >= 2
+
+
+def assert_no_child():
+    """No child process is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def through_worker(monkeypatch):
+    """Walks in the block step in the forked worker whatever their size (where
+    the platform runs it: Linux, two CPUs); on leaving, the worker ran and no
+    child is left."""
+    forked = []
+    run_forked = walk_sim._run_forked
+
+    def counted(*args):
+        forked.append(args[0])
+        return run_forked(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(walk_sim, "_WORKER_STEPS", 0)
+        m.setattr(walk_sim, "_run_forked", counted)
+        yield
+    assert forked or not _WORKER_RUNS
+    assert_no_child()
 
 
 def test_config_validation(bump3):
@@ -63,23 +98,164 @@ def test_draws_independent_of_chunk_and_block_size(mode, monkeypatch):
         monkeypatch.setattr(walk_sim, "_CHUNK", chunk)
         monkeypatch.setattr(walk_sim, "_BLOCK", block)
         assert np.array_equal(run_walk(cfg), ref)
+        with through_worker(monkeypatch):
+            assert np.array_equal(run_walk(cfg), ref)
 
 
-def test_boundary_guard_stops_the_walk():
+def test_boundary_guard_stops_the_walk(monkeypatch):
     """Steps from a bump on [0, 40] in n = 2 mostly exceed the radius
-    2 atanh(1 - 1e-12) = 28.3 of the guard band."""
+    2 atanh(1 - 1e-12) = 28.3 of the guard band.  The worker raises the
+    same error, text and all, from the first of five chunks."""
+    cfg = WalkConfig(make_bump(40.0, 2), 1, 50, "clt", 1)
     with pytest.raises(BoundaryError, match=r"reached the boundary guard at step 1"):
-        run_walk(WalkConfig(make_bump(40.0, 2), 1, 50, "clt", 1))
+        run_walk(cfg)
+    monkeypatch.setattr(walk_sim, "_CHUNK", 10)
+    with pytest.raises(BoundaryError, match=r"paths \[0, 1, .*9\] reached") as caught:
+        run_walk(cfg)
+    with through_worker(monkeypatch), pytest.raises(BoundaryError) as forwarded:
+        run_walk(cfg)
+    assert str(forwarded.value) == str(caught.value)
 
 
 @pytest.mark.parametrize("mode", ["clt", "sturm"])
 def test_nan_radius_stops_the_walk(mode, bump3, monkeypatch):
     """A radius that is not a number fails the boundary guard's comparison,
     so the walk raises instead of returning NaN (clt) or standing still at a
-    NaN Sturm distance (sturm)."""
+    NaN Sturm distance (sturm); the worker raises the same error, one step a
+    block."""
     monkeypatch.setattr(walk_sim, "_sample_eta_many", lambda p, u: np.full(np.shape(u), np.nan))
-    with pytest.raises(BoundaryError, match=r"reached the boundary guard at step 1"):
-        run_walk(WalkConfig(bump3, 4, 10, mode, 1))
+    cfg = WalkConfig(bump3, 4, 10, mode, 1)
+    with pytest.raises(BoundaryError, match=r"reached the boundary guard at step 1") as caught:
+        run_walk(cfg)
+    monkeypatch.setattr(walk_sim, "_BLOCK", 10)
+    with through_worker(monkeypatch), pytest.raises(BoundaryError) as forwarded:
+        run_walk(cfg)
+    assert str(forwarded.value) == str(caught.value)
+
+
+def test_worker_only_for_large_walks(bump3, monkeypatch):
+    """A walk forks its step worker from _WORKER_STEPS path-steps on, and
+    only when it has two blocks of steps or more to overlap."""
+    forked = []
+    monkeypatch.setattr(walk_sim, "_run_forked", lambda cfg, plan: forked.append(cfg))
+    monkeypatch.setattr(walk_sim, "_WORKER_STEPS", 400)
+    monkeypatch.setattr(walk_sim, "_BLOCK", 100)  # 5 steps a block at 20 paths
+    for N, paths in ((19, 20), (20, 20), (1, 500)):
+        run_walk(WalkConfig(bump3, N, paths, "clt", 1))
+    # 20 x 20 is four blocks of 5 steps; 1 x 500 is one block
+    assert [(c.N, c.paths) for c in forked] == ([(20, 20)] if _WORKER_RUNS else [])
+
+
+def test_worker_forwards_other_exceptions(monkeypatch):
+    """An exception the worker raises comes back with its type and message;
+    one that cannot be pickled comes back as a RuntimeError that names its
+    type.  A failure of the caller's own draws raises as it is, but not
+    before the worker's failure at an earlier step."""
+    cfg = WalkConfig(make_bump(1.0, 2), 40, 200, "sturm", 5)
+    monkeypatch.setattr(walk_sim, "_BLOCK", 2000)  # four blocks of 10 steps
+    stewart, draws = walk_sim._stewart, walk_sim._sample_eta_many
+
+    def stewart_failing_at(step, error):
+        def failing(s_half, sinh_half_s, h_z, weight, work):
+            if weight == 1.0 / step:
+                raise error
+            stewart(s_half, sinh_half_s, h_z, weight, work)
+        return failing
+
+    def draws_failing_at(block):
+        calls = []
+
+        def failing(p, u):
+            calls.append(None)
+            if len(calls) == block:
+                raise ValueError(f"draws failed in block {block}")
+            return draws(p, u)
+        return failing
+
+    class Unpicklable(Exception):
+        pass
+
+    for kind, error in ((FloatingPointError, FloatingPointError("injected at step 17")),
+                        (RuntimeError, Unpicklable("injected at step 17"))):
+        monkeypatch.setattr(walk_sim, "_stewart", stewart_failing_at(17, error))
+        with through_worker(monkeypatch), pytest.raises(kind) as caught:
+            run_walk(cfg)
+        assert str(caught.value) == (str(error) if kind is type(error)
+                                     else "Unpicklable: injected at step 17")
+    # the caller fails mid-walk, drawing block 3
+    monkeypatch.setattr(walk_sim, "_stewart", stewart)
+    monkeypatch.setattr(walk_sim, "_sample_eta_many", draws_failing_at(3))
+    with through_worker(monkeypatch), pytest.raises(ValueError, match="block 3"):
+        run_walk(cfg)
+    # the worker fails at step 2, in block 1, while the caller fails drawing
+    # block 2: stepping in-process would have raised the worker's error
+    monkeypatch.setattr(walk_sim, "_stewart", stewart_failing_at(2, FloatingPointError("step 2")))
+    monkeypatch.setattr(walk_sim, "_sample_eta_many", draws_failing_at(2))
+    with through_worker(monkeypatch), pytest.raises(FloatingPointError, match="step 2"):
+        run_walk(cfg)
+
+
+def test_fork_warning_is_raised_after_the_worker_is_reaped(bump3, monkeypatch):
+    """On Python >= 3.12 os.fork warns where other threads exist.  Under an
+    error filter that warning raises from run_walk, not from os.fork before
+    the worker's pid is known, so the worker is still reaped."""
+    fork = os.fork
+
+    def warning_fork():
+        pid = fork()
+        if pid:
+            warnings.warn("this process is multi-threaded", DeprecationWarning)
+        return pid
+
+    monkeypatch.setattr(os, "fork", warning_fork)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        with through_worker(monkeypatch), pytest.raises(DeprecationWarning, match="threaded"):
+            run_walk(WalkConfig(bump3, 20, 5000, "clt", 1))
+
+
+def test_worker_exits_when_its_caller_dies(tmp_path):
+    """A caller killed mid-walk leaves its worker at EOF on its pipe, and the
+    worker exits instead of waiting for a block that never comes."""
+    if not _WORKER_RUNS:
+        pytest.skip("the step worker runs on Linux with two CPUs or more")
+    script = textwrap.dedent("""
+        import os, sys
+        from hyperwalk import WalkConfig, make_bump, run_walk, walk_sim
+
+        fork, draws, calls = os.fork, walk_sim._sample_eta_many, []
+
+        def forked():
+            pid = fork()
+            if pid:
+                print(pid, flush=True)
+            return pid
+
+        def sample(p, u):
+            calls.append(None)
+            if len(calls) == 3:
+                os._exit(3)  # dies as a killed process does, its pipes still open
+            return draws(p, u)
+
+        os.fork, walk_sim._sample_eta_many, walk_sim._WORKER_STEPS = forked, sample, 0
+        run_walk(WalkConfig(make_bump(1.0, 3), 100, 2000, "clt", 1))
+    """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    # files, not pipes: the worker inherits them, and the run waits for the
+    # EOF of a pipe it holds, which would wait for the worker's exit
+    out, err = tmp_path / "stdout", tmp_path / "stderr"
+    with open(out, "w") as stdout, open(err, "w") as stderr:
+        code = subprocess.run([sys.executable, "-c", script], stdout=stdout, stderr=stderr,
+                              env=env, timeout=60).returncode
+    assert code == 3, err.read_text()
+    pid = int(out.read_text())
+    status = f"/proc/{pid}/status"
+    for _ in range(200):
+        # gone, or a zombie of a reaper that has not waited for it yet
+        if not os.path.exists(status) or "\nState:\tZ" in open(status).read():
+            return
+        time.sleep(0.05)
+    pytest.fail(f"the worker {pid} outlived its caller")
 
 
 def test_single_step_law_matches_scaled_profile(bump3):
@@ -379,27 +555,36 @@ _PINNED_120 = {
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 @pytest.mark.parametrize("mode", ["clt", "lln", "sturm"])
-def test_terminal_radii_pinned(mode, n):
+def test_terminal_radii_pinned(mode, n, monkeypatch):
     """Recorded when every path took four blocks of steps; at the default
-    _BLOCK the 40 steps fit in one."""
-    etas = run_walk(WalkConfig(make_bump(1.0, n), 40, 700, mode, 1000 + n))
-    assert hashlib.sha256(etas.tobytes()).hexdigest() == _PINNED[mode, n]
+    _BLOCK the 40 steps fit in one.  The worker gets four blocks again."""
+    cfg = WalkConfig(make_bump(1.0, n), 40, 700, mode, 1000 + n)
+    assert hashlib.sha256(run_walk(cfg).tobytes()).hexdigest() == _PINNED[mode, n]
+    monkeypatch.setattr(walk_sim, "_BLOCK", 7000)  # four blocks, for the worker
+    with through_worker(monkeypatch):
+        assert hashlib.sha256(run_walk(cfg).tobytes()).hexdigest() == _PINNED[mode, n]
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 @pytest.mark.parametrize("mode", ["clt", "lln", "sturm"])
-def test_terminal_radii_pinned_across_blocks(mode, n):
+def test_terminal_radii_pinned_across_blocks(mode, n, monkeypatch):
     """Every path takes several blocks of steps at the default _BLOCK (three
     at 2^15 draws), and the radii are bitwise those of eleven blocks of
     2^13 draws."""
     N, paths = 120, 700
     assert N > walk_sim._BLOCK // paths
-    etas = run_walk(WalkConfig(make_bump(1.0, n), N, paths, mode, 1000 + n))
-    assert hashlib.sha256(etas.tobytes()).hexdigest() == _PINNED_120[mode, n]
+    cfg = WalkConfig(make_bump(1.0, n), N, paths, mode, 1000 + n)
+    assert hashlib.sha256(run_walk(cfg).tobytes()).hexdigest() == _PINNED_120[mode, n]
+    with through_worker(monkeypatch):
+        assert hashlib.sha256(run_walk(cfg).tobytes()).hexdigest() == _PINNED_120[mode, n]
 
 
-def test_walk_csv_pinned(capsys):
-    assert main(["walk", "--dim", "5", "--density", "bump:0.8", "--N", "20",
-                 "--paths", "5000", "--seed", "3"]) == 0
+def test_walk_csv_pinned(capsys, monkeypatch):
+    argv = ["walk", "--dim", "5", "--density", "bump:0.8", "--N", "20", "--paths", "5000",
+            "--seed", "3"]
+    assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == _PINNED_CSV
+    with through_worker(monkeypatch):
+        assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == _PINNED_CSV
