@@ -66,10 +66,10 @@ bit:
   rebinds, so a traced run counts what it counts in-process.  It forwards
   any exception it raises, and it is reaped before run_walk returns or
   raises.
-On 2 cores a Sturm step costs about as much as its draws, so the overlap
-takes the Sturm walk at n = 2 (N = 10 000, 300 paths) from 414 to 240 ms.
-The fork, the worker's exit and the wait cost a few ms, which the smaller
-walks lose (see _WORKER_STEPS).
+A Sturm step costs somewhat more than its draws, so on 2 cores the
+overlap takes the Sturm walk at n = 2 (N = 10 000, 300 paths) from 414 to
+240 ms (524 to 407 ms on a busier host).  Small walks lose the fork's cost
+(_WORKER_STEPS).
 """
 
 import math
@@ -94,14 +94,16 @@ from .radial_density import (RadialProfile, _cdf_table, _invert_cdf, _sample_eta
 _CHUNK = 16384
 _BLOCK = 2**15  # draws of each kind per block of steps, as one (steps, paths) array
 # Path-steps from which a walk forks its step worker.  One walk, in-process
-# -> with the worker, median of 7 on a 2-core x86-64 host:
-#   Sturm, n = 2, N = 300, 300 paths (90 k):    16.8 -> 22.1 ms
-#   Sturm, n = 2, N = 1000, 300 paths (300 k):  39.6 -> 31.2 ms
-#   clt, n = 3, N = 250, 2 000 paths (500 k):   29.8 -> 30.2 ms
-#   clt, n = 3, N = 500, 2 000 paths (1 M):     53.3 -> 50.3 ms
-#   lln, n = 3, N = 1000, 2 000 paths (2 M):     115 -> 95 ms
-# A clt step costs less than a Sturm step, so the clt walk gains only from
-# about 1 M path-steps; 2^20 keeps every measured loss in-process.
+# -> with the worker, median of 11 interleaved runs on a shared 2-core x86-64
+# host, and the runs in which the worker was faster:
+#   Sturm, n = 2, N = 300, 300 paths (90 k):    15.4 -> 23.2 ms, 0 of 11
+#   Sturm, n = 2, N = 1000, 300 paths (300 k):  48.9 -> 50.4 ms, 1 of 11
+#   clt, n = 3, N = 250, 2 000 paths (500 k):   31.0 -> 33.7 ms, 2 of 11
+#   clt, n = 3, N = 500, 2 000 paths (1 M):     61.0 -> 53.6 ms, 11 of 11
+#   lln, n = 3, N = 1000, 2 000 paths (2 M):   121.5 -> 109.4 ms, 9 of 11
+# The fork, the worker's exit and the wait take a few ms (a bare fork, exit
+# and wait 2.3 ms), which a walk must win back; 2^20 keeps every
+# measured loss in-process.
 _WORKER_STEPS = 2**20
 _MODES = ("clt", "lln", "sturm")
 _HALF_GUARD = math.atanh(1.0 - BOUNDARY_TOL)  # half the radius of ||s|| = 1 - BOUNDARY_TOL

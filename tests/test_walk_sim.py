@@ -7,6 +7,7 @@ import sys
 import textwrap
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -175,13 +176,13 @@ def test_worker_forwards_other_exceptions(monkeypatch):
     class Unpicklable(Exception):
         pass
 
-    for kind, error in ((FloatingPointError, FloatingPointError("injected at step 17")),
-                        (RuntimeError, Unpicklable("injected at step 17"))):
+    for error, kind, text in (
+            (FloatingPointError("at step 17"), FloatingPointError, "at step 17"),
+            (Unpicklable("at step 17"), RuntimeError, "Unpicklable: at step 17")):
         monkeypatch.setattr(walk_sim, "_stewart", stewart_failing_at(17, error))
         with through_worker(monkeypatch), pytest.raises(kind) as caught:
             run_walk(cfg)
-        assert str(caught.value) == (str(error) if kind is type(error)
-                                     else "Unpicklable: injected at step 17")
+        assert type(caught.value) is kind and str(caught.value) == text
     # the caller fails mid-walk, drawing block 3
     monkeypatch.setattr(walk_sim, "_stewart", stewart)
     monkeypatch.setattr(walk_sim, "_sample_eta_many", draws_failing_at(3))
@@ -220,7 +221,7 @@ def test_worker_exits_when_its_caller_dies(tmp_path):
     if not _WORKER_RUNS:
         pytest.skip("the step worker runs on Linux with two CPUs or more")
     script = textwrap.dedent("""
-        import os, sys
+        import os
         from hyperwalk import WalkConfig, make_bump, run_walk, walk_sim
 
         fork, draws, calls = os.fork, walk_sim._sample_eta_many, []
@@ -249,10 +250,13 @@ def test_worker_exits_when_its_caller_dies(tmp_path):
                               env=env, timeout=60).returncode
     assert code == 3, err.read_text()
     pid = int(out.read_text())
-    status = f"/proc/{pid}/status"
     for _ in range(200):
-        # gone, or a zombie of a reaper that has not waited for it yet
-        if not os.path.exists(status) or "\nState:\tZ" in open(status).read():
+        try:
+            status = Path(f"/proc/{pid}/status").read_text()
+        except FileNotFoundError:
+            return
+        # a zombie has exited, and waits only for a reaper
+        if "\nState:\tZ" in status:
             return
         time.sleep(0.05)
     pytest.fail(f"the worker {pid} outlived its caller")
