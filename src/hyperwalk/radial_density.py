@@ -19,7 +19,7 @@ from .geometry import as_dim, sphere_area
 from .quadrature import cumulative_gl, doubling, integrate_adaptive, knot_grid
 
 _CDF_TOL = 1e-12
-_CDF_LEVELS = 8  # levels of a CDF table before a QuadratureError
+_CDF_CELLS = 2**18  # cells of a CDF table's last level before a QuadratureError
 _MAX_STEPS = 100  # Newton steps of a draw in a flagged cell
 
 
@@ -90,12 +90,14 @@ def _cdf_table(measure, upper, knots=()):
     the exact density, the last one its left limit at upper.  The table is
     doubled until the previous level's interpolant matches the new node
     values to below _CDF_TOL: the criterion bounds the interpolant between
-    nodes, not only the nodes themselves.  _CDF_LEVELS levels without that
-    agreement are a QuadratureError (doubling).  Returns a CdfTable with the
-    final cubic and its slopes.
+    nodes, not only the nodes themselves.  No agreement by the last level
+    with at most _CDF_CELLS cells, and the second level at least, is a
+    QuadratureError (doubling).  Returns a CdfTable with the final cubic and
+    its slopes.
     """
     intervals = knot_grid(knots, upper, 0).size - 1
     first = (255 // intervals).bit_length()  # the least level with 256 cells or more
+    last = max(first + 1, (_CDF_CELLS // intervals).bit_length() - 1)
 
     def value(level):
         grid = knot_grid(knots, upper, level)
@@ -118,7 +120,7 @@ def _cdf_table(measure, upper, knots=()):
         return np.max(np.abs(prev.interp(cur.interp.x) - np.append(cur.interp.c[3], cur.total)))
 
     # the largest float below _CDF_TOL: the gap must stay strictly below it
-    return doubling("CDF table", range(first, first + _CDF_LEVELS), value,
+    return doubling("CDF table", range(first, last + 1), value,
                     math.nextafter(_CDF_TOL, 0.0), gap=gap)[0]
 
 

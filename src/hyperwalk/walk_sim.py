@@ -52,11 +52,13 @@ step's start, one more in the Sturm tail) and carry the half radius eta/2,
 the output of arcsinh.  Every value stays bitwise that of the plain
 formulas, since scaling by a power of two commutes with rounding (_stewart).
 
-A block is made by two functions, which both schedules call: _draw_block
-makes its draws (the uniforms, the inverted radius and angle) and writes
-the rows half_z, sq (and h_z in the Sturm mode); _step_block runs its steps.
-run_walk runs them in one of two schedules, with the same outputs bit for
-bit:
+The walk is one flat list of blocks, chunk by chunk (_plan).  A block is
+made by two functions, which both schedules call: _draw_block makes its
+draws (the uniforms, the inverted radius and angle) and writes the rows
+half_z, sq (and h_z in the Sturm mode); _step_chunk steps them
+(_step_block), on rows it makes at a chunk's first block, and writes the
+terminal radii after its last.  run_walk runs them in one of two
+schedules, with the same outputs bit for bit:
 - in-process, each block drawn and then stepped;
 - for a walk of at least _WORKER_STEPS path-steps and two blocks, on Linux
   with two CPUs or more, in one os.fork'ed step worker, which steps each
@@ -64,8 +66,9 @@ bit:
   buffers (_run_forked).  The caller keeps the rest: the stream seeds, every
   draw, every traced call.  The worker calls no name that bench/tracing.py
   rebinds, so a traced run counts what it counts in-process.  It forwards
-  any exception it raises, and it is reaped before run_walk returns or
-  raises.
+  nothing: a walk whose worker failed, or was killed, is stepped again
+  in-process, which raises the same error as its own, or gives the same
+  radii.  The worker is reaped before run_walk returns or raises.
 A Sturm step costs somewhat more than its draws, so on 2 cores the
 overlap takes the Sturm walk at n = 2 (N = 10 000, 300 paths) from 414 to
 240 ms (524 to 407 ms on a busier host).  Small walks lose the fork's cost
@@ -75,7 +78,6 @@ overlap takes the Sturm walk at n = 2 (N = 10 000, 300 paths) from 414 to
 import math
 import mmap
 import os
-import pickle
 import sys
 import warnings
 from dataclasses import dataclass
@@ -200,13 +202,13 @@ def _angle_q(n: int, u: np.ndarray) -> np.ndarray:
 
 
 def _plan(cfg: WalkConfig):
-    """The walk's chunks as (start, count, blocks), where blocks lists the
-    (first step, steps) of each block of the chunk's steps."""
+    """The walk's blocks of steps, chunk by chunk, as (start, count, k0, steps):
+    steps k0, ..., k0 + steps - 1 of paths start, ..., start + count - 1."""
     plan = []
     for start in range(0, cfg.paths, _CHUNK):
         count = min(_CHUNK, cfg.paths - start)
         steps = max(1, _BLOCK // count)
-        plan.append((start, count, [(k0, min(steps, cfg.N - k0)) for k0 in range(0, cfg.N, steps)]))
+        plan += [(start, count, k0, min(steps, cfg.N - k0)) for k0 in range(0, cfg.N, steps)]
     return plan
 
 
@@ -230,16 +232,24 @@ def _draw_block(cfg: WalkConfig, seeds: np.ndarray, k0: int, draws: np.ndarray):
         np.square(np.sinh(draws[0]), out=draws[2])
 
 
-def _step_rows(count: int, sturm: bool):
-    """The step's rows for count paths, made once per chunk: eta, then the
-    step's h, and the carried half radius half = eta/2; with the work rows of
-    _stewart in the Sturm mode, else None."""
-    return np.zeros((3, count)), _stewart_rows(count) if sturm else None
+def _step_chunk(cfg: WalkConfig, state, draws: np.ndarray, start: int, k0: int, out: np.ndarray):
+    """Step one block of a chunk (_step_block) and return the chunk's state for
+    its next block.  At k0 = 0 it makes the chunk's rows: eta, then the step's
+    h, and the carried half radius half = eta/2; with the work rows of
+    _stewart in the Sturm mode, else None.  After the chunk's last block it
+    writes the terminal radii 2 half into out."""
+    count = draws.shape[2]
+    if k0 == 0:
+        state = np.zeros((3, count)), _stewart_rows(count) if cfg.scaling == "sturm" else None
+    _step_block(state, draws, k0, start)
+    if k0 + draws.shape[1] == cfg.N:
+        np.multiply(state[0][2], 2.0, out=out[start:start + count])
+    return state
 
 
 def _step_block(state, draws: np.ndarray, k0: int, start: int):
     """Steps k0, ..., k0 + block - 1 of paths start, ... from the draws of
-    _draw_block, on the rows of _step_rows; the new half radii are left in the
+    _draw_block, on the rows of _step_chunk; the new half radii are left in the
     half row.  A BoundaryError where a radius reaches the guard or is NaN."""
     rows, work = state
     eta, h, half = rows
@@ -326,40 +336,46 @@ def run_walk(cfg: WalkConfig) -> np.ndarray:
     """Terminal radii of every path of the configuration, deterministic per
     (seed, index).  A walk of at least _WORKER_STEPS path-steps and two
     blocks, on Linux with two CPUs or more, steps in a forked worker
-    (_run_forked); any other walk draws and steps each block in turn."""
+    (_run_forked); any other walk, and one whose worker failed, draws and
+    steps each block in turn."""
     plan = _plan(cfg)
-    if (cfg.paths * cfg.N >= _WORKER_STEPS and sum(len(b) for _, _, b in plan) >= 2
+    if (cfg.paths * cfg.N >= _WORKER_STEPS and len(plan) >= 2
             and sys.platform == "linux" and len(os.sched_getaffinity(0)) >= 2):
-        return _run_forked(cfg, plan)
+        out = _run_forked(cfg, plan)
+        if out is not None:
+            return out
     rows = 3 if cfg.scaling == "sturm" else 2
     out = np.empty(cfg.paths)
-    for start, count, blocks in plan:
-        seeds = path_stream_seed(cfg.master_seed, np.arange(start, start + count, dtype=np.uint64))
-        state = _step_rows(count, rows == 3)
-        buf = np.empty((rows, blocks[0][1] * count))
-        for k0, block in blocks:
-            draws = _block_view(buf, block, count)
-            _draw_block(cfg, seeds, k0, draws)
-            _step_block(state, draws, k0, start)
-        out[start:start + count] = 2.0 * state[0][2]
+    buf = np.empty((rows, max(count * steps for _, count, _, steps in plan)))
+    state = None
+    for start, count, k0, steps in plan:
+        if k0 == 0:
+            seeds = path_stream_seed(cfg.master_seed, np.arange(start, start + count, dtype=np.uint64))
+        draws = _block_view(buf, steps, count)
+        _draw_block(cfg, seeds, k0, draws)
+        state = _step_chunk(cfg, state, draws, start, k0, out)
     return out
 
 
-def _run_forked(cfg: WalkConfig, plan) -> np.ndarray:
+def _run_forked(cfg: WalkConfig, plan):
     """run_walk with the steps in one forked worker (_step_worker), which
-    steps each block while this process draws the next.
+    steps each block while this process draws the next; None where the
+    worker failed, for run_walk to step the walk again in-process.
 
     The draws pass through two block buffers in one anonymous shared mapping,
     used in turn; the worker writes each chunk's terminal radii into the same
-    mapping.  One pipe tells the worker that a buffer is full (a byte per
-    block), the other tells this process that one is free again (a zero
-    header) or carries the worker's exception (its pickle's length, then the
-    pickle), which is raised here.  The worker is always reaped: on any exit
-    this process closes its ends, so the worker reads EOF or fails to write
-    and exits, and then waits for it.
+    mapping.  Each pipe carries one byte per block: one tells the worker that
+    a buffer is full, the other tells this process that it is free again.
+    A worker that fails, or is killed, writes nothing more, and this process
+    reads EOF or fails to write.  Where a draw of this process fails, the
+    worker first steps the block it may still hold: if it fails there, at an
+    earlier step, the walk is stepped again, else the draw's error is
+    raised.  The worker is always reaped: on any exit this process closes its
+    ends, so the worker reads EOF or fails to write and exits, and then waits
+    for it.
     """
     rows = 3 if cfg.scaling == "sturm" else 2
-    size = max(blocks[0][1] * count for _, count, blocks in plan)
+    size = max(count * steps for _, count, _, steps in plan)
     shared = np.frombuffer(mmap.mmap(-1, 8 * (cfg.paths + 2 * rows * size)))
     out, bufs = shared[:cfg.paths], shared[cfg.paths:].reshape(2, rows, size)
     go_r, go_w = os.pipe()
@@ -381,32 +397,34 @@ def _run_forked(cfg: WalkConfig, plan) -> np.ndarray:
         _step_worker(cfg, plan, out, bufs, go_r, free_w)
     os.close(go_r)
     os.close(free_w)
+
+    def freed(blocks):
+        # whether the worker frees that many more buffers before it exits
+        return all(os.read(free_r, 1) for _ in range(blocks))
+
     try:
         for caught in forking:
             warnings.warn(caught.message, stacklevel=3)
-        sent = pending = 0  # blocks sent, and those not yet freed
-        for start, count, blocks in plan:
-            seeds = path_stream_seed(cfg.master_seed, np.arange(start, start + count, dtype=np.uint64))
-            for k0, block in blocks:
-                if pending == 2:
-                    _await_free(free_r)
-                    pending -= 1
-                try:
-                    _draw_block(cfg, seeds, k0, _block_view(bufs[sent % 2], block, count))
-                    os.write(go_w, b"\0")
-                except Exception:
-                    # a failure of the worker's is at an earlier step: let it
-                    # step the blocks it has, and raise its exception first
-                    os.close(go_w)
-                    go_w = -1
-                    for _ in range(pending):
-                        _await_free(free_r)
+        for i, (start, count, k0, steps) in enumerate(plan):
+            # block i goes where block i - 2 was
+            if i >= 2 and not freed(1):
+                return None
+            try:
+                if k0 == 0:
+                    seeds = path_stream_seed(cfg.master_seed,
+                                             np.arange(start, start + count, dtype=np.uint64))
+                _draw_block(cfg, seeds, k0, _block_view(bufs[i % 2], steps, count))
+                os.write(go_w, b"\0")
+            except BrokenPipeError:
+                return None
+            except Exception:
+                # the worker steps block i - 1, the one it may still have
+                os.close(go_w)
+                go_w = -1
+                if freed(min(i, 1)):
                     raise
-                sent += 1
-                pending += 1
-        for _ in range(pending):
-            _await_free(free_r)
-        return out.copy()
+                return None
+        return out.copy() if freed(min(len(plan), 2)) else None
     finally:
         if go_w >= 0:
             os.close(go_w)
@@ -414,58 +432,21 @@ def _run_forked(cfg: WalkConfig, plan) -> np.ndarray:
         os.waitpid(pid, 0)
 
 
-def _await_free(fd: int):
-    """Wait for the worker's next message: return when it frees a buffer,
-    raise the exception it forwards."""
-    length = int.from_bytes(_read_exact(fd, 8), "little")
-    if length:
-        raise pickle.loads(_read_exact(fd, length))
-
-
-def _read_exact(fd: int, size: int) -> bytes:
-    """size bytes from the pipe fd; a RuntimeError at EOF before them."""
-    data = b""
-    while len(data) < size:
-        chunk = os.read(fd, size - len(data))
-        if not chunk:
-            raise RuntimeError("the walk's step worker exited before it finished")
-        data += chunk
-    return data
-
-
 def _step_worker(cfg: WalkConfig, plan, out, bufs, go: int, free: int):
-    """The forked step worker: _step_block on each block that the caller
-    reports full, then the free message, and a chunk's terminal radii into
-    out before the free message of its last block.  It calls no name that a
-    tracer may rebind (the caller makes every draw), so traced counts stay
-    the caller's.  It leaves only through os._exit: at EOF on go (the caller
-    is gone), when a write to free fails, or after forwarding its exception.
+    """The forked step worker: _step_chunk on each block that the caller
+    reports full, then the byte that frees its buffer.  It calls no name that
+    a tracer may rebind (the caller makes every draw), so traced counts stay
+    the caller's.  It writes nothing else and leaves only through os._exit:
+    at EOF on go (the caller is gone or has failed), when a write to free
+    fails, or on any exception, which the caller raises by stepping the walk
+    again.
     """
-    code = 0
     try:
-        i = 0
-        for start, count, blocks in plan:
-            state = _step_rows(count, cfg.scaling == "sturm")
-            for k0, block in blocks:
-                if not os.read(go, 1):
-                    return
-                _step_block(state, _block_view(bufs[i % 2], block, count), k0, start)
-                i += 1
-                if k0 + block == cfg.N:
-                    np.multiply(state[0][2], 2.0, out=out[start:start + count])
-                os.write(free, bytes(8))
-    except BaseException as exc:  # forwarded, and the worker exits below
-        code = 1
-        try:
-            payload = pickle.dumps(exc)
-            pickle.loads(payload)  # as the caller will
-        except Exception:
-            payload = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
-        try:
-            message = len(payload).to_bytes(8, "little") + payload
-            while message:
-                message = message[os.write(free, message):]
-        except OSError:
-            pass
+        state = None
+        for i, (start, count, k0, steps) in enumerate(plan):
+            if not os.read(go, 1):
+                break
+            state = _step_chunk(cfg, state, _block_view(bufs[i % 2], steps, count), start, k0, out)
+            os.write(free, b"\0")
     finally:
-        os._exit(code)
+        os._exit(0)

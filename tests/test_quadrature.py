@@ -23,7 +23,7 @@ def _cdf():
 # is too small for it, and a call that runs it on a fresh profile
 _LOOPS = {
     "integrate_adaptive": (quadrature, "_MAX_DOUBLINGS", 1, _kink),
-    "CDF table": (radial_density, "_CDF_LEVELS", 2, _cdf),
+    "CDF table": (radial_density, "_CDF_CELLS", 512, _cdf),  # levels 8 and 9
     "Abel inner integral": (spectral, "_INNER_LEVELS", 2,
                             lambda: spectral._abel_table(make_bump(1.0, 5), 0)),
     "transform mass": (spectral, "_TABLE_LEVELS", 2,

@@ -320,26 +320,13 @@ _ROOT_TABLES = {**_INVERSION_TABLES,
                 "table3": lambda: eleven_point_table(3)._cdf_interp()}
 
 
-@pytest.mark.parametrize("name", sorted(_ROOT_TABLES))
-def test_draws_are_roots_of_their_cell_cubic(name):
-    """Every draw is the root of its cell's cubic to 2e-15 relative, against
-    200 bisection steps on c0 s^3 + c1 s^2 + c2 s = u*total - lo: at 64
-    fractions of every cell's mass and at u = 2^-54, 1 - 2^-53, 1 - 2^-52 and
-    1 - 1e-12.  One Newton step from the inverse cubic meets this outside the
-    flagged cells; inside them the draws take further steps.  The four steps
-    from the secant guess that came before stopped short of the root where
-    the density vanishes: by 1.4e-4 (n = 4) and 4.0e-5 (n = 5) at u = 1 - 2^-53
-    in the last angle cell, where it vanishes like (pi - theta)^(n-2), and by
-    2.2e-2 in the second cell of the n = 7 angle table."""
-    table = _ROOT_TABLES[name]()
+def _assert_roots_of_their_cell_cubic(table, u):
+    """Every draw of u is the root of its cell's cubic to 2e-15 relative,
+    against 200 bisection steps on c0 s^3 + c1 s^2 + c2 s = u*total - lo."""
     x, c, total = table.interp.x, table.interp.c, table.total
-    lo, hi = c[3], np.append(c[3, 1:], total)
-    u = ((lo[:, None] + (hi - lo)[:, None] * ((np.arange(64) + 0.5) / 64)) / total).ravel()
-    u = np.concatenate([u, [2.0**-54, 1.0 - 2.0**-53, 1.0 - 2.0**-52, 1.0 - 1e-12]])
-    u = np.unique(u[(u > 0.0) & (u < 1.0)])  # a cell of zero mass gives one u 64 times
     uu = u * total
-    i = np.searchsorted(lo, uu, side="right") - 1
-    c0, c1, c2, rhs = c[0, i], c[1, i], c[2, i], uu - lo[i]
+    i = np.searchsorted(c[3], uu, side="right") - 1
+    c0, c1, c2, rhs = c[0, i], c[1, i], c[2, i], uu - c[3, i]
     a, b = np.zeros_like(uu), x[i + 1] - x[i]
     mid, f = np.empty_like(uu), np.empty_like(uu)
     for _ in range(200):
@@ -356,6 +343,43 @@ def test_draws_are_roots_of_their_cell_cubic(name):
         np.copyto(a, mid, where=~up)
     got = _invert_cdf(table, u)
     assert float(np.max(np.abs(got / (x[i] + b) - 1.0))) <= 2e-15
+
+
+_EXTREME_DRAWS = [2.0**-54, 1.0 - 2.0**-53, 1.0 - 2.0**-52, 1.0 - 1e-12]
+
+
+@pytest.mark.parametrize("name", sorted(_ROOT_TABLES))
+def test_draws_are_roots_of_their_cell_cubic(name):
+    """Every draw is the root of its cell's cubic to 2e-15 relative, against
+    200 bisection steps on c0 s^3 + c1 s^2 + c2 s = u*total - lo: at 64
+    fractions of every cell's mass and at u = 2^-54, 1 - 2^-53, 1 - 2^-52 and
+    1 - 1e-12.  One Newton step from the inverse cubic meets this outside the
+    flagged cells; inside them the draws take further steps.  The four steps
+    from the secant guess that came before stopped short of the root where
+    the density vanishes: by 1.4e-4 (n = 4) and 4.0e-5 (n = 5) at u = 1 - 2^-53
+    in the last angle cell, where it vanishes like (pi - theta)^(n-2), and by
+    2.2e-2 in the second cell of the n = 7 angle table."""
+    table = _ROOT_TABLES[name]()
+    lo, hi = table.interp.c[3], np.append(table.interp.c[3, 1:], table.total)
+    u = ((lo[:, None] + (hi - lo)[:, None] * ((np.arange(64) + 0.5) / 64)) / table.total).ravel()
+    # a cell of zero mass gives one u 64 times
+    u = np.unique(np.concatenate([u, _EXTREME_DRAWS]))
+    _assert_roots_of_their_cell_cubic(table, u[(u > 0.0) & (u < 1.0)])
+
+
+@pytest.mark.parametrize("points,n", [(201, 2), (201, 3), (201, 5), (401, 3)])
+def test_rough_table_draws_are_roots_of_their_cell_cubic(points, n):
+    """The 201- and 401-point sawtooth tables, their values alternating 0.1
+    and 1.0, converge at fourth order and meet _CDF_TOL at 102 400 and
+    204 800 cells, within _CDF_CELLS.  A budget of 8 levels stopped them at
+    51 200 and 102 400 cells (3.2e-12 and 2.6e-11 apart at n = 3), so they
+    built but could not be sampled.  Their draws, 10^5 at random and the
+    extreme ones, are roots of their cell's cubic."""
+    etas = np.linspace(0.0, 1.0, points)
+    table = make_table(etas, np.where(np.arange(points) % 2, 1.0, 0.1), n)._cdf_interp()
+    assert table.interp.x.size - 1 <= radial_density._CDF_CELLS
+    u = np.random.default_rng(points + n).random(10**5)
+    _assert_roots_of_their_cell_cubic(table, np.concatenate([u, _EXTREME_DRAWS]))
 
 
 def test_draws_that_do_not_converge_are_a_hard_error(monkeypatch):
@@ -388,7 +412,7 @@ def test_table_profile_cdf_converges_at_its_edge(n, monkeypatch):
 
     monkeypatch.setattr(radial_density, "CubicHermite", Recording)
     p._cdf_interp()
-    # the doubling stopped on its criterion, below the cap of 8 levels
+    # the doubling stopped on its criterion, in fewer than 8 levels
     assert len(built) < 8
     last, prev = built[-1], built[-2]
     assert float(np.max(np.abs(prev(last.x[:-1]) - last.c[3]))) < radial_density._CDF_TOL
@@ -402,9 +426,9 @@ def test_table_profile_cdf_converges_at_its_edge(n, monkeypatch):
 def test_table_cdf_on_knot_aligned_grid_meets_its_tolerance(monkeypatch):
     """The zero-run table's pchip knots at multiples of 0.025, where its
     density meets 0, are nodes of every level of the CDF grid, so the
-    doubling converges at fourth order and stops on _CDF_TOL below the cap
-    of 8 levels.  With the knots inside cells of a uniform grid the levels
-    were still 1.5e-11 apart at the cap."""
+    doubling converges at fourth order and stops on _CDF_TOL in fewer than 8
+    levels.  With the knots inside cells of a uniform grid the levels were
+    still 1.5e-11 apart after 8."""
     p = _zero_run_profile()
     built = []
 
@@ -465,10 +489,18 @@ def test_rough_tables_normalise(points, n):
 
 def test_cdf_table_that_cannot_converge_is_hard_error():
     """A density with a jump inside a cell of every level converges at first
-    order, so the eighth level is still far from _CDF_TOL and the table
-    raises instead of returning."""
+    order, so the last level within _CDF_CELLS cells is still far from
+    _CDF_TOL and the table raises instead of returning."""
     with pytest.raises(QuadratureError):
         radial_density._cdf_table(lambda x: np.where(x < 1.0 / 3.0, 1.0, 2.0), 1.0)
+
+
+def test_cdf_table_of_more_intervals_than_its_budget_still_doubles(monkeypatch):
+    """A table whose first level already has more than _CDF_CELLS cells still
+    compares two levels, and returns where they agree."""
+    monkeypatch.setattr(radial_density, "_CDF_CELLS", 1)
+    table = radial_density._cdf_table(np.ones_like, 1.0)
+    assert table.interp.x.size - 1 == 512
 
 
 @pytest.mark.parametrize("kind,n", [("angle", 4), ("angle", 5), ("angle", 7), ("angle", 12),

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import math
 import os
+import signal
 import subprocess
 import sys
 import textwrap
@@ -148,9 +149,9 @@ def test_worker_only_for_large_walks(bump3, monkeypatch):
 
 
 def test_worker_forwards_other_exceptions(monkeypatch):
-    """An exception the worker raises comes back with its type and message;
-    one that cannot be pickled comes back as a RuntimeError that names its
-    type.  A failure of the caller's own draws raises as it is, but not
+    """An exception the worker raises comes back with its type and message,
+    also one that cannot be pickled, since the walk is stepped again
+    in-process.  A failure of the caller's own draws raises as it is, but not
     before the worker's failure at an earlier step."""
     cfg = WalkConfig(make_bump(1.0, 2), 40, 200, "sturm", 5)
     monkeypatch.setattr(walk_sim, "_BLOCK", 2000)  # four blocks of 10 steps
@@ -178,7 +179,7 @@ def test_worker_forwards_other_exceptions(monkeypatch):
 
     for error, kind, text in (
             (FloatingPointError("at step 17"), FloatingPointError, "at step 17"),
-            (Unpicklable("at step 17"), RuntimeError, "Unpicklable: at step 17")):
+            (Unpicklable("at step 17"), Unpicklable, "at step 17")):
         monkeypatch.setattr(walk_sim, "_stewart", stewart_failing_at(17, error))
         with through_worker(monkeypatch), pytest.raises(kind) as caught:
             run_walk(cfg)
@@ -194,6 +195,27 @@ def test_worker_forwards_other_exceptions(monkeypatch):
     monkeypatch.setattr(walk_sim, "_sample_eta_many", draws_failing_at(2))
     with through_worker(monkeypatch), pytest.raises(FloatingPointError, match="step 2"):
         run_walk(cfg)
+
+
+def test_killed_worker_costs_a_rerun(monkeypatch):
+    """A worker killed mid-walk, here at its second block, leaves the caller
+    at EOF or a broken pipe; the walk is stepped again in-process, bitwise,
+    and the worker is reaped."""
+    cfg = WalkConfig(make_bump(1.0, 2), 40, 200, "sturm", 5)
+    monkeypatch.setattr(walk_sim, "_BLOCK", 2000)  # four blocks of 10 steps
+    ref = run_walk(cfg)
+    step, caller, calls = walk_sim._step_block, os.getpid(), []
+
+    def killed_at_second_block(*args):
+        if os.getpid() != caller:
+            calls.append(None)
+            if len(calls) == 2:
+                os.kill(os.getpid(), signal.SIGKILL)
+        step(*args)
+
+    monkeypatch.setattr(walk_sim, "_step_block", killed_at_second_block)
+    with through_worker(monkeypatch):
+        assert np.array_equal(run_walk(cfg), ref)
 
 
 def test_fork_warning_is_raised_after_the_worker_is_reaped(bump3, monkeypatch):
