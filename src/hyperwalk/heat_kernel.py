@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .geometry import as_dim
-from .quadrature import QuadratureError, gauss_legendre, panel_nodes
+from .quadrature import doubling_each, gauss_legendre, panel_nodes
 
 # Near eta = 0 the direct sum of the order-m terms cancels singular parts of
 # size eta^(1 - 2m) down to a finite value and loses about two digits per
@@ -211,19 +211,18 @@ def hk_even(t: float, eta, m: int):
     underflows is 0.  u and s are finite while s < 1419, past every descent
     that the other radii need (s up to eta + sqrt(4t ln 10^18), below 1150).
     The Gauss-Legendre panels double, _EVEN_DOUBLINGS times at most, until
-    two levels agree to _EVEN_TOL relative.  Each radius stops at its own
-    first agreeing level, and only the pending radii are summed at the next,
-    so a radius gets the value a call with it alone would; a QuadratureError
-    where some radius never agrees.
+    two levels agree to _EVEN_TOL relative, each radius on its own in
+    quadrature.doubling_each, so it gets the value a call with it alone would.
     """
     etas, tau, scale, scalar = _frame(t, eta, m, m - 0.5)
     pref = 1.0 / ((2.0 * math.pi) ** m * math.sqrt(math.pi * tau))
     reach = math.sqrt(2.0 * tau * math.log(1e18))
+    npanels = max(8, int(reach / math.sqrt(tau)) + 2)
 
-    def level(npanels, radii):
+    def level(k, radii):
         # panel edges follow a uniform s-grid so the nodes track the Gaussian;
         # a uniform u-grid would pile almost everything into the far tail.
-        frac = np.linspace(0.0, 1.0, npanels + 1)
+        frac = np.linspace(0.0, 1.0, (npanels << k) + 1)
         s_edges = radii[:, None] + reach * frac[None, :]
         # u^2 = 2 sinh((s + eta)/2) sinh((s - eta)/2) with e^{s/2} taken out
         u_edges = np.exp(0.5 * s_edges) * np.sqrt(0.5 * np.expm1(radii[:, None] - s_edges)
@@ -236,21 +235,11 @@ def hk_even(t: float, eta, m: int):
             -(s - r) * ((s + r) / (2.0 * tau) + m) - 0.5 * r)
         return 2.0 * np.sum(wu * vals, axis=(1, 2))
 
-    npanels = max(8, int(reach / math.sqrt(tau)) + 2)
+    live = scale > 0.0
     out = np.zeros(etas.size)
-    pending = np.nonzero(scale > 0.0)[0]
-    prev = level(npanels, etas[pending])
-    for _ in range(_EVEN_DOUBLINGS):
-        if pending.size == 0:
-            break
-        npanels *= 2
-        cur = level(npanels, etas[pending])
-        done = np.abs(cur - prev) <= _EVEN_TOL * np.abs(cur)
-        out[pending[done]] = pref * (scale[pending[done]] * cur[done])
-        pending, prev = pending[~done], cur[~done]
-    if pending.size:
-        raise QuadratureError(f"even-n heat kernel did not converge in {_EVEN_DOUBLINGS} "
-                              f"panel doublings (t={t}, m={m}, eta={etas[pending[0]]})")
+    out[live] = pref * (scale[live] * doubling_each(f"even-n heat kernel (t={t}, m={m})",
+                                                    etas[live], 0, _EVEN_DOUBLINGS + 1, level,
+                                                    rel_tol=_EVEN_TOL))
     return float(out[0]) if scalar else out
 
 

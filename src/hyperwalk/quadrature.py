@@ -3,7 +3,8 @@
 All rules are fixed-node rules (Gauss families, and a midpoint rule for the
 Jacobi weights of even dimension) with doubling-based error control, so
 results are bit-reproducible for a given input; nothing here depends on
-runtime state.
+runtime state.  Every level-doubling loop runs in `doubling`, or for arrays
+whose elements stop at levels of their own, in `doubling_each`.
 """
 
 import math
@@ -15,6 +16,7 @@ import numpy as np
 # of the inverse transform, which the benchmark's tracer rebinds by name
 _MAX_DOUBLINGS = 14
 _MAX_PANELS = 400
+_GL_CELLS = 4096  # intervals whose nodes cumulative_gl passes to f in one call
 
 
 class QuadratureError(RuntimeError):
@@ -117,6 +119,34 @@ def doubling(name: str, levels, value, abs_tol=0.0, rel_tol=0.0, gap=None):
                           f"(last gap {last:.3e})")
 
 
+def doubling_each(name: str, points, start, budget: int, value, abs_tol=0.0, rel_tol=0.0):
+    """Run the level-doubling loop `name` per element of the 1-d array
+    `points`: element i runs levels start[i] >= 0 (an array, or one int for all)
+    to start[i] + budget - 1 and keeps its first value within max(abs_tol,
+    rel_tol |value|) of its value at the level before.  value(level, pts)
+    gets the points still open at the level, in order, so each gets what a
+    call with it alone would where value treats them independently.  Returns
+    the values; a QuadratureError with the first point left open, its last gap."""
+    start = np.broadcast_to(start, points.shape)
+    prev, gap = np.full(points.size, np.nan), np.full(points.size, np.nan)
+    pending = np.ones(points.size, dtype=bool)
+    for level in range(int(start.max(initial=0)) + budget):
+        sel = np.nonzero(pending & (start <= level) & (level < start + budget))[0]
+        if sel.size:
+            cur = np.asarray(value(level, points[sel]), dtype=float)
+            gap[sel] = np.abs(cur - prev[sel])
+            done = gap[sel] <= np.maximum(abs_tol, rel_tol * np.abs(cur))
+            pending[sel[done]] = False
+            prev[sel] = cur  # a closed element's last value is its result
+        elif not pending.any():
+            break
+    if pending.any():
+        i = int(np.argmax(pending))
+        raise QuadratureError(f"{name} did not converge in {budget} levels at {points[i]} "
+                              f"(last gap {gap[i]:.3e})")
+    return prev
+
+
 def integrate_adaptive(f, upper: float, knots=(), abs_tol: float = 1e-13,
                        rel_tol: float = 1e-13) -> float:
     """Integral of f over [0, upper]: 32-node Gauss-Legendre on knot_grid(knots,
@@ -132,14 +162,16 @@ def integrate_adaptive(f, upper: float, knots=(), abs_tol: float = 1e-13,
 
 
 def cumulative_gl(f, grid: np.ndarray, q: int = 16) -> np.ndarray:
-    """Cumulative integral of f along a grid, one GL rule per interval."""
+    """Cumulative integral of f along a grid, one GL rule per interval, its
+    sum times its half-width.  f gets the nodes of _GL_CELLS intervals at a
+    time, which bounds its temporaries; a pointwise f gives one call's values."""
     x, w = gauss_legendre(q)
-    # unit weights give the half-widths: each interval's sum takes them last
-    nodes, half = panel_nodes(grid, x, 1.0)
-    vals = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
-    out = np.empty(len(grid))
-    out[0] = 0.0
-    np.cumsum(half[:, 0] * (vals @ w), out=out[1:])
+    vals = np.empty((len(grid) - 1, q))
+    for i in range(0, len(vals), _GL_CELLS):
+        nodes = panel_nodes(grid[i:i + _GL_CELLS + 1], x, w)[0]
+        vals[i:i + _GL_CELLS] = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
+    out = np.zeros(len(grid))
+    np.cumsum(0.5 * (grid[1:] - grid[:-1]) * (vals @ w), out=out[1:])
     return out
 
 

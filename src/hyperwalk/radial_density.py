@@ -464,13 +464,15 @@ def pdf_eta(p: RadialProfile, eta):
 
 
 def cdf_eta(p: RadialProfile, eta):
-    """Radial CDF, monotone with cdf(0) = 0 and cdf(eta_max) = 1."""
+    """Radial CDF, monotone with cdf(0) = 0 and cdf(eta_max) = 1: a float
+    for a scalar or 0-d eta, else an array of eta's shape."""
     table = p._cdf_interp()
-    etas = np.atleast_1d(np.asarray(eta, dtype=float))
-    out = table.interp(np.clip(etas, 0.0, p.eta_max))
-    out[etas >= p.eta_max] = table.total
-    out[etas <= 0.0] = 0.0
-    return float(out[0]) if np.isscalar(eta) else out
+    etas = np.asarray(eta, dtype=float)
+    e = etas.reshape(-1)
+    out = table.interp(np.clip(e, 0.0, p.eta_max))
+    out[e >= p.eta_max] = table.total
+    out[e <= 0.0] = 0.0
+    return float(out[0]) if etas.ndim == 0 else out.reshape(etas.shape)
 
 
 def open_uniforms(u, out=None):

@@ -46,8 +46,8 @@ import math
 import numpy as np
 
 from .geometry import as_dim, sphere_area
-from .quadrature import (QuadratureError, doubling, gauss_jacobi_sym, gauss_legendre,
-                         knot_grid, panel_nodes)
+from .quadrature import (doubling, doubling_each, gauss_jacobi_sym, gauss_legendre, knot_grid,
+                         panel_nodes)
 # unused here, but the benchmark's tracer rebinds this name and needs it
 from .quadrature import gk_adaptive_vector  # noqa: F401
 from .radial_density import RadialProfile, scale_profile, sinch
@@ -63,9 +63,6 @@ _INNER_LEVELS = 14  # levels of its inner Abel integral before a QuadratureError
 # transform kernels, of (s, u) Abel-transform nodes or of the (lambda, eta)
 # rows of one call of the inverse transform's integrand: 2 MiB of float64
 _COS_BLOCK = 1 << 18
-# Jacobi factors of phi_many kept between calls, with their total bytes cap
-_ROWS = {}
-_ROWS_BYTES = 1 << 24
 
 
 class TruncationError(RuntimeError):
@@ -84,23 +81,12 @@ def _gj_order(lam, eta_max: float):
 def _radial_rows(ep: np.ndarray, d: int, q: int):
     """Positive half of the even Jacobi rule of order q (the integrand is even
     in v), the scale k_n sinch^{2-n} and the weights times (sinch(a)
-    sinch(b))^alpha, a, b = eta (1 +- v)/2, at the radii ep: fixed for all
-    the trapezoid levels of one inversion, so kept in _ROWS, which is emptied
-    before the weights it holds would pass _ROWS_BYTES."""
-    key = (ep.tobytes(), d, q)
-    if key not in _ROWS:
-        alpha = (d - 3) / 2.0
-        v, w = gauss_jacobi_sym(q, alpha)
-        v, w = v[q // 2:], w[q // 2:]
-        a = 0.5 * ep[:, None] * (1.0 + v[None, :])
-        b = 0.5 * ep[:, None] * (1.0 - v[None, :])
-        rows = (v, _kn(d) * sinch(ep) ** (2 - d), (sinch(a) * sinch(b)) ** alpha * w)
-        for r in rows:
-            r.setflags(write=False)  # the cache hands the same arrays to every call
-        if sum(r[2].nbytes for r in _ROWS.values()) + rows[2].nbytes > _ROWS_BYTES:
-            _ROWS.clear()
-        _ROWS[key] = rows
-    return _ROWS[key]
+    sinch(b))^alpha, a, b = eta (1 +- v)/2, at the radii ep."""
+    alpha = (d - 3) / 2.0
+    v, w = gauss_jacobi_sym(q, alpha)
+    v, w = v[q // 2:], w[q // 2:]
+    a, b = 0.5 * ep[:, None] * (1.0 + v), 0.5 * ep[:, None] * (1.0 - v)
+    return v, _kn(d) * sinch(ep) ** (2 - d), (sinch(a) * sinch(b)) ** alpha * w
 
 
 def phi_many(lam, eta, n):
@@ -341,13 +327,12 @@ def fh_transform(p: RadialProfile, lam, deficit: bool = False):
     sinh(rho s)/rho - sin(lambda s)/lambda (n >= 3), splits into a lambda-free
     and a lambda term, both >= 0 and computed without cancellation.
 
-    Scalar or array lam.  Each lambda starts at its own panel level: the
-    level its oscillation needs, bit_length(lambda eta_max / 34), or one
-    below the profile's converged level (_converged_level), whichever is
-    higher, so the lower levels, which only the stop test would read, are
-    skipped.  It stops when two consecutive levels agree and has a budget of
-    _TABLE_LEVELS levels; only the lambdas still open are evaluated at the
-    next level, one row of the Abel table each, in blocks of at most
+    Scalar or array lam.  Each lambda runs _TABLE_LEVELS panel levels at
+    most in quadrature.doubling_each, from the level its oscillation needs,
+    bit_length(lambda eta_max / 34), or one below the profile's converged
+    level (_converged_level), whichever is higher, so the lower levels, which
+    only the stop test would read, are skipped.  The lambdas still open are
+    evaluated, one row of the Abel table each, in blocks of at most
     _COS_BLOCK.  Both start terms depend on the profile and the lambda alone,
     so each lambda gets the value of its scalar call.
     """
@@ -357,32 +342,22 @@ def fh_transform(p: RadialProfile, lam, deficit: bool = False):
     start = np.array([int(l * p.eta_max / 34.0).bit_length() for l in flat], dtype=int)
     if flat.size:
         np.maximum(start, _converged_level(p) - 1, out=start)
-    out = np.empty(flat.size)
-    prev = np.full(flat.size, np.inf)
-    pending = np.ones(flat.size, dtype=bool)
-    for lv in range(int(start.max(initial=-_TABLE_LEVELS)) + _TABLE_LEVELS):
-        sel = np.nonzero(pending & (start <= lv) & (lv < start + _TABLE_LEVELS))[0]
-        if sel.size == 0:
-            if not pending.any():
-                break
-            continue
+
+    def value(lv, open_lams):
         s, wt = _abel_table(p, lv)
         base = _deficit_base(p, lv) if deficit else 0.0
-        cur = np.empty(sel.size)
+        cur = np.empty(open_lams.size)
         step = max(1, _COS_BLOCK // s.size)
-        for i in range(0, sel.size, step):
-            r = flat[sel[i:i + step], None]
+        for i in range(0, open_lams.size, step):
+            r = open_lams[i:i + step, None]
             if d == 2:
                 k = 2.0 * np.sin(0.5 * r * s) ** 2 if deficit else np.cos(r * s)
             else:
                 k = s * (_sinc_deficit(r * s) if deficit else np.sinc(r * s / np.pi))
             cur[i:i + step] = base + (k * wt).sum(axis=1)
-        done = np.abs(cur - prev[sel]) <= np.maximum(_ABS_TARGET, 1e-13 * np.abs(cur))
-        out[sel[done]] = cur[done]
-        pending[sel[done]] = False
-        prev[sel] = cur
-    if np.any(pending):
-        raise QuadratureError(f"transform quadrature did not converge (lam={flat[pending][0]})")
+        return cur
+
+    out = doubling_each("transform", flat, start, _TABLE_LEVELS, value, _ABS_TARGET, 1e-13)
     return float(out[0]) if lams.ndim == 0 else out.reshape(lams.shape)
 
 

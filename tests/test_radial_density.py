@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,6 +63,19 @@ def test_cdf_monotone_and_ends(bump3):
     near0 = cdf_eta(make_bump(1.0, 5), np.linspace(0.0, 2e-4, 2001))
     assert near0.min() == 0.0
     assert np.all(np.diff(near0) >= 0.0)
+
+
+def test_cdf_keeps_the_scalar_or_array_contract(bump3):
+    """A float or a 0-d array gives a float, as phi_many, fh_transform and hk
+    do; an array gives an array of its shape, each value the scalar one."""
+    grid = np.array([[0.0, 0.3, 0.6], [0.9, 1.0, 1.5]])
+    got = cdf_eta(bump3, grid)
+    assert got.shape == (2, 3)
+    assert cdf_eta(bump3, grid[0]).shape == (3,)
+    for eta, value in zip(grid.ravel().tolist(), got.ravel().tolist()):
+        assert type(cdf_eta(bump3, eta)) is float
+        assert type(cdf_eta(bump3, np.array(eta))) is float
+        assert cdf_eta(bump3, np.array(eta)) == value
 
 
 def test_sample_eta_limits(bump3):
@@ -380,6 +397,30 @@ def test_rough_table_draws_are_roots_of_their_cell_cubic(points, n):
     assert table.interp.x.size - 1 <= radial_density._CDF_CELLS
     u = np.random.default_rng(points + n).random(10**5)
     _assert_roots_of_their_cell_cubic(table, np.concatenate([u, _EXTREME_DRAWS]))
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_rough_table_cdf_peaks_below_200_mib():
+    """The 401-point sawtooth's CDF table, 204 800 cells at its last level,
+    builds in a fresh interpreter within 200 MiB of resident memory: its
+    measure is evaluated on 4 096 cells' nodes at a time.  Evaluated on all
+    of a level's nodes at once it peaked at about 320 MiB."""
+    # VmHWM, the peak of this process's own memory map: ru_maxrss would keep
+    # the test runner's resident size, which the child had before its exec
+    code = ("import numpy as np\n"
+            "from hyperwalk import make_table\n"
+            "etas = np.linspace(0.0, 1.0, 401)\n"
+            "make_table(etas, np.where(np.arange(401) % 2, 1.0, 0.1), 3)._cdf_interp()\n"
+            "print(next(l.split()[1] for l in open('/proc/self/status')\n"
+            "           if l.startswith('VmHWM:')))\n")
+    src = str(Path(radial_density.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    peak_mib = int(proc.stdout) / 1024.0  # VmHWM is in kB
+    assert peak_mib < 200.0
 
 
 def test_draws_that_do_not_converge_are_a_hard_error(monkeypatch):

@@ -182,7 +182,6 @@ def test_phi_matches_roots_jacobi_route(n, monkeypatch):
         ref = np.array([phi_jacobi(lam, etas, n) for lam in lams])
         assert float(np.max(np.abs(got - ref))) < 1e-13
         return
-    monkeypatch.setattr(spectral, "_ROWS", {})
     monkeypatch.setattr(spectral, "gauss_jacobi_sym", _roots_jacobi_sym)
     assert float(np.max(np.abs(got - phi_many(lams, etas, n)))) < 1e-13
 
