@@ -58,16 +58,23 @@ def _write_csv(path, header, rows):
     None, to stdout.
 
     `rows` is a record array, one record per line.  It is written in slices
-    of _CSV_SLICE records: a slice becomes Python ints and floats, each
-    written as its repr, which is what csv.writer writes for the strings
-    str(int) and repr(float).  Only one slice's text is held at a time.
+    of _CSV_SLICE records: a slice's columns become Python ints and floats,
+    interleaved into one tuple in row order, and the slice is formatted by
+    one % of the line repeated once per record.  Each value is written as
+    its repr, which is what csv.writer writes for the strings str(int) and
+    repr(float).  Only one slice's text is held at a time.
     """
-    line = ",".join(["%r"] * len(header)) + "\n"
+    width = len(header)
+    line = ",".join(["%r"] * width) + "\n"
     with (contextlib.nullcontext(sys.stdout) if path is None
           else open(path, "w", newline="", encoding="utf-8")) as fh:
         fh.write(",".join(header) + "\n")
         for k in range(0, len(rows), _CSV_SLICE):
-            fh.write("".join([line % row for row in rows[k:k + _CSV_SLICE].tolist()]))
+            part = rows[k:k + _CSV_SLICE]
+            values = [None] * (len(part) * width)
+            for j in range(width):
+                values[j::width] = part.field(j).tolist()
+            fh.write(line * len(part) % tuple(values))
 
 
 def _write_sidecar(out, payload: dict):

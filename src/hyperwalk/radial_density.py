@@ -21,6 +21,7 @@ from .quadrature import cumulative_gl, doubling, integrate_adaptive, knot_grid
 _CDF_TOL = 1e-12
 _CDF_CELLS = 2**18  # cells of a CDF table's last level before a QuadratureError
 _MAX_STEPS = 100  # Newton steps of a draw in a flagged cell
+_SLICE = 2**16  # cells flagged, or guide buckets filled, at a time
 
 
 def sinch(x):
@@ -187,16 +188,20 @@ def _one_step_misses(cells):
     7) and the 11-point tables (n = 2, 3) this flags runs of cells at the
     two ends (2.2e-4 of the mass for the n = 2 bump, 1.0e-3 for the 11-point
     table at n = 2), and outside them one step is within 2.3e-16 relative of
-    the root at 64 points of every cell.
+    the root at 64 points of every cell.  The cells are taken _SLICE at a
+    time, so the (cells, 4) temporaries of a large table are never whole.
     """
-    left, width, lo, c0, c1, c2, a1, a2, a3, hi = cells[:, :, None]
-    t = (hi - lo) * (np.arange(1, 8, 2) / 8.0)
+    flagged = np.empty(cells.shape[1], dtype=bool)
+    fractions = np.arange(1, 8, 2) / 8.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        s = ((a3 * t + a2) * t + a1) * t
-        df = (3.0 * c0 * s + 2.0 * c1) * s + c2
-        d = (((c0 * s + c1) * s + c2) * s - t) / df
-        miss = np.abs(3.0 * c0 * s + c1) * d * d / df
-        flagged = ~np.all(miss <= 2.0**-53 * (left + s), axis=1)
+        for k in range(0, flagged.size, _SLICE):
+            left, width, lo, c0, c1, c2, a1, a2, a3, hi = cells[:, k:k + _SLICE, None]
+            t = (hi - lo) * fractions
+            s = ((a3 * t + a2) * t + a1) * t
+            df = (3.0 * c0 * s + 2.0 * c1) * s + c2
+            d = (((c0 * s + c1) * s + c2) * s - t) / df
+            miss = np.abs(3.0 * c0 * s + c1) * d * d / df
+            flagged[k:k + _SLICE] = ~np.all(miss <= 2.0**-53 * (left + s), axis=1)
     flagged[0] = True
     return flagged
 
@@ -205,13 +210,17 @@ def _guide(lo, total, flagged):
     """Guide of the node values lo (see CdfTable).  A uniform u in bucket b
     has u*total between edges[b] and edges[b + 1], the products rounded as
     _invert_cdf rounds them, so its cell lies between theirs.  Every draw in
-    a flagged cell takes the guide's -1."""
+    a flagged cell takes the guide's -1.  The buckets are filled _SLICE at a
+    time, so only the guide itself is full size."""
     m = 1 << (8 * lo.size - 1).bit_length()
-    edges = np.arange(m + 1) / m * total
-    cell = np.searchsorted(lo, edges, side="right") - 1  # the cell _invert_cdf gives u*total
-    guide, span = cell[:-1], np.diff(cell)
-    meets = flagged[guide] | (span > 0) & flagged[np.minimum(guide + 1, lo.size - 1)]
-    guide[(span > 1) | meets] = -1
+    guide = np.empty(m, dtype=np.int64)
+    for k in range(0, m, _SLICE):
+        edges = np.arange(k, min(k + _SLICE, m) + 1) / m * total
+        cell = np.searchsorted(lo, edges, side="right") - 1  # the cell _invert_cdf gives u*total
+        part, span = cell[:-1], np.diff(cell)
+        meets = flagged[part] | (span > 0) & flagged[np.minimum(part + 1, lo.size - 1)]
+        part[(span > 1) | meets] = -1
+        guide[k:k + _SLICE] = part
     return guide
 
 

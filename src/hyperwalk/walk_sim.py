@@ -72,7 +72,14 @@ schedules, with the same outputs bit for bit:
 A Sturm step costs somewhat more than its draws, so on 2 cores the
 overlap takes the Sturm walk at n = 2 (N = 10 000, 300 paths) from 414 to
 240 ms (524 to 407 ms on a busier host).  Small walks lose the fork's cost
-(_WORKER_STEPS).
+(_WORKER_STEPS).  The fork gains only when the host gives the walk its
+second CPU; one walk, in-process -> fork, median of 7 on a shared 2-core
+x86-64 host:
+
+    walk                                  second CPU free   second CPU busy
+    clt, n = 3, N = 250, 20 000 paths     188 -> 167 ms     215 -> 245 ms
+    clt, n = 5, N = 20, 100 000 paths     168 -> 143 ms     161 -> 180 ms
+    Sturm, n = 2, N = 10 000, 300 paths   319 -> 204 ms     374 -> 383 ms
 """
 
 import math
@@ -105,7 +112,9 @@ _BLOCK = 2**15  # draws of each kind per block of steps, as one (steps, paths) a
 #   lln, n = 3, N = 1000, 2 000 paths (2 M):   121.5 -> 109.4 ms, 9 of 11
 # The fork, the worker's exit and the wait take a few ms (a bare fork, exit
 # and wait 2.3 ms), which a walk must win back; 2^20 keeps every
-# measured loss in-process.
+# measured loss in-process.  The fork gains only when the host gives the
+# walk its second CPU: where the host keeps it busy, walks above the
+# threshold lose too (see the module docstring).
 _WORKER_STEPS = 2**20
 _MODES = ("clt", "lln", "sturm")
 _HALF_GUARD = math.atanh(1.0 - BOUNDARY_TOL)  # half the radius of ||s|| = 1 - BOUNDARY_TOL

@@ -340,6 +340,43 @@ def test_write_csv_matches_csv_writer(tmp_path, capsys):
     assert capsys.readouterr().out == want
 
 
+def test_csv_commands_keep_the_traced_writer_contract(tmp_path, monkeypatch, capsys):
+    """The benchmark's tracer rebinds cli._write_csv by name and counts
+    len(rows), its third positional argument; each CSV command must pass the
+    record array, one record per path or grid point (a list of columns
+    would count 2), and write csv.writer's bytes of its columns.  Slices of
+    3 records make every command write several slices and a short one."""
+    from hyperwalk.heat_kernel import hk, psi_clt
+    from hyperwalk.radial_density import make_bump
+    from hyperwalk.spectral import fh_transform
+    from hyperwalk.walk_sim import WalkConfig, run_walk
+
+    calls, write = [], cli._write_csv
+
+    def traced(*args, **kwargs):
+        calls.append((args, kwargs))
+        return write(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_write_csv", traced)
+    monkeypatch.setattr(cli, "_CSV_SLICE", 3)
+    grid = np.arange(9) * 0.5
+    cases = [(["walk", "--dim", "5", "--density", "bump:1.0", "--N", "20",
+               "--paths", "11", "--seed", "7"], ["path", "eta"],
+              [np.arange(11), run_walk(WalkConfig(make_bump(1.0, 5), 20, 11, "clt", 7))]),
+             (["transform", "--dim", "2", "--density", "bump:1.0", "--lambda", "0:4:0.5"],
+              ["lambda", "value"], [grid, fh_transform(make_bump(1.0, 2), grid)]),
+             (["heat-kernel", "--dim", "4", "--t", "0.5", "--eta", "0:4:0.5"],
+              ["eta", "psi", "Psi"], [grid, hk(0.5, grid, 4), psi_clt(0.5, grid, 4)])]
+    for argv, header, cols in cases:
+        out = tmp_path / f"{argv[0]}.csv"
+        calls.clear()
+        assert main(argv + ["--out", str(out)]) == 0, capsys.readouterr().err
+        [(args, kwargs)] = calls
+        assert not kwargs and args[0] == str(out) and args[1] == header
+        assert len(args[2]) == cols[0].size
+        assert out.read_bytes() == _csv_writer_reference(header, zip(*cols)).encode()
+
+
 def test_commands_do_not_load_scipy(tmp_path):
     """Every command runs on numpy alone: scipy is a test dependency only."""
     bump3 = {"family": "bump", "eta_max": 1.0, "dim": 3}

@@ -399,28 +399,44 @@ def test_rough_table_draws_are_roots_of_their_cell_cubic(points, n):
     _assert_roots_of_their_cell_cubic(table, np.concatenate([u, _EXTREME_DRAWS]))
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
-def test_rough_table_cdf_peaks_below_200_mib():
-    """The 401-point sawtooth's CDF table, 204 800 cells at its last level,
-    builds in a fresh interpreter within 200 MiB of resident memory: its
-    measure is evaluated on 4 096 cells' nodes at a time.  Evaluated on all
-    of a level's nodes at once it peaked at about 320 MiB."""
-    # VmHWM, the peak of this process's own memory map: ru_maxrss would keep
-    # the test runner's resident size, which the child had before its exec
-    code = ("import numpy as np\n"
-            "from hyperwalk import make_table\n"
-            "etas = np.linspace(0.0, 1.0, 401)\n"
-            "make_table(etas, np.where(np.arange(401) % 2, 1.0, 0.1), 3)._cdf_interp()\n"
-            "print(next(l.split()[1] for l in open('/proc/self/status')\n"
-            "           if l.startswith('VmHWM:')))\n")
+_ROUGH_401 = ("import numpy as np\n"
+              "from hyperwalk import make_table\n"
+              "etas = np.linspace(0.0, 1.0, 401)\n"
+              "table = make_table(etas, np.where(np.arange(401) % 2, 1.0, 0.1), 3)._cdf_interp()\n")
+
+
+def _fresh_peak_mib(code):
+    """VmHWM, in MiB, of a fresh interpreter that runs code: the peak of that
+    process's own memory map (ru_maxrss would keep the test runner's
+    resident size, which the child had before its exec)."""
+    code += ("print(next(l.split()[1] for l in open('/proc/self/status')\n"
+             "           if l.startswith('VmHWM:')))\n")
     src = str(Path(radial_density.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    peak_mib = int(proc.stdout) / 1024.0  # VmHWM is in kB
-    assert peak_mib < 200.0
+    return int(proc.stdout) / 1024.0  # VmHWM is in kB
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_rough_table_cdf_peaks_below_200_mib():
+    """The 401-point sawtooth's CDF table, 204 800 cells at its last level,
+    builds in a fresh interpreter within 200 MiB of resident memory: its
+    measure is evaluated on 4 096 cells' nodes at a time.  Evaluated on all
+    of a level's nodes at once it peaked at about 320 MiB."""
+    assert _fresh_peak_mib(_ROUGH_401) < 200.0
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_rough_table_guide_peaks_below_128_mib():
+    """The same table's cells, step-miss flags and guide of 2^21 buckets
+    build within 128 MiB: the flags take _SLICE cells and the guide _SLICE
+    buckets at a time.  With (cells, 4) temporaries and full-size bucket
+    arrays they peaked at about 161 MiB."""
+    code = _ROUGH_401 + "table.cells, table.flagged, table.guide\n"
+    assert _fresh_peak_mib(code) < 128.0
 
 
 def test_draws_that_do_not_converge_are_a_hard_error(monkeypatch):
