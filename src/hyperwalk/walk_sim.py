@@ -9,8 +9,9 @@ isotropic, so by the left-gyro isometry the next radius
 eta' = d(0, s (+) z) = d(-s, z) depends only on the current radius eta_s, the
 step radius eta_z (eps * eta, or eta in the Sturm mode) and q = (1 - c)/2,
 where c is the cosine of the angle between the step and the position, and
-q ~ Beta((n-1)/2, (n-1)/2).  The hyperbolic law of cosines, in a form that
-stays accurate for small radii,
+q ~ Beta((n-1)/2, (n-1)/2), drawn in closed form for n = 2, 3 and 5 and from
+an inverted angle table for n = 4 and n >= 6 (_angle_q).  The hyperbolic law
+of cosines, in a form that stays accurate for small radii,
 
     sinh^2(eta'/2) = sinh^2((eta_s - eta_z)/2) + sinh(eta_s) sinh(eta_z) q,
 
@@ -202,12 +203,37 @@ def _angle_table(n: int):
 
 def _angle_q(n: int, u: np.ndarray) -> np.ndarray:
     """q = (1 - cos theta)/2 = sin^2(theta/2) ~ Beta((n-1)/2, (n-1)/2) from
-    uniforms u: q = u for n = 3, theta = pi u for n = 2, and theta from the
-    inverted angle table for n >= 4."""
+    uniforms u: q = u for n = 3, theta = pi u for n = 2, the closed form
+    below for n = 5, and theta from the inverted angle table for n = 4 and
+    n >= 6.  theta/2 at n = 2 is taken as (pi/2) u, bitwise fl(pi u)/2.
+
+    At n = 5, q ~ Beta(2, 2) solves 3q^2 - 2q^3 = u.  With q = 1/2 + sin(phi)
+    the cubic reads 1/2 + sin(3 phi)/2 = u, so phi = arcsin(2u - 1)/3, and
+    q = sin(pi/6) + sin(phi) = 2 sin(g) cos(pi/6 - g) with
+    g = arccos(1 - 2u)/6.  The product has no cancellation at small q, and
+    1 - 2u is exact for the walk's draws (multiples of 2^-53, and 2^-54), so
+    q is within 4 ulp of the quantile from u = 2^-54 to 1 - 2^-53.
+    """
     if n == 3:
         return u
-    theta = np.pi * u if n == 2 else _invert_cdf(_angle_table(n), u)
-    return np.sin(0.5 * theta) ** 2
+    if n == 5:
+        g = np.multiply(u, -2.0)
+        g += 1.0
+        np.arccos(g, out=g)
+        g /= 6.0
+        c = np.subtract(math.pi / 6.0, g)
+        np.cos(c, out=c)
+        q = np.sin(g, out=g)
+        q *= c
+        q *= 2.0
+        return q
+    if n == 2:
+        half = np.multiply(u, 0.5 * np.pi)
+    else:
+        half = _invert_cdf(_angle_table(n), u)
+        half *= 0.5
+    np.sin(half, out=half)
+    return np.square(half, out=half)
 
 
 def _plan(cfg: WalkConfig):
@@ -234,7 +260,10 @@ def _draw_block(cfg: WalkConfig, seeds: np.ndarray, k0: int, draws: np.ndarray):
     n, N = cfg.profile.dim.n, cfg.N
     eps = {"clt": 1.0 / math.sqrt(N), "lln": 1.0 / N, "sturm": 1.0}[cfg.scaling]
     block = draws.shape[1]
-    eta_z = eps * _sample_eta_many(cfg.profile, _uniforms(seeds, k0, block))
+    eta_z = _sample_eta_many(cfg.profile, _uniforms(seeds, k0, block))
+    # in place, and no pass at all in the Sturm mode
+    if eps != 1.0:
+        eta_z *= eps
     np.multiply(np.sinh(eta_z), _angle_q(n, _uniforms(seeds, N + k0, block)), out=draws[1])
     np.multiply(eta_z, 0.5, out=draws[0])
     if cfg.scaling == "sturm":

@@ -501,7 +501,7 @@ def _pathwise_points_walk(p, N, paths, mode, seed):
     return 2.0 * np.arctanh(np.linalg.norm(s, axis=1))
 
 
-@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 @pytest.mark.parametrize("mode", ["clt", "lln", "sturm"])
 def test_radial_chain_matches_points_walk_pathwise(mode, n):
     """Path by path, the radial chain's terminal radius is that of the walk of
@@ -536,14 +536,48 @@ def test_clt_walk_matches_exact_finite_N_law(profile, N):
     assert kstest(etas, lambda e: np.interp(e, grid, cdf)).statistic < ks_critical(1e-6, paths)
 
 
-@pytest.mark.parametrize("n", [2, 4, 5, 7])
+@pytest.mark.parametrize("n", [2, 4, 5, 6, 7])
 def test_angle_draws_invert_the_beta_law(n):
-    """q = (1 - c)/2 has the CDF betainc(a, a, q), a = (n - 1)/2.  The angle
-    tables of n >= 4 are built to 1e-12; the bound leaves room for the
-    rounding of q near 1, where n = 2 (no table) reaches 3e-12."""
+    """q = (1 - c)/2 has the CDF betainc(a, a, q), a = (n - 1)/2.  n = 2 and
+    n = 5 take closed forms; n = 4, 6 and 7 invert angle tables, built to
+    1e-12.  The bound leaves room for the rounding of q near 1, where n = 2
+    reaches 3e-12."""
     u = (np.arange(10**5) + 0.5) / 10**5
     q = walk_sim._angle_q(n, u)
     assert float(np.max(np.abs(betainc(0.5 * (n - 1), 0.5 * (n - 1), q) - u))) < 1e-11
+
+
+def test_n5_angle_is_the_beta22_quantile_to_4_ulp():
+    """At n = 5, q ~ Beta(2, 2) is the root in [0, 1] of 3q^2 - 2q^3 = u,
+    here solved by mpmath to 40 digits.  The closed form is within 4 ulp of
+    it on a geometric sweep of u from 2^-54 to 0.1, its mirror up to
+    1 - 2^-53, and random draws; every u is a draw the walk can make, a
+    multiple of 2^-53 or 2^-54."""
+    import mpmath
+
+    k = np.unique(np.round(np.geomspace(1.0, 0.1 * 2.0**53, 200)))
+    low = np.r_[2.0**-54, k * 2.0**-53]
+    draws = np.random.default_rng(29).integers(0, 2**53, 300) * 2.0**-53
+    u = np.r_[low, 1.0 - low[1:], open_uniforms(draws)]
+    q = _angle_q(5, u)
+    with mpmath.workdps(40):
+        for x, got in zip(u.tolist(), q.tolist()):
+            x = mpmath.mpf(x)
+            ref = mpmath.findroot(lambda r: (3 - 2 * r) * r * r - x, mpmath.mpf(got))
+            assert 0 <= ref <= 1
+            assert abs(got - ref) <= 4 * np.spacing(float(ref)), (x, got, ref)
+
+
+@pytest.mark.parametrize("mode", ["clt", "lln", "sturm"])
+def test_n5_walk_inverts_no_angle_table(mode, monkeypatch):
+    """An n = 5 walk draws its angles from the closed form alone: with the
+    angle table out of reach it still gives its pinned radii."""
+    def no_table(n):
+        raise AssertionError(f"angle table built for n = {n}")
+
+    monkeypatch.setattr(walk_sim, "_angle_table", no_table)
+    cfg = WalkConfig(make_bump(1.0, 5), 40, 700, mode, 1005)
+    assert hashlib.sha256(run_walk(cfg).tobytes()).hexdigest() == _PINNED[mode, 5]
 
 
 # SHA-256 of run_walk(WalkConfig(make_bump(1.0, n), 40, 700, mode, 1000 + n))
@@ -553,33 +587,38 @@ def test_angle_draws_invert_the_beta_law(n):
 # Gauss-Legendre rule.  They pin the draws and the steps' arithmetic bit for
 # bit.  numpy's elementwise sinh and arcsinh may round differently on
 # another CPU family or numpy build, which would need the hashes re-recorded.
+# The n = 5 hashes (and _PINNED_CSV) were recorded with the closed-form
+# angle draw of _angle_q; n = 4 pins the angle-table route.
 _PINNED = {
     ("clt", 2): "4e856396603faef3d16866a7753c4434d996fbff29e302dbde78db940de7ad81",
     ("clt", 3): "2eace7d9c801405de139fb32400c2082b87adcf1eb5c12f3d826210fdec8cab2",
-    ("clt", 5): "3c82cb2da4f4cbc5728efe0f7330fc25ba0e86f7133679ed3701316083cb6bf0",
+    ("clt", 4): "c44c4e2aac04e03dfb52995eecaada98a8836fd3302348282de1a4ba659ac0c8",
+    ("clt", 5): "86dff5dd8ec89f799ca37fef11464b8ace1aa83ee4730d0bf6ea13de023fed8b",
     ("lln", 2): "62febe1d9b4fa2afcb9f8da40a84bcc5d1bb3b1973711bf0889049ff358f6b5e",
     ("lln", 3): "06463fedef119ffbff4aea123c27eaa998ec7d0e41c25c36da5efbd3ef70e17a",
-    ("lln", 5): "dbf72d1cf145ba565e5626d7ed84f510b020e512b47ff231ddedb463c9c0e2c9",
+    ("lln", 4): "74c578bcbd05f3084004e70cbeec255c18a6715b3a1a48007b77f1dfb2db83a8",
+    ("lln", 5): "b912989fa6234283571eb4804f8ab522dc04e7a9197383996776d6dfc04f7a5a",
     ("sturm", 2): "6112bcf0c0a9343cf63cc831a008ed4f5b4e5edd37fde3d8a698d850f740459e",
     ("sturm", 3): "62929167d837282ff0c7ac2a7d8bcda6da73e6f39778f4cf41682be5899d3663",
-    ("sturm", 5): "dd19b52d2ce1259a5c3a5c5bb7412abac605528ecc1ba1b1653919e539062899",
+    ("sturm", 4): "6015ac1511c0bd039afa63bc0302acf93294bb196e5bf1bd31b0b2cb43d5bf61",
+    ("sturm", 5): "03cc15708e566ee82f1542acadc4c0f85fb0a08ddae894156d0468ef6d416c81",
 }
-_PINNED_CSV = "dfdc9c371d47bfae614a5656093f7bdc310db50a2c77bec17fb1f082a014f392"
+_PINNED_CSV = "bdff7421c57b7cbc88079ea12fca852f6c0d73fba08f77970dd1128a4bc262aa"
 # the same at N = 120, recorded with blocks of 2^13 draws of each kind
 _PINNED_120 = {
     ("clt", 2): "ff2c3716e380600e72aa42936b45a9e40c7e55009c3478854a2c470fc614c06c",
     ("clt", 3): "6ebdc21bbe366c5a8562178e3dc9a12ade988aabe579b4032dbbe6b59c7f5999",
-    ("clt", 5): "3e405c97973640fc028476b9bd4c0051bb7b2bf0e95c43ec45d72a77b28a368c",
+    ("clt", 5): "0d525701ee5536779c5d47555651d06414dc5cee0516e5f9e0a7a05fd0446d8c",
     ("lln", 2): "78f14de264a99e0bd3f04b925ea828f9fac3e13b86fd6ff2b5a4d650b6ace89a",
     ("lln", 3): "d3ce51f5a4ec1a4c575d78580e6a0b559c2c776cbe5bed5da77c439a8e84348d",
-    ("lln", 5): "0c385ec51e7063a8516fb2c366f2da143154f2815d5eecb719028344dc7b5f7e",
+    ("lln", 5): "10640925411aec032fcc502c270acd0bb6b15425a0bf0cd7b862ce19a5f8724f",
     ("sturm", 2): "04c13048184db828d27c858d25c7b290f7f5a1911b647f2051b554e2ca13202f",
     ("sturm", 3): "2acc57b8da23001e9d1533ff879fcc05dd9ca968eb172a6d16cd262a25a86ffc",
-    ("sturm", 5): "eff24a932f116ac16080e80feca80ea310f8c74f074bbefe8dd2abe934c71383",
+    ("sturm", 5): "4009999e72f7de44833ed4f97d16e87d42e9e4dd8b4cccbefbd8885f6d566114",
 }
 
 
-@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 @pytest.mark.parametrize("mode", ["clt", "lln", "sturm"])
 def test_terminal_radii_pinned(mode, n, monkeypatch):
     """Recorded when every path took four blocks of steps; at the default
